@@ -3,12 +3,15 @@
 This is the shared output shape for the orbit category, the phase diagram,
 and stratified-set diagrams: a list of labeled objects, a global morphism
 list, per-object identities, and a total composition table on composable
-pairs.  Associativity and unit laws are checkable exhaustively.
+pairs.  Associativity and unit laws are checkable exhaustively.  Every
+walk over composable pairs goes through a per-object index of morphisms
+by source or target, so its cost is the number of pairs, not M^2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any
 
 from .errors import CapExceededError, ValidationError
@@ -23,6 +26,25 @@ class Morphism:
     dst: int
     label: str
     data: Any = None
+
+
+def by_endpoint(morphisms: list[Morphism], n_objects: int,
+                end: str) -> list[list[int]]:
+    """Morphism indices grouped by their ``end`` ("src" or "dst") object,
+    each list ascending."""
+    out: list[list[int]] = [[] for _ in range(n_objects)]
+    for i, m in enumerate(morphisms):
+        out[getattr(m, end)].append(i)
+    return out
+
+
+def composition_table(morphisms: list[Morphism], n_objects: int,
+                      compose) -> dict[tuple[int, int], int]:
+    """``{(m2, m1): compose(m2, m1)}`` over every composable pair, in
+    order of m1, then m2."""
+    outgoing = by_endpoint(morphisms, n_objects, "src")
+    return {(m2, m1): compose(m2, m1)
+            for m1, a in enumerate(morphisms) for m2 in outgoing[a.dst]}
 
 
 class FiniteCategory:
@@ -72,35 +94,63 @@ class FiniteCategory:
     def aut_order(self, obj: int) -> int:
         return len(self._hom.get((obj, obj), []))
 
-    def composable_pairs(self):
-        for m1, a in enumerate(self.morphisms):
-            for m2 in range(len(self.morphisms)):
-                if self.morphisms[m2].src == a.dst:
-                    yield m2, m1
-
     def check_category_laws(self):
-        """Exhaustively verify totality, units and associativity."""
-        for m2, m1 in self.composable_pairs():
-            if (m2, m1) not in self.compose_table:
-                raise ValidationError(f"missing composition ({m2},{m1})")
+        """Exhaustively verify totality, units and associativity.
+
+        Each morphism m: x -> y gets its left-composition column, the
+        composites m o m1 over every m1 into x.  Associativity for a
+        composable pair (m3, m2) over all m1 at once is then one gather:
+        m3's column read at the positions of m2's column must equal the
+        column of m3 o m2.  The gathers for one m2 and all its m3 run
+        together.
+        """
+        n = len(self.objects)
+        into = by_endpoint(self.morphisms, n, "dst")
+        outgoing = by_endpoint(self.morphisms, n, "src")
+        table = self.compose_table
+        try:
+            column = [tuple([table[(m, m1)] for m1 in into[mor.src]])
+                      for m, mor in enumerate(self.morphisms)]
+        except KeyError:
+            for m1, a in enumerate(self.morphisms):
+                for m2 in outgoing[a.dst]:
+                    if (m2, m1) not in table:
+                        raise ValidationError(
+                            f"missing composition ({m2},{m1})") from None
+            raise
         for m, mor in enumerate(self.morphisms):
             if self.compose(m, self.identity[mor.src]) != m:
                 raise ValidationError(f"right unit fails at {m}")
             if self.compose(self.identity[mor.dst], m) != m:
                 raise ValidationError(f"left unit fails at {m}")
+        position = [0] * len(self.morphisms)
+        for ms in into:
+            for k, m in enumerate(ms):
+                position[m] = k
+        columns_from = [[column[m3] for m3 in ms] for ms in outgoing]
+        for m2, b in enumerate(self.morphisms):
+            at = [position[r] for r in column[m2]]
+            # itemgetter of one index returns an item, not a 1-tuple
+            gather = (itemgetter(*at) if len(at) > 1
+                      else lambda col, k=at[0]: (col[k],))
+            cols3 = columns_from[b.dst]
+            left = list(map(gather, cols3))
+            right = list(map(column.__getitem__,
+                             map(itemgetter(position[m2]), cols3)))
+            if left != right:
+                self._raise_first_associativity_failure(outgoing)
+        return True
+
+    def _raise_first_associativity_failure(self, outgoing):
+        """Name the first failing triple in (m1, m2, m3) order."""
         for m1, a in enumerate(self.morphisms):
-            for m2 in range(len(self.morphisms)):
-                if self.morphisms[m2].src != a.dst:
-                    continue
-                for m3 in range(len(self.morphisms)):
-                    if self.morphisms[m3].src != self.morphisms[m2].dst:
-                        continue
+            for m2 in outgoing[a.dst]:
+                for m3 in outgoing[self.morphisms[m2].dst]:
                     left = self.compose(m3, self.compose(m2, m1))
                     right = self.compose(self.compose(m3, m2), m1)
                     if left != right:
                         raise ValidationError(
                             f"associativity fails on ({m3},{m2},{m1})")
-        return True
 
 
 @dataclass

@@ -284,7 +284,10 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (PhasecatError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except KeyError as exc:
+        print(f"error: input is missing key {exc}", file=sys.stderr)
+        return 1
+    except (PhasecatError, OSError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .permgroup import (FiniteGroup, Subgroup, SubgroupClass, check_perm,
-                        perm_inv, perm_mul)
+                        perm_mul)
 
 Simplex = frozenset[int]
 

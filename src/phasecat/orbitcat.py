@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .category import FiniteCategory, Morphism
+from .category import FiniteCategory, Morphism, composition_table
 from .errors import ValidationError
 from .permgroup import (FiniteGroup, Subgroup, SubgroupClass,
                         conjugacy_classes_of_subgroups, transporter)
@@ -30,13 +30,8 @@ def transporter_coset_reps(G: FiniteGroup, H0: Subgroup,
                            H1: Subgroup) -> list[int]:
     """Canonical (minimal) representatives of the H1-cosets H1*g of the
     transporter of H0 into H1; one per equivariant map G/H0 -> G/H1."""
-    trans = transporter(G, H0, H1)
-    reps = {min(G.mul(h, g) for h in H1.members) for g in trans}
-    return sorted(reps)
-
-
-def canonical_coset_rep(G: FiniteGroup, H1: Subgroup, g: int) -> int:
-    return min(G.mul(h, g) for h in H1.members)
+    canon = H1.right_coset_min
+    return sorted({canon[g] for g in transporter(G, H0, H1)})
 
 
 class OrbitCategory:
@@ -54,8 +49,7 @@ class OrbitCategory:
 
     def morphism_index(self, c0: int, c1: int, rep: int) -> int:
         """Index of the morphism c0 -> c1 whose coset contains element rep."""
-        H1 = self.classes[c1].representative
-        canon = canonical_coset_rep(self.group, H1, rep)
+        canon = self.classes[c1].representative.right_coset_min[rep]
         for m in self.category.hom(c0, c1):
             if self.orbit_morphisms[m].coset_rep == canon:
                 return m
@@ -80,21 +74,20 @@ def _build(G: FiniteGroup, classes: list[SubgroupClass]):
                 index[(c0, c1, g)] = len(morphisms)
                 morphisms.append(Morphism(c0, c1, f"g{g}:{c0}->{c1}", om))
                 data.append(om)
-    identity = []
-    for c, cls in enumerate(classes):
-        e = canonical_coset_rep(G, cls.representative, G.identity_index)
-        identity.append(index[(c, c, e)])
-    table: dict[tuple[int, int], int] = {}
-    for m1, om1 in enumerate(data):
-        for m2, om2 in enumerate(data):
-            if om2.source_class != om1.target_class:
-                continue
-            g = G.mul(om2.coset_rep, om1.coset_rep)
-            canon = canonical_coset_rep(
-                G, classes[om2.target_class].representative, g)
-            table[(m2, m1)] = index[(om1.source_class, om2.target_class,
-                                     canon)]
-    return FiniteCategory(objects, morphisms, identity, table), data
+    canon = [cls.representative.right_coset_min for cls in classes]
+    identity = [index[(c, c, canon[c][G.identity_index])]
+                for c in range(len(classes))]
+    table = G.table
+
+    def compose(m2: int, m1: int) -> int:
+        om1, om2 = data[m1], data[m2]
+        g = table[om2.coset_rep][om1.coset_rep]
+        return index[(om1.source_class, om2.target_class,
+                      canon[om2.target_class][g])]
+
+    compose_table = composition_table(morphisms, len(classes), compose)
+    return (FiniteCategory(objects, morphisms, identity, compose_table),
+            data)
 
 
 def build_orbit_category(G: FiniteGroup,

@@ -1,10 +1,12 @@
 """Finite permutation groups and subgroup-level primitives.
 
-Groups are given by generators acting on the points ``{0, ..., degree-1}``;
-all subgroup machinery (lattice, conjugacy, transporters, normalizers, Weyl
-groups) works with exhaustive element lists.  Compact groups degenerate here
-to finite ones: every morphism space downstream is already discrete, so the
-pi_0 step of the discretized orbit category is the identity.
+Groups are given by generators acting on the points ``{0, ..., degree-1}``.
+Elements are indexed by their position in the sorted element list, and all
+subgroup machinery (lattice, conjugacy, transporters, normalizers, Weyl
+groups) works on those indices through a dense Cayley table and an inverse
+array, both built on first use.  Compact groups degenerate here to finite
+ones: every morphism space downstream is already discrete, so the pi_0 step
+of the discretized orbit category is the identity.
 
 Everything is immutable after construction and all operations are pure.
 """
@@ -12,7 +14,7 @@ Everything is immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import CapExceededError, ValidationError
@@ -34,13 +36,6 @@ def perm_mul(p: Perm, q: Perm) -> Perm:
     return tuple(p[q[x]] for x in range(len(p)))
 
 
-def perm_inv(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, img in enumerate(p):
-        out[img] = i
-    return tuple(out)
-
-
 def check_perm(images, degree: int) -> Perm:
     """Validate an image array as a permutation of {0,...,degree-1}."""
     images = tuple(int(x) for x in images)
@@ -58,7 +53,7 @@ class FiniteGroup:
 
     ``elements`` is the closure of the generators, sorted lexicographically
     by image tuple, so identical generator data always produces identical
-    element indexing.
+    element indexing.  ``table`` and ``inverse`` are computed on first use.
     """
 
     def __init__(self, degree: int, generators, _elements=None):
@@ -72,8 +67,6 @@ class FiniteGroup:
         self.elements: tuple[Perm, ...] = tuple(sorted(_elements))
         self._index: dict[Perm, int] = {
             p: i for i, p in enumerate(self.elements)}
-        self._mul_cache: dict[tuple[int, int], int] = {}
-        self._inv_cache: dict[int, int] = {}
 
     @property
     def order(self) -> int:
@@ -92,25 +85,52 @@ class FiniteGroup:
         except KeyError:
             raise ValidationError(f"{p} is not an element of the group")
 
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """Cayley table: ``table[i][j]`` is the index of
+        elements[i] * elements[j].
+
+        Row i is left multiplication by element i.  Rows of a few
+        generators are computed from the permutations; every other row is
+        a composite ``row(s)[row(q)[j]]`` of rows already known, found
+        breadth-first from the identity.
+        """
+        index, elements = self._index, self.elements
+        rows = {self.identity_index: tuple(range(self.order))}
+        used: list[tuple[int, ...]] = []
+        for g in self.generators:
+            if index[g] in rows:
+                continue
+            used.append(tuple(index[perm_mul(g, p)] for p in elements))
+            frontier = list(rows)
+            while frontier:
+                nxt = []
+                for q in frontier:
+                    q_row = rows[q]
+                    for s_row in used:
+                        p = s_row[q]
+                        if p not in rows:
+                            rows[p] = tuple([s_row[x] for x in q_row])
+                            nxt.append(p)
+                frontier = nxt
+        return tuple(rows[i] for i in range(self.order))
+
+    @cached_property
+    def inverse(self) -> tuple[int, ...]:
+        """``inverse[i]`` is the index of elements[i]^-1."""
+        e = self.identity_index
+        return tuple(row.index(e) for row in self.table)
+
     def mul(self, i: int, j: int) -> int:
         """Index of elements[i] * elements[j] (i applied after j)."""
-        key = (i, j)
-        got = self._mul_cache.get(key)
-        if got is None:
-            got = self._index[perm_mul(self.elements[i], self.elements[j])]
-            self._mul_cache[key] = got
-        return got
+        return self.table[i][j]
 
     def inv(self, i: int) -> int:
-        got = self._inv_cache.get(i)
-        if got is None:
-            got = self._index[perm_inv(self.elements[i])]
-            self._inv_cache[i] = got
-        return got
+        return self.inverse[i]
 
     def conj(self, g: int, h: int) -> int:
         """Index of g h g^-1."""
-        return self.mul(self.mul(g, h), self.inv(g))
+        return self.table[self.table[g][h]][self.inverse[g]]
 
     def __repr__(self):
         return (f"FiniteGroup(degree={self.degree}, order={self.order}, "
@@ -161,8 +181,25 @@ class Subgroup:
     def member_set(self) -> frozenset[int]:
         return frozenset(self.members)
 
-    def contains(self, g: int) -> bool:
-        return g in self.member_set
+    @cached_property
+    def generator_indices(self) -> tuple[int, ...]:
+        """A generating tuple: each member, in order, that the earlier
+        ones do not generate."""
+        gens: list[int] = []
+        span = {self.parent.identity_index}
+        for h in self.members:
+            if h not in span:
+                gens.append(h)
+                span = _generated(self.parent, gens)
+        return tuple(gens)
+
+    @cached_property
+    def right_coset_min(self) -> tuple[int, ...]:
+        """``right_coset_min[g]`` is min(H g), the canonical representative
+        of the right coset of element g."""
+        table = self.parent.table
+        return tuple(min(col) for col in zip(*(table[h]
+                                                for h in self.members)))
 
     def conjugate(self, g: int) -> "Subgroup":
         G = self.parent
@@ -179,21 +216,27 @@ class Subgroup:
 
 
 def subgroup_closure(G: FiniteGroup, seed) -> frozenset[int]:
-    """Close a set of element indices under multiplication and inverse."""
+    """The subgroup generated by a set of element indices."""
+    return frozenset(_generated(G, seed))
+
+
+def _generated(G: FiniteGroup, seed) -> set[int]:
+    """Breadth-first search from the identity under left multiplication by
+    the seed elements; in a finite group the positive words already
+    contain every inverse."""
+    rows = [G.table[s] for s in set(seed)]
     members = {G.identity_index}
-    members.update(G.inv(i) for i in seed)
-    members.update(seed)
     frontier = list(members)
     while frontier:
         nxt = []
-        for a in frontier:
-            for b in list(members):
-                for c in (G.mul(a, b), G.mul(b, a)):
-                    if c not in members:
-                        members.add(c)
-                        nxt.append(c)
+        for x in frontier:
+            for row in rows:
+                y = row[x]
+                if y not in members:
+                    members.add(y)
+                    nxt.append(y)
         frontier = nxt
-    return frozenset(members)
+    return members
 
 
 def trivial_subgroup(G: FiniteGroup) -> Subgroup:
@@ -207,26 +250,34 @@ def full_subgroup(G: FiniteGroup) -> Subgroup:
 def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """Every subgroup of G, sorted by (order, member tuple).
 
-    Layered closure: seed with all cyclic subgroups, then repeatedly extend
-    each known subgroup by one extra element and close.  Terminates because
-    the subgroup lattice is finite; exhaustive because every subgroup is
-    reachable by adjoining its elements one at a time.
+    Layered closure on the Cayley table: seed with all cyclic subgroups,
+    then repeatedly extend each known subgroup H by one element g outside
+    it.  Each known subgroup keeps the generator tuple it was found with,
+    and the extension closes ``gens + (g,)``.  Every element of the coset
+    gH gives the same extension, so one g per left coset is tried.
+    Terminates because the subgroup lattice is finite; exhaustive because
+    every subgroup is reachable by adjoining its elements one at a time.
     """
     if G.order > ORDER_CAP:
         raise CapExceededError(f"group order {G.order} exceeds {ORDER_CAP}")
-    known: set[frozenset[int]] = {frozenset({G.identity_index})}
+    table = G.table
+    known: dict[frozenset[int], tuple[int, ...]] = {
+        frozenset({G.identity_index}): ()}
     for g in range(G.order):
-        known.add(subgroup_closure(G, (g,)))
-    frontier = set(known)
+        known.setdefault(subgroup_closure(G, (g,)), (g,))
+    frontier = dict(known)
     while frontier:
-        new: set[frozenset[int]] = set()
-        for members in frontier:
+        new: dict[frozenset[int], tuple[int, ...]] = {}
+        for members, gens in frontier.items():
+            tried = set(members)
             for g in range(G.order):
-                if g in members:
+                if g in tried:
                     continue
-                ext = subgroup_closure(G, tuple(members) + (g,))
-                if ext not in known:
-                    new.add(ext)
+                row = table[g]
+                tried.update(row[h] for h in members)
+                ext = subgroup_closure(G, gens + (g,))
+                if ext not in known and ext not in new:
+                    new[ext] = gens + (g,)
         known.update(new)
         frontier = new
     subs = [Subgroup(G, tuple(sorted(m))) for m in known]
@@ -280,12 +331,24 @@ def conjugacy_classes_of_subgroups(
 
 
 def transporter(G: FiniteGroup, H0: Subgroup, H1: Subgroup) -> frozenset[int]:
-    """{g in G | g H0 g^-1 <= H1}."""
+    """{g in G | g H0 g^-1 <= H1}.
+
+    Empty unless |H0| divides |H1|.  It suffices to conjugate H0's
+    generators, and the set is a union of right cosets H1 g, so only the
+    minimal element of each coset is tested.
+    """
+    if H1.order % H0.order:
+        return frozenset()
+    table, inverse = G.table, G.inverse
     target = H1.member_set
-    out = []
-    for g in range(G.order):
-        if all(G.conj(g, h) in target for h in H0.members):
-            out.append(g)
+    gens = H0.generator_indices
+    out: list[int] = []
+    for g, rep in enumerate(H1.right_coset_min):
+        if g != rep:
+            continue
+        row, g_inv = table[g], inverse[g]
+        if all(table[row[h]][g_inv] in target for h in gens):
+            out.extend(table[h][g] for h in H1.members)
     return frozenset(out)
 
 

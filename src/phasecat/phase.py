@@ -14,7 +14,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .category import FiniteCategory, Morphism
+from .category import FiniteCategory, Morphism, composition_table
 from .errors import ValidationError
 from .gspace import (FixPresheaf, GComplex, close_under_faces, components,
                      isotropy, pi0_fix_presheaf)
@@ -94,15 +94,13 @@ def _build_phase(orbit: OrbitCategory, presheaf: FixPresheaf):
         base = orbit.category.identity[o.subgroup_class]
         identity.append(mor_index[(base, o.component_id)])
 
-    table: dict[tuple[int, int], int] = {}
-    for i1, mor1 in enumerate(morphisms):
-        m1, comp1 = mor1.data
-        for i2, mor2 in enumerate(morphisms):
-            if mor2.src != mor1.dst:
-                continue
-            m2, comp2 = mor2.data
-            base = orbit.category.compose_table[(m2, m1)]
-            table[(i2, i1)] = mor_index[(base, comp2)]
+    base_table = orbit.category.compose_table
+
+    def compose(i2: int, i1: int) -> int:
+        m2, comp2 = morphisms[i2].data
+        return mor_index[(base_table[(m2, morphisms[i1].data[0])], comp2)]
+
+    table = composition_table(morphisms, len(objects), compose)
 
     cat = FiniteCategory([o.label for o in objects], morphisms, identity,
                          table)
@@ -309,13 +307,11 @@ def strata_category(strat: StratifiedComplex) -> FiniteCategory:
                 obj_index[(i, c)], obj_index[(j, cj)],
                 f"{i}.c{c}<={j}", (i, c, j)))
     identity = [mor_index[(i, c, i)] for (i, c) in objects]
-    table: dict[tuple[int, int], int] = {}
-    for m1, mor1 in enumerate(morphisms):
-        i, c, j = mor1.data
-        for m2, mor2 in enumerate(morphisms):
-            j2, c2, k = mor2.data
-            if mor2.src != mor1.dst:
-                continue
-            table[(m2, m1)] = mor_index[(i, c, k)]
+
+    def compose(m2: int, m1: int) -> int:
+        i, c, _ = morphisms[m1].data
+        return mor_index[(i, c, morphisms[m2].data[2])]
+
+    table = composition_table(morphisms, len(objects), compose)
     labels = [f"(S{i},c{c})" for (i, c) in objects]
     return FiniteCategory(labels, morphisms, identity, table)

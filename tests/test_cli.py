@@ -78,6 +78,21 @@ class TestGroupCommand:
         assert code == 1
         assert "error:" in err
 
+    def test_non_integer_degree(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"degree": "x", "generators": []}))
+        code, _, err = run(capsys, ["group", "info", "-i", str(path)])
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error:")
+
+    def test_missing_degree(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"generators": []}))
+        code, _, err = run(capsys, ["group", "info", "-i", str(path)])
+        assert code == 1
+        assert err == "error: input is missing key 'degree'\n"
+
 
 class TestCategoryCommands:
     def test_orbitcat_json(self, capsys, inputs):

@@ -145,6 +145,20 @@ class TestImportErrors:
         with pytest.raises(ValidationError):
             import_olog(data)
 
+    def test_non_associative_triples(self):
+        # one object, arrows a and b; every triple has the right endpoints
+        # but (a a) b = b b = id while a (a b) = a a = b
+        data = {"objects": [{"id": "o0"}],
+                "arrows": [{"id": "a", "src": "o0", "dst": "o0"},
+                           {"id": "b", "src": "o0", "dst": "o0"}],
+                "compositions": [
+                    {"left": "a", "right": "a", "result": "b"},
+                    {"left": "a", "right": "b", "result": "a"},
+                    {"left": "b", "right": "a", "result": "id:o0"},
+                    {"left": "b", "right": "b", "result": "id:o0"}]}
+        with pytest.raises(ValidationError, match="associativity fails"):
+            import_olog(data)
+
 
 class TestAtomicWrite:
     def test_writes_and_replaces(self, tmp_path):

@@ -3,6 +3,7 @@ import pytest
 import oracles
 from phasecat import (ValidationError, build_orbit_category,
                       conjugacy_classes_of_subgroups, weyl_group)
+from phasecat.category import FiniteCategory
 
 GROUP_NAMES = ["trivial", "c2", "c4", "s3", "d4", "a4", "s4"]
 
@@ -97,6 +98,107 @@ class TestComposition:
         arr = oc.category.hom(triv, a3)[0]
         with pytest.raises(ValidationError):
             oc.compose(arr, arr)
+
+
+def _with_table(cat, table):
+    return FiniteCategory(cat.objects, cat.morphisms, cat.identity, table)
+
+
+def _brute_force_law_violation(cat):
+    """True if some unit or associativity law fails, by scanning every
+    morphism and every triple of morphisms."""
+    table = cat.compose_table
+    for m, mor in enumerate(cat.morphisms):
+        if (table[(m, cat.identity[mor.src])] != m
+                or table[(cat.identity[mor.dst], m)] != m):
+            return True
+    return _first_associativity_failure(cat) is not None
+
+
+class TestLawCheckRejects:
+    """The law check must fail exactly on tables that break a law."""
+
+    def test_every_single_entry_substitution(self, orbit_cats):
+        cat = orbit_cats["s3"].category
+        assert len(cat.morphisms) == 18
+        variants = broken = 0
+        for key, r in cat.compose_table.items():
+            m2, m1 = key
+            src, dst = cat.morphisms[m1].src, cat.morphisms[m2].dst
+            for other in cat.hom(src, dst):
+                if other == r:
+                    continue
+                table = dict(cat.compose_table)
+                table[key] = other
+                bad = _with_table(cat, table)
+                variants += 1
+                if _brute_force_law_violation(bad):
+                    broken += 1
+                    with pytest.raises(ValidationError):
+                        bad.check_category_laws()
+                else:
+                    assert bad.check_category_laws()
+        assert variants > 0 and broken > 0
+
+    def test_missing_pair(self, orbit_cats):
+        cat = orbit_cats["s3"].category
+        for key in cat.compose_table:
+            table = dict(cat.compose_table)
+            del table[key]
+            with pytest.raises(ValidationError,
+                               match=r"missing composition \(%d,%d\)"
+                               % key):
+                _with_table(cat, table).check_category_laws()
+
+    def test_broken_unit(self, orbit_cats):
+        cat = orbit_cats["s3"].category
+        for obj, e in enumerate(cat.identity):
+            for m in cat.hom(obj, obj):
+                if m == e:
+                    continue
+                table = dict(cat.compose_table)
+                table[(m, e)] = e
+                with pytest.raises(ValidationError, match="unit fails"):
+                    _with_table(cat, table).check_category_laws()
+
+    def test_first_failing_triple_is_named(self, orbit_cats):
+        cat = orbit_cats["s3"].category
+        named = 0
+        for key in cat.compose_table:
+            if cat.is_identity(key[0]) or cat.is_identity(key[1]):
+                continue
+            src = cat.morphisms[key[1]].src
+            dst = cat.morphisms[key[0]].dst
+            for other in cat.hom(src, dst):
+                table = dict(cat.compose_table)
+                table[key] = other
+                bad = _with_table(cat, table)
+                first = _first_associativity_failure(bad)
+                if first is None:
+                    continue
+                named += 1
+                with pytest.raises(
+                        ValidationError,
+                        match=r"associativity fails on \(%d,%d,%d\)\Z"
+                        % first):
+                    bad.check_category_laws()
+        assert named > 0
+
+
+def _first_associativity_failure(cat):
+    """The first (m3, m2, m1) that breaks associativity, scanning m1, then
+    m2, then m3 in index order."""
+    mors, table = cat.morphisms, cat.compose_table
+    for m1 in range(len(mors)):
+        for m2 in range(len(mors)):
+            if mors[m2].src != mors[m1].dst:
+                continue
+            for m3 in range(len(mors)):
+                if mors[m3].src == mors[m2].dst and \
+                        table[(m3, table[(m2, m1)])] \
+                        != table[(table[(m3, m2)], m1)]:
+                    return (m3, m2, m1)
+    return None
 
 
 def _element_order(oc, a, auts):

@@ -1,10 +1,26 @@
+import random
+
 import pytest
 
 import oracles
 from phasecat import (CapExceededError, ValidationError, all_subgroups,
-                      closure, conjugacy_classes_of_subgroups, normalizer,
+                      build_orbit_category, closure,
+                      conjugacy_classes_of_subgroups, normalizer,
                       transporter, weyl_group)
-from phasecat.permgroup import ORDER_CAP, Subgroup, trivial_subgroup
+from phasecat.permgroup import (ORDER_CAP, Subgroup, left_cosets,
+                                subgroup_closure, trivial_subgroup)
+
+
+def naive_subgroup_closure(G, seed):
+    """Reference closure: add pairwise products and inverses of everything
+    found so far until nothing new appears."""
+    members = {G.identity_index, *seed}
+    while True:
+        new = {G.mul(a, b) for a in members for b in members} \
+            | {G.inv(a) for a in members}
+        if new <= members:
+            return frozenset(members)
+        members |= new
 
 
 class TestClosure:
@@ -48,6 +64,67 @@ class TestClosure:
         gens = [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]]
         with pytest.raises(CapExceededError):
             closure(7, gens)
+
+
+class TestCayleyTable:
+    def test_table_matches_permutation_products(self, groups):
+        for G in groups.values():
+            for i, p in enumerate(G.elements):
+                for j, q in enumerate(G.elements):
+                    assert G.elements[G.mul(i, j)] == oracles.compose(p, q)
+                assert G.elements[G.inv(i)] == oracles.invert(p)
+
+    def test_built_on_first_use(self):
+        G = closure(3, [[1, 0, 2], [1, 2, 0]])
+        assert "table" not in vars(G)
+        G.mul(1, 2)
+        assert "table" in vars(G)
+
+    def test_table_from_many_generators(self, groups):
+        # every element as a generator, as Subgroup.as_group does
+        G = groups["s4"]
+        again = closure(G.degree, G.elements)
+        assert again.table == G.table
+
+
+class TestSubgroupClosure:
+    def test_single_elements_match_naive_closure(self, groups):
+        for G in groups.values():
+            for g in range(G.order):
+                assert subgroup_closure(G, (g,)) \
+                    == naive_subgroup_closure(G, (g,))
+
+    def test_random_pairs_match_naive_closure(self, groups):
+        rng = random.Random(20120203)
+        for G in groups.values():
+            for _ in range(20):
+                seed = (rng.randrange(G.order), rng.randrange(G.order))
+                assert subgroup_closure(G, seed) \
+                    == naive_subgroup_closure(G, seed)
+
+    def test_empty_seed_is_trivial(self, s3):
+        assert subgroup_closure(s3, ()) == frozenset({s3.identity_index})
+
+
+class TestSymmetricGroupS5:
+    def test_lattice_classes_and_orbit_category(self):
+        G = closure(5, [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]])
+        subs = all_subgroups(G)
+        classes = conjugacy_classes_of_subgroups(G, subs)
+        # literature values for S5
+        assert (G.order, len(subs), len(classes)) == (120, 156, 19)
+        oc = build_orbit_category(G, classes)
+        # one morphism H -> K per H-fixed coset of G/K
+        expected = 0
+        for c0 in classes:
+            H = c0.representative.members
+            for c1 in classes:
+                K = c1.representative
+                for coset in left_cosets(G, K):
+                    if all(G.mul(h, coset[0]) in coset for h in H):
+                        expected += 1
+        assert len(oc.category.morphisms) == expected
+        assert oc.category.check_category_laws()
 
 
 class TestSubgroups:
