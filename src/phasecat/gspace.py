@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import ValidationError
 from .permgroup import (FiniteGroup, Subgroup, SubgroupClass, check_perm,
@@ -92,8 +93,13 @@ class GComplex:
         return tuple(maps[i] for i in range(G.order))
 
     def _validate_simplicial(self, warn_setwise: bool):
+        # Every element map is a product of generator maps (consistent, as
+        # _derive_element_maps checked), so the generators carry simplices
+        # to simplices iff every element does; only the setwise warning
+        # needs the element maps.
+        maps = self.element_maps if warn_setwise else self.generator_maps
         warned = False
-        for vmap in self.element_maps:
+        for vmap in maps:
             for s in self.simplices:
                 image = frozenset(vmap[v] for v in s)
                 if image not in self.simplices:
@@ -116,12 +122,16 @@ class GComplex:
 
 
 def fixed_subcomplex(X: GComplex, H: Subgroup) -> frozenset[Simplex]:
-    """Simplices fixed vertex-wise by every element of H."""
-    out = []
-    for s in X.simplices:
-        if all(X.element_maps[h][v] == v for h in H.members for v in s):
-            out.append(s)
-    return frozenset(out)
+    """Simplices fixed vertex-wise by every element of H.
+
+    A vertex fixed by every generator of H is fixed by H, so only the
+    generators' maps are read.
+    """
+    fixed = set(range(X.vertex_count))
+    for h in H.generator_indices:
+        vmap = X.element_maps[h]
+        fixed = {v for v in fixed if vmap[v] == v}
+    return frozenset(s for s in X.simplices if s <= fixed)
 
 
 def components(subset) -> list[tuple[int, ...]]:
@@ -152,6 +162,11 @@ def components(subset) -> list[tuple[int, ...]]:
     return [tuple(sorted(comps[r])) for r in sorted(comps)]
 
 
+def component_index(comps) -> dict[int, int]:
+    """Vertex -> position of its component in a :func:`components` list."""
+    return {v: i for i, comp in enumerate(comps) for v in comp}
+
+
 def isotropy(X: GComplex, vertex: int) -> Subgroup:
     """Vertex stabilizer {g | g v = v} as a subgroup of X.group."""
     if not 0 <= vertex < X.vertex_count:
@@ -173,19 +188,23 @@ class FixPresheaf:
     """pi_0 of the fixed-point functor over the subgroup classes.
 
     ``comps[c]`` lists the components of Fix(H_c) for the class
-    representative H_c; component ids are positions in that list.
+    representative H_c; component ids are positions in that list, and
+    ``vertex_component[c]`` maps each vertex of Fix(H_c) to its id.
     """
     X: GComplex
     classes: list[SubgroupClass]
     fixed: list[frozenset[Simplex]]
     comps: list[list[tuple[int, ...]]]
 
+    def __post_init__(self):
+        self.vertex_component = [component_index(c) for c in self.comps]
+
     def component_of_vertex(self, class_index: int, vertex: int) -> int:
-        for i, comp in enumerate(self.comps[class_index]):
-            if vertex in comp:
-                return i
-        raise ValidationError(
-            f"vertex {vertex} not in Fix of class {class_index}")
+        try:
+            return self.vertex_component[class_index][vertex]
+        except KeyError:
+            raise ValidationError(
+                f"vertex {vertex} not in Fix of class {class_index}") from None
 
     def induced_map(self, source_class: int, target_class: int,
                     g: int) -> list[int]:
@@ -221,21 +240,28 @@ def subdivide(X: GComplex) -> GComplex:
     """Barycentric subdivision, with the action extended to barycenters.
 
     New vertices are the simplices of X (in sorted order); new simplices are
-    the flags of proper inclusions.
+    the flags of proper inclusions.  A coface index ``up[i]`` lists, in
+    vertex order, every simplex that properly contains simplex ``i``; it is
+    built once from the faces of each simplex, and flags grow through it,
+    so the work is proportional to the number of flags.
     """
     old = sorted(X.simplices, key=lambda s: (len(s), sorted(s)))
     where = {s: i for i, s in enumerate(old)}
+    up: list[list[int]] = [[] for _ in old]
+    for t, s in enumerate(old):
+        verts = sorted(s)
+        for k in range(1, len(verts)):
+            for face in combinations(verts, k):
+                up[where[frozenset(face)]].append(t)
     flags: list[tuple[int, ...]] = []
 
-    def extend(chain: list[Simplex]):
-        flags.append(tuple(where[s] for s in chain))
-        top = chain[-1]
-        for s in old:
-            if len(s) > len(top) and top < s:
-                extend(chain + [s])
+    def extend(chain: tuple[int, ...]):
+        flags.append(chain)
+        for t in up[chain[-1]]:
+            extend(chain + (t,))
 
-    for s in old:
-        extend([s])
+    for i in range(len(old)):
+        extend((i,))
     gen_maps = []
     for vmap in X.generator_maps:
         gen_maps.append(tuple(where[frozenset(vmap[v] for v in s)]

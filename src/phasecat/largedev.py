@@ -14,10 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import CapExceededError, ValidationError
 
 PROB_TOL = 1e-12
 THETA_TOL = 1e-12
+# theta = +-2^k stays finite for k < 1024
+BRACKET_CAP = 1024
+# halving the widest finite bracket down to adjacent floats takes about
+# 2100 steps
+BISECTION_CAP = 2200
 
 
 @dataclass(frozen=True)
@@ -90,16 +95,35 @@ def legendre(obs: DiscreteObservable, x: float) -> float:
             f"x={x} outside the open outcome hull ({lo}, {hi}); "
             "rate is infinite or a boundary limit")
     a, b = -1.0, 1.0
-    while cgf_prime(obs, a) > x:
+    for _ in range(BRACKET_CAP):
+        if not cgf_prime(obs, a) > x:
+            break
         a *= 2.0
-    while cgf_prime(obs, b) < x:
+    else:
+        raise CapExceededError(
+            f"no lower theta bracket for x={x} within BRACKET_CAP="
+            f"{BRACKET_CAP} doublings")
+    for _ in range(BRACKET_CAP):
+        if not cgf_prime(obs, b) < x:
+            break
         b *= 2.0
-    while b - a > THETA_TOL:
+    else:
+        raise CapExceededError(
+            f"no upper theta bracket for x={x} within BRACKET_CAP="
+            f"{BRACKET_CAP} doublings")
+    for _ in range(BISECTION_CAP):
         mid = 0.5 * (a + b)
+        # stop at the tolerance, or when no float lies strictly between
+        if b - a <= THETA_TOL or mid in (a, b):
+            break
         if cgf_prime(obs, mid) < x:
             a = mid
         else:
             b = mid
+    else:
+        raise CapExceededError(
+            f"bisection for x={x} did not settle within BISECTION_CAP="
+            f"{BISECTION_CAP} steps")
     theta = 0.5 * (a + b)
     for _ in range(4):
         m1, var = _tilted_moments(obs, theta)

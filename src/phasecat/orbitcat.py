@@ -35,14 +35,19 @@ def transporter_coset_reps(G: FiniteGroup, H0: Subgroup,
 
 
 class OrbitCategory:
-    """O_0(G) together with the class data used to build it."""
+    """O_0(G) together with the class data used to build it.
+
+    ``index[(c0, c1, g)]`` is the morphism c0 -> c1 whose canonical coset
+    representative is g.
+    """
 
     def __init__(self, G: FiniteGroup,
                  classes: list[SubgroupClass] | None = None):
         self.group = G
         self.classes = (classes if classes is not None
                         else conjugacy_classes_of_subgroups(G))
-        self.category, self.orbit_morphisms = _build(G, self.classes)
+        self.category, self.orbit_morphisms, self.index = _build(
+            G, self.classes)
 
     def hom_set(self, c0: int, c1: int) -> list[OrbitMorphism]:
         return [self.orbit_morphisms[m] for m in self.category.hom(c0, c1)]
@@ -50,11 +55,11 @@ class OrbitCategory:
     def morphism_index(self, c0: int, c1: int, rep: int) -> int:
         """Index of the morphism c0 -> c1 whose coset contains element rep."""
         canon = self.classes[c1].representative.right_coset_min[rep]
-        for m in self.category.hom(c0, c1):
-            if self.orbit_morphisms[m].coset_rep == canon:
-                return m
-        raise ValidationError(
-            f"element {rep} does not represent a morphism {c0} -> {c1}")
+        m = self.index.get((c0, c1, canon))
+        if m is None:
+            raise ValidationError(
+                f"element {rep} does not represent a morphism {c0} -> {c1}")
+        return m
 
     def compose(self, m2: int, m1: int) -> int:
         return self.category.compose(m2, m1)
@@ -87,7 +92,7 @@ def _build(G: FiniteGroup, classes: list[SubgroupClass]):
 
     compose_table = composition_table(morphisms, len(classes), compose)
     return (FiniteCategory(objects, morphisms, identity, compose_table),
-            data)
+            data, index)
 
 
 def build_orbit_category(G: FiniteGroup,

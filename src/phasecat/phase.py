@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from .category import FiniteCategory, Morphism, composition_table
 from .errors import ValidationError
-from .gspace import (FixPresheaf, GComplex, close_under_faces, components,
-                     isotropy, pi0_fix_presheaf)
+from .gspace import (FixPresheaf, GComplex, close_under_faces,
+                     component_index, components, isotropy, pi0_fix_presheaf)
 from .orbitcat import OrbitCategory, build_orbit_category
 from .permgroup import FiniteGroup, Subgroup, conjugacy_classes_of_subgroups
 
@@ -35,25 +35,31 @@ class PhaseObject:
 
 
 class PhaseCategory:
-    """Phi_0[X/G] with its forgetful data down to O_0(G)."""
+    """Phi_0[X/G] with its forgetful data down to O_0(G).
+
+    ``obj_index[(class, component)]`` is a position in ``objects``;
+    ``mor_index[(orbit morphism, target component)]`` is a morphism of
+    ``category``.
+    """
 
     def __init__(self, orbit: OrbitCategory, presheaf: FixPresheaf):
         self.orbit = orbit
         self.presheaf = presheaf
         (self.category, self.objects, self.forgetful_objects,
-         self.forgetful_morphisms) = _build_phase(orbit, presheaf)
+         self.forgetful_morphisms, self.obj_index,
+         self.mor_index) = _build_phase(orbit, presheaf)
 
     @property
     def aut_orders(self) -> list[int]:
         return [self.category.aut_order(o) for o in range(len(self.objects))]
 
     def object_index(self, subgroup_class: int, component_id: int) -> int:
-        for i, o in enumerate(self.objects):
-            if (o.subgroup_class, o.component_id) == (subgroup_class,
-                                                      component_id):
-                return i
-        raise ValidationError(
-            f"no phase object (H{subgroup_class},c{component_id})")
+        try:
+            return self.obj_index[(subgroup_class, component_id)]
+        except KeyError:
+            raise ValidationError(
+                f"no phase object (H{subgroup_class},c{component_id})"
+            ) from None
 
     def fiber(self, class_index: int) -> list[int]:
         """Phase objects lying over a given orbit-category object."""
@@ -105,7 +111,7 @@ def _build_phase(orbit: OrbitCategory, presheaf: FixPresheaf):
     cat = FiniteCategory([o.label for o in objects], morphisms, identity,
                          table)
     forget_obj = [o.subgroup_class for o in objects]
-    return cat, objects, forget_obj, forget_mor
+    return cat, objects, forget_obj, forget_mor, obj_index, mor_index
 
 
 def build_phase_diagram(G: FiniteGroup, X: GComplex,
@@ -142,14 +148,16 @@ class QuotientFunctor:
         dst = self.phase.objects[self.vertex_object[w]]
         base = self.phase.orbit.morphism_index(
             src.subgroup_class, dst.subgroup_class, n)
-        for m, mor in enumerate(self.phase.category.morphisms):
-            if mor.data == (base, dst.component_id):
-                if (mor.src, mor.dst) != (self.vertex_object[v],
-                                          self.vertex_object[w]):
-                    raise ValidationError(
-                        f"arrow image of (g={g}, v={v}) has wrong endpoints")
-                return m
-        raise ValidationError(f"no phase morphism for arrow (g={g}, v={v})")
+        m = self.phase.mor_index.get((base, dst.component_id))
+        if m is None:
+            raise ValidationError(
+                f"no phase morphism for arrow (g={g}, v={v})")
+        mor = self.phase.category.morphisms[m]
+        if (mor.src, mor.dst) != (self.vertex_object[v],
+                                  self.vertex_object[w]):
+            raise ValidationError(
+                f"arrow image of (g={g}, v={v}) has wrong endpoints")
+        return m
 
 
 def quotient_functor(phase: PhaseCategory) -> QuotientFunctor:
@@ -232,11 +240,10 @@ class StratifiedComplex:
                     raise ValidationError(
                         f"closure condition violated: face {sorted(face)} "
                         f"(stratum {j}) of simplex {sorted(s)} (stratum {i})")
+        closure = {i: self.stratum_closure(i) for i in self.strata}
         for (i, j) in self.leq:
-            if i != j and not self.stratum_closure(i) <= \
-                    self.stratum_closure(j):
-                s = next(iter(self.stratum_closure(i)
-                              - self.stratum_closure(j)))
+            if i != j and not closure[i] <= closure[j]:
+                s = next(iter(closure[i] - closure[j]))
                 raise ValidationError(
                     f"frontier condition violated: stratum {i} <= {j} but "
                     f"simplex {sorted(s)} of closure({i}) is outside "
@@ -290,18 +297,13 @@ def strata_category(strat: StratifiedComplex) -> FiniteCategory:
             obj_index[(i, c)] = len(objects)
             objects.append((i, c))
 
-    def component_of(i: int, vertex: int) -> int:
-        for c, comp in enumerate(comps[i]):
-            if vertex in comp:
-                return c
-        raise ValidationError(
-            f"vertex {vertex} missing from closure of stratum {i}")
-
+    # the frontier condition puts closure(i) inside closure(j) for i <= j
+    component_of = {i: component_index(comps[i]) for i in strat.strata}
     morphisms: list[Morphism] = []
     mor_index: dict[tuple[int, int, int], int] = {}
     for (i, j) in sorted(strat.leq):
         for c, comp in enumerate(comps[i]):
-            cj = component_of(j, comp[0])
+            cj = component_of[j][comp[0]]
             mor_index[(i, c, j)] = len(morphisms)
             morphisms.append(Morphism(
                 obj_index[(i, c)], obj_index[(j, cj)],

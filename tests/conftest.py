@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from phasecat import GComplex
 from phasecat import fixtures as fx
 
 GROUP_NAMES = ["trivial", "c2", "c4", "s3", "d4", "a4", "s4"]
@@ -28,3 +31,11 @@ def square_reflection(c2):
 @pytest.fixture(scope="session")
 def square_halfturn(c2):
     return fx.load_complex("square_halfturn", c2)
+
+
+@pytest.fixture(scope="session")
+def tetrahedron(groups):
+    """S4 permuting the vertices of the tetrahedron boundary."""
+    s4 = groups["s4"]
+    return GComplex(s4, 4, itertools.combinations(range(4), 3),
+                    s4.generators, warn_setwise=False)

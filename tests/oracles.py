@@ -116,3 +116,32 @@ def bf_conjugation_orbits(group_elements, subgroup_sets):
         remaining -= orbit
         orbits.append(orbit)
     return orbits
+
+
+def bf_subdivide(simplices, generator_maps):
+    """Barycentric subdivision by scanning every simplex for the cofaces
+    of each flag's top element.  Returns (vertex count, simplices,
+    generator maps) with vertices numbered as the sorted simplex list."""
+    old = sorted((frozenset(s) for s in simplices),
+                 key=lambda s: (len(s), sorted(s)))
+    where = {s: i for i, s in enumerate(old)}
+    flags = set()
+
+    def extend(chain):
+        flags.add(frozenset(where[s] for s in chain))
+        for s in old:
+            if chain[-1] < s:
+                extend(chain + [s])
+
+    for s in old:
+        extend([s])
+    maps = tuple(tuple(where[frozenset(vmap[v] for v in s)] for s in old)
+                 for vmap in generator_maps)
+    return len(old), frozenset(flags), maps
+
+
+def bf_fixed_subcomplex(simplices, element_maps, members):
+    """Simplices whose every vertex is fixed by every listed element."""
+    return frozenset(s for s in simplices
+                     if all(element_maps[h][v] == v
+                            for h in members for v in s))

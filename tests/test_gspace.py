@@ -1,9 +1,34 @@
+import warnings
+
 import pytest
 
+import oracles
 from phasecat import (GComplex, ValidationError, components,
                       conjugacy_classes_of_subgroups, fixed_subcomplex,
                       isotropy, orbit_of, pi0_fix_presheaf, subdivide)
-from phasecat.permgroup import Subgroup, full_subgroup, trivial_subgroup
+from phasecat.permgroup import (Subgroup, all_subgroups, closure,
+                                full_subgroup, trivial_subgroup)
+
+
+HEXAGON_DIAGONALS = ([[i, (i + 1) % 6] for i in range(6)]
+                     + [[i, i + 3] for i in range(3)])
+ROTATION = [1, 2, 3, 4, 5, 0]
+
+
+def hexagon_with_diagonals(warn_setwise):
+    """C6 rotating a hexagon that also has its three long diagonals: r^3
+    flips each diagonal, and no generator fixes a simplex setwise."""
+    return GComplex(closure(6, [ROTATION]), 6, HEXAGON_DIAGONALS, [ROTATION],
+                    warn_setwise=warn_setwise)
+
+
+def assert_subdivision_matches_scan(X):
+    sd = subdivide(X)
+    count, simplices, maps = oracles.bf_subdivide(X.simplices,
+                                                  X.generator_maps)
+    assert sd.vertex_count == count
+    assert sd.simplices == simplices
+    assert sd.generator_maps == maps
 
 
 class TestValidation:
@@ -21,6 +46,23 @@ class TestValidation:
         # edge flip fixes {0,1} setwise but not pointwise
         with pytest.warns(UserWarning):
             GComplex(c2, 2, [[0, 1]], [[1, 0]])
+
+    def test_rejects_non_simplicial_map_without_setwise_scan(self, c2):
+        with pytest.raises(ValidationError):
+            GComplex(c2, 3, [[0, 1], [1, 2]], [[1, 0, 2]],
+                     warn_setwise=False)
+        # (0 1 3)(2 5 4) respects r^6 = 1 but sends edge {0,1} to {1,3}
+        with pytest.raises(ValidationError, match="does not carry"):
+            GComplex(closure(6, [ROTATION]), 6, HEXAGON_DIAGONALS,
+                     [[1, 3, 5, 0, 2, 4]], warn_setwise=False)
+
+    def test_setwise_warning_scans_every_element(self):
+        # only r^3, not the generator r, fixes a diagonal setwise
+        with pytest.warns(UserWarning, match="setwise"):
+            hexagon_with_diagonals(warn_setwise=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hexagon_with_diagonals(warn_setwise=False)
 
     def test_faces_added_automatically(self, square_reflection):
         sizes = sorted(len(s) for s in square_reflection.simplices)
@@ -40,6 +82,14 @@ class TestFixedSubcomplex:
     def test_halfturn_fixes_nothing(self, c2, square_halfturn):
         assert fixed_subcomplex(square_halfturn, full_subgroup(c2)) \
             == frozenset()
+
+    def test_matches_all_members_scan(self, groups, tetrahedron):
+        X = subdivide(tetrahedron)
+        subgroups = all_subgroups(groups["s4"])
+        assert len(subgroups) == 30
+        for H in subgroups:
+            assert fixed_subcomplex(X, H) == oracles.bf_fixed_subcomplex(
+                X.simplices, X.element_maps, H.members)
 
     def test_monotone_in_subgroup(self, c2, square_reflection):
         small = fixed_subcomplex(square_reflection, trivial_subgroup(c2))
@@ -134,6 +184,19 @@ class TestFixPresheaf:
                                 c0.class_index, c1.class_index,
                                 s3.mul(h, g))
 
+    def test_component_of_vertex_matches_scan(self, groups, tetrahedron):
+        X = subdivide(tetrahedron)
+        pre = pi0_fix_presheaf(X,
+                               conjugacy_classes_of_subgroups(groups["s4"]))
+        for c, comps in enumerate(pre.comps):
+            for v in range(X.vertex_count):
+                want = [i for i, comp in enumerate(comps) if v in comp]
+                if want:
+                    assert pre.component_of_vertex(c, v) == want[0]
+                else:
+                    with pytest.raises(ValidationError, match="not in Fix"):
+                        pre.component_of_vertex(c, v)
+
     def test_weyl_action_well_defined(self, c2, square_reflection):
         # elements of H act trivially on Fix(H), so the normalizer action
         # on components factors through W(H)
@@ -164,3 +227,14 @@ class TestSubdivide:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             subdivide(X)  # no setwise warning after subdivision
+
+    @pytest.mark.parametrize("times", [0, 1, 2])
+    def test_tetrahedron_matches_coface_scan(self, times, tetrahedron):
+        X = tetrahedron
+        for _ in range(times):
+            X = subdivide(X)
+        assert_subdivision_matches_scan(X)
+
+    def test_small_complexes_match_coface_scan(self, square_reflection):
+        assert_subdivision_matches_scan(square_reflection)
+        assert_subdivision_matches_scan(hexagon_with_diagonals(False))

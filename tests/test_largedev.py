@@ -4,7 +4,8 @@ import pytest
 
 from phasecat import (DiscreteObservable, RateProfile, ValidationError,
                       bernoulli, binary_entropy, cgf, cgf_prime, cramer,
-                      legendre)
+                      largedev, legendre)
+from phasecat.errors import CapExceededError
 
 BERNOULLI_PS = (0.1, 0.3, 0.5, 0.7)
 
@@ -107,6 +108,28 @@ class TestLegendre:
         for x in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValidationError):
                 legendre(obs, x)
+
+    def test_narrow_hull(self):
+        # the root sits at |theta| ~ 7e6, where adjacent floats are further
+        # apart than THETA_TOL; by the affine law
+        # Gamma*_{wL}(wx) = Gamma*_L(x) the answer is the Bernoulli rate
+        obs = DiscreteObservable(((0, .5), (1e-6, .5)))
+        assert legendre(obs, 1e-9) == pytest.approx(
+            bernoulli_rate(0.5, 1e-3), rel=1e-6)
+
+    def test_bracket_cap(self, monkeypatch):
+        # the narrow-hull root needs 23 doublings of the lower end
+        monkeypatch.setattr(largedev, "BRACKET_CAP", 10)
+        obs = DiscreteObservable(((0, .5), (1e-6, .5)))
+        with pytest.raises(CapExceededError, match="BRACKET_CAP=10"):
+            legendre(obs, 1e-9)
+        with pytest.raises(CapExceededError, match="BRACKET_CAP=10"):
+            legendre(obs, 1e-6 - 1e-9)
+
+    def test_bisection_cap(self, monkeypatch):
+        monkeypatch.setattr(largedev, "BISECTION_CAP", 20)
+        with pytest.raises(CapExceededError, match="BISECTION_CAP=20"):
+            legendre(bernoulli(0.3), 0.6)
 
     def test_fenchel_inequality(self):
         # theta*x <= Gamma(theta) + Gamma*(x) for all theta, x

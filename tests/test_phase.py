@@ -3,8 +3,10 @@ import pytest
 from phasecat import (GComplex, StratifiedComplex, ValidationError,
                       build_orbit_category, build_phase_diagram,
                       category_isomorphic, forgetful_functor,
-                      quotient_functor, strata_category, weyl_group)
+                      quotient_functor, strata_category, subdivide,
+                      weyl_group)
 from phasecat.errors import CapExceededError
+from phasecat.phase import QuotientFunctor
 
 GROUP_NAMES = ["trivial", "c2", "c4", "s3", "d4", "a4", "s4"]
 
@@ -135,6 +137,96 @@ class TestQuotientFunctor:
                     rhs = cat.compose(qf.arrow_image(g2, w),
                                       qf.arrow_image(g1, v))
                     assert lhs == rhs
+
+
+@pytest.fixture(scope="module")
+def tetra_phase(groups, tetrahedron):
+    return build_phase_diagram(groups["s4"], subdivide(tetrahedron))
+
+
+def scan_morphism_index(orbit, c0, c1, rep):
+    canon = min(orbit.group.mul(h, rep)
+                for h in orbit.classes[c1].representative.members)
+    found = [m for m in orbit.category.hom(c0, c1)
+             if orbit.orbit_morphisms[m].coset_rep == canon]
+    return found[0] if found else None
+
+
+class TestLookups:
+    """Each dict-backed lookup against a scan of the lists it indexes,
+    S4 on the once-subdivided tetrahedron boundary."""
+
+    def test_object_index(self, tetra_phase):
+        phase = tetra_phase
+        for c, comps in enumerate(phase.presheaf.comps):
+            for comp in range(len(comps) + 1):
+                want = [i for i, o in enumerate(phase.objects)
+                        if (o.subgroup_class, o.component_id) == (c, comp)]
+                if want:
+                    assert phase.object_index(c, comp) == want[0]
+                else:
+                    with pytest.raises(ValidationError,
+                                       match="no phase object"):
+                        phase.object_index(c, comp)
+        with pytest.raises(ValidationError):
+            phase.object_index(len(phase.orbit.classes), 0)
+
+    def test_morphism_index(self, tetra_phase):
+        orbit = tetra_phase.orbit
+        n = len(orbit.classes)
+        outside = 0
+        for c0 in range(n):
+            for c1 in range(n):
+                for rep in range(orbit.group.order):
+                    want = scan_morphism_index(orbit, c0, c1, rep)
+                    if want is None:
+                        outside += 1
+                        with pytest.raises(ValidationError,
+                                           match="does not represent"):
+                            orbit.morphism_index(c0, c1, rep)
+                    else:
+                        assert orbit.morphism_index(c0, c1, rep) == want
+        assert outside > 0
+
+    def test_arrow_image(self, tetra_phase):
+        phase = tetra_phase
+        qf = quotient_functor(phase)
+        X = phase.presheaf.X
+        G = X.group
+        for g in range(G.order):
+            for v in range(X.vertex_count):
+                w = X.element_maps[g][v]
+                k0, k1 = qf._conjugator[v], qf._conjugator[w]
+                n = G.mul(G.inv(k1), G.mul(g, k0))
+                src = phase.objects[qf.vertex_object[v]]
+                dst = phase.objects[qf.vertex_object[w]]
+                base = scan_morphism_index(phase.orbit, src.subgroup_class,
+                                           dst.subgroup_class, n)
+                want = [m for m, mor in enumerate(phase.category.morphisms)
+                        if mor.data == (base, dst.component_id)]
+                assert qf.arrow_image(g, v) == want[0]
+                mor = phase.category.morphisms[want[0]]
+                assert (mor.src, mor.dst) == (qf.vertex_object[v],
+                                              qf.vertex_object[w])
+
+    def test_arrow_image_checks_endpoints(self, tetra_phase):
+        # move vertex v to another component of its own fiber: the arrow
+        # g: v -> w found by (orbit morphism, component of w) then starts
+        # at v's true object, not the recorded one
+        phase = tetra_phase
+        qf = quotient_functor(phase)
+        X = phase.presheaf.X
+        v, g, other = next(
+            (v, g, o) for v in range(X.vertex_count)
+            for g in range(X.group.order) if X.element_maps[g][v] != v
+            for o in phase.fiber(
+                phase.objects[qf.vertex_object[v]].subgroup_class)
+            if o != qf.vertex_object[v])
+        vertex_object = list(qf.vertex_object)
+        vertex_object[v] = other
+        bad = QuotientFunctor(phase, vertex_object, qf._conjugator)
+        with pytest.raises(ValidationError, match="wrong endpoints"):
+            bad.arrow_image(g, v)
 
 
 class TestForgetfulFunctor:
