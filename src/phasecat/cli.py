@@ -10,89 +10,31 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
+import math
 import sys
 from fractions import Fraction
 
 from . import fixtures
-from .errors import PhasecatError, ValidationError
+from .errors import CapExceededError, PhasecatError, ValidationError
 from .germs import parse_germ
-from .gspace import GComplex
-from .largedev import DiscreteObservable, bernoulli, cgf, cramer, legendre
-from .linrep import LinearAction, degeneracy_quiver
+from .largedev import DiscreteObservable, bernoulli, legendre
+from .linrep import degeneracy_quiver
 from .ologio import atomic_write, export_dot, export_olog, olog_json
 from .orbitcat import build_orbit_category
-from .permgroup import (FiniteGroup, all_subgroups, closure,
-                        conjugacy_classes_of_subgroups)
-from .phase import StratifiedComplex, build_phase_diagram, strata_category
+# parse_cycles is re-exported: phasecat.cli.parse_cycles is public
+from .permgroup import (all_subgroups, conjugacy_classes_of_subgroups,
+                        parse_cycles)
+from .phase import build_phase_diagram, strata_category
 from .singularity import (NonIsolated, QuasihomogeneousGerm, milnor_number,
                           spectrum_grading, stabilize)
 
-_CYCLE = re.compile(r"\(([^()]*)\)")
+#: Most x values one ``ldp --grid`` may ask for.
+GRID_CAP = 10_000
 
 
-def parse_cycles(text: str, degree: int) -> list[int]:
-    """Convert cycle notation like "(0 1)(2 3)" to an image array."""
-    images = list(range(degree))
-    body = text.strip()
-    if not body:
-        return images
-    consumed = "".join(_CYCLE.findall(body))
-    if re.sub(r"[()\s,]", "", body) != re.sub(r"[\s,]", "", consumed):
-        raise ValidationError(f"malformed cycle notation: {text!r}")
-    for cyc in _CYCLE.findall(body):
-        points = [int(p) for p in re.split(r"[\s,]+", cyc.strip()) if p]
-        for a, b in zip(points, points[1:] + points[:1]):
-            if not 0 <= a < degree:
-                raise ValidationError(f"cycle point {a} out of range")
-            images[a] = b
-    if sorted(images) != list(range(degree)):
-        raise ValidationError(f"cycles {text!r} do not form a permutation")
-    return images
-
-
-def load_group_file(path: str) -> FiniteGroup:
+def read_spec(path: str):
     with open(path) as fh:
-        data = json.load(fh)
-    degree = int(data["degree"])
-    gens = []
-    for i, g in enumerate(data.get("generators", [])):
-        try:
-            if isinstance(g, str):
-                gens.append(parse_cycles(g, degree))
-            else:
-                from .permgroup import check_perm
-                gens.append(list(check_perm(g, degree)))
-        except ValidationError as exc:
-            raise ValidationError(f"generator {i}: {exc}") from exc
-    return closure(degree, gens)
-
-
-def load_complex_file(path: str, group: FiniteGroup) -> GComplex:
-    with open(path) as fh:
-        data = json.load(fh)
-    return GComplex(group, int(data["vertices"]), data["simplices"],
-                    data.get("action", []))
-
-
-def load_rep_file(path: str, group: FiniteGroup) -> LinearAction:
-    with open(path) as fh:
-        data = json.load(fh)
-    mats = [[[Fraction(x) for x in row] for row in gen]
-            for gen in data["generators"]]
-    return LinearAction(group, int(data["dim"]), mats)
-
-
-def load_strata_file(path: str) -> StratifiedComplex:
-    with open(path) as fh:
-        data = json.load(fh)
-    codim = data.get("codim")
-    if isinstance(codim, dict):
-        codim = {int(k): int(v) for k, v in codim.items()}
-    elif isinstance(codim, list):
-        codim = dict(enumerate(codim))
-    return StratifiedComplex(int(data["vertices"]), data["simplices"],
-                             data["assignment"], data["poset"], codim)
+        return json.load(fh)
 
 
 def emit(text: str, out: str | None):
@@ -112,7 +54,7 @@ def emit_category(category, phase, out: str | None, fmt: str | None):
 
 
 def cmd_group(args) -> int:
-    G = load_group_file(args.input)
+    G = fixtures.group_from_spec(read_spec(args.input))
     if args.action == "info":
         subs = all_subgroups(G)
         classes = conjugacy_classes_of_subgroups(G, subs)
@@ -124,30 +66,30 @@ def cmd_group(args) -> int:
 
 
 def cmd_orbitcat(args) -> int:
-    G = load_group_file(args.input)
+    G = fixtures.group_from_spec(read_spec(args.input))
     orbit = build_orbit_category(G)
     emit_category(orbit.category, None, args.output, args.format)
     return 0
 
 
 def cmd_phase(args) -> int:
-    G = load_group_file(args.group)
-    X = load_complex_file(args.complex, G)
+    G = fixtures.group_from_spec(read_spec(args.group))
+    X = fixtures.complex_from_spec(read_spec(args.complex), G)
     phase = build_phase_diagram(G, X)
     emit_category(phase.category, phase, args.output, args.format)
     return 0
 
 
 def cmd_strata(args) -> int:
-    strat = load_strata_file(args.input)
+    strat = fixtures.strata_from_spec(read_spec(args.input))
     cat = strata_category(strat)
     emit_category(cat, None, args.output, args.format)
     return 0
 
 
 def cmd_quiver(args) -> int:
-    G = load_group_file(args.group)
-    action = load_rep_file(args.rep, G)
+    G = fixtures.group_from_spec(read_spec(args.group))
+    action = fixtures.rep_from_spec(read_spec(args.rep), G)
     quiver = degeneracy_quiver(action)
     payload = {
         "nodes": [{
@@ -198,18 +140,32 @@ def _parse_dist(text: str) -> DiscreteObservable:
     return DiscreteObservable(tuple(outcomes))
 
 
+def _parse_grid(text: str) -> list[float]:
+    """start + k*step for k = 0, 1, ... up to stop (within 1e-12)."""
+    try:
+        start, stop, step = (float(v) for v in text.split(":"))
+    except ValueError:
+        raise ValidationError(f"--grid: expected start:stop:step, got "
+                              f"{text!r}") from None
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0:
+        raise ValidationError(f"--grid: need finite values and a positive "
+                              f"step, got {text!r}")
+    span = (stop - start + 1e-12) / step
+    if span >= GRID_CAP:
+        raise CapExceededError(f"--grid asks for {span + 1:.0f} points; "
+                               f"the cap is {GRID_CAP}")
+    return [start + k * step for k in range(max(0, math.floor(span) + 1))]
+
+
 def cmd_ldp(args) -> int:
     if (args.dist is None) == (args.bernoulli is None):
         raise ValidationError("provide exactly one of --dist / --bernoulli")
     obs = (bernoulli(args.bernoulli) if args.bernoulli is not None
            else _parse_dist(args.dist))
-    start, stop, step = (float(v) for v in args.grid.split(":"))
     lines = ["x\tGamma*\tC"]
-    x = start
-    while x <= stop + 1e-12:
+    for x in _parse_grid(args.grid):
         rate = legendre(obs, x)
         lines.append(f"{x:.6g}\t{rate:.12g}\t{-rate:.12g}")
-        x += step
     emit("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -284,9 +240,6 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except KeyError as exc:
-        print(f"error: input is missing key {exc}", file=sys.stderr)
-        return 1
     except (PhasecatError, OSError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -20,7 +20,7 @@ from itertools import combinations
 
 from .errors import ValidationError
 from .permgroup import (FiniteGroup, Subgroup, SubgroupClass, check_perm,
-                        perm_mul)
+                        extend_generators, perm_mul)
 
 Simplex = frozenset[int]
 
@@ -62,39 +62,13 @@ class GComplex:
                     raise ValidationError(f"vertex {v} out of range")
         self.generator_maps = tuple(
             check_perm(m, vertex_count) for m in generator_maps)
-        if len(self.generator_maps) != len(group.generators):
-            raise ValidationError("one vertex map per group generator "
-                                  "required")
-        self.element_maps = self._derive_element_maps()
+        self.element_maps = extend_generators(
+            group, self.generator_maps, perm_mul, tuple(range(vertex_count)))
         self._validate_simplicial(warn_setwise)
-
-    def _derive_element_maps(self):
-        G = self.group
-        maps: dict[int, tuple[int, ...]] = {G.identity_index:
-                                            tuple(range(self.vertex_count))}
-        frontier = [G.identity_index]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for gen, vmap in zip(G.generators, self.generator_maps):
-                    f = G.mul(G.index(gen), e)
-                    composed = perm_mul(vmap, maps[e])
-                    if f in maps:
-                        if maps[f] != composed:
-                            raise ValidationError(
-                                "generator vertex maps do not satisfy the "
-                                "group's relations")
-                    else:
-                        maps[f] = composed
-                        nxt.append(f)
-            frontier = nxt
-        if len(maps) != G.order:
-            raise ValidationError("action does not cover the group")
-        return tuple(maps[i] for i in range(G.order))
 
     def _validate_simplicial(self, warn_setwise: bool):
         # Every element map is a product of generator maps (consistent, as
-        # _derive_element_maps checked), so the generators carry simplices
+        # extend_generators checked), so the generators carry simplices
         # to simplices iff every element does; only the setwise warning
         # needs the element maps.
         maps = self.element_maps if warn_setwise else self.generator_maps
@@ -113,9 +87,6 @@ class GComplex:
                         "pointwise; fixed subcomplexes may miss topological "
                         "fixed points -- consider subdivide()", stacklevel=3)
                     warned = True
-
-    def vertex_image(self, g: int, v: int) -> int:
-        return self.element_maps[g][v]
 
     def vertices(self) -> list[int]:
         return sorted(v for s in self.simplices if len(s) == 1 for v in s)

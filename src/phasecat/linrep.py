@@ -15,8 +15,8 @@ from fractions import Fraction
 from . import ratmat
 from .errors import ValidationError
 from .permgroup import (FiniteGroup, Subgroup, SubgroupClass,
-                        conjugacy_classes_of_subgroups, subgroup_closure,
-                        transporter)
+                        conjugacy_classes_of_subgroups, extend_generators,
+                        subgroup_closure, transporter)
 from .ratmat import Mat, Vec
 
 
@@ -34,8 +34,6 @@ class LinearAction:
         self.group = group
         self.dimension = dimension
         mats = tuple(ratmat.as_mat(m) for m in generator_matrices)
-        if len(mats) != len(group.generators):
-            raise ValidationError("one matrix per group generator required")
         for k, m in enumerate(mats):
             if len(m) != dimension or (m and len(m[0]) != dimension):
                 raise ValidationError(f"generator matrix {k} is not "
@@ -43,28 +41,8 @@ class LinearAction:
             if not ratmat.is_invertible(m):
                 raise ValidationError(f"generator matrix {k} is singular")
         self.generator_matrices = mats
-        self.element_matrices = self._derive()
-
-    def _derive(self) -> tuple[Mat, ...]:
-        G = self.group
-        mats: dict[int, Mat] = {G.identity_index: ratmat.eye(self.dimension)}
-        frontier = [G.identity_index]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for gen, gm in zip(G.generators, self.generator_matrices):
-                    f = G.mul(G.index(gen), e)
-                    prod = ratmat.mat_mul(gm, mats[e])
-                    if f in mats:
-                        if mats[f] != prod:
-                            raise ValidationError(
-                                "generator matrices do not satisfy the "
-                                "group's relations")
-                    else:
-                        mats[f] = prod
-                        nxt.append(f)
-            frontier = nxt
-        return tuple(mats[i] for i in range(G.order))
+        self.element_matrices = extend_generators(
+            group, mats, ratmat.mat_mul, ratmat.eye(dimension))
 
     def matrix(self, g: int) -> Mat:
         return self.element_matrices[g]

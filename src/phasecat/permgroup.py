@@ -13,6 +13,7 @@ Everything is immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,6 +46,22 @@ def check_perm(images, degree: int) -> Perm:
     if sorted(images) != list(range(degree)):
         raise ValidationError(f"images {images} are not a bijection "
                               f"on 0..{degree - 1}")
+    return images
+
+
+def parse_cycles(text: str, degree: int) -> list[int]:
+    """Convert cycle notation like "(0 1)(2 3)" to an image array."""
+    if not re.fullmatch(r"[\s,]*(\([\d\s,]*\)[\s,]*)*", text):
+        raise ValidationError(f"malformed cycle notation: {text!r}")
+    images = list(range(degree))
+    for cyc in re.findall(r"\(([^)]*)\)", text):
+        points = [int(p) for p in re.split(r"[\s,]+", cyc) if p]
+        for a, b in zip(points, points[1:] + points[:1]):
+            if not 0 <= a < degree:
+                raise ValidationError(f"cycle point {a} out of range")
+            images[a] = b
+    if sorted(images) != list(range(degree)):
+        raise ValidationError(f"cycles {text!r} do not form a permutation")
     return images
 
 
@@ -162,6 +179,30 @@ def _closure_elements(degree: int, generators) -> set[Perm]:
 def closure(degree: int, generators) -> FiniteGroup:
     """Smallest permutation group containing the generators."""
     return FiniteGroup(degree, generators)
+
+
+def extend_generators(G: FiniteGroup, images, mul, one) -> tuple:
+    """The homomorphism sending ``G.generators[i]`` to ``images[i]``, as a
+    tuple indexed like ``G.elements``; ``mul(a, b)`` is a after b and
+    ``one`` the identity's image.  Breadth-first along the generators'
+    Cayley-table rows; an element reached twice with different images
+    means the images break a relation of G."""
+    if len(images) != len(G.generators):
+        raise ValidationError("one image per group generator required")
+    table = G.table
+    rows = [table[G.index(g)] for g in G.generators]
+    out = {G.identity_index: one}
+    queue = [G.identity_index]
+    for e in queue:
+        for row, image in zip(rows, images):
+            f, composed = row[e], mul(image, out[e])
+            if f not in out:
+                out[f] = composed
+                queue.append(f)
+            elif out[f] != composed:
+                raise ValidationError("generator images do not satisfy the "
+                                      "group's relations")
+    return tuple(out[i] for i in range(G.order))
 
 
 @dataclass(frozen=True)

@@ -108,12 +108,6 @@ def kernel_basis(A: Mat) -> list[Vec]:
     return basis
 
 
-def image_basis(A: Mat) -> list[Vec]:
-    """Canonical basis of the column space (rref of the transpose)."""
-    R, pivots = rref(transpose(A))
-    return [R[i] for i in range(len(pivots))]
-
-
 def is_invertible(A: Mat) -> bool:
     return len(A) == len(A[0]) and rank(A) == len(A)
 

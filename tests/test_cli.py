@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import phasecat
 from phasecat import (build_orbit_category, category_isomorphic,
                       import_olog)
-from phasecat.cli import main, parse_cycles
+from phasecat import fixtures as fx
+from phasecat.cli import main, parse_cycles, read_spec
 from phasecat.errors import ValidationError
 from phasecat.permgroup import closure
 
@@ -254,3 +259,98 @@ class TestExitCodes:
         names = {p.rsplit("/", 1)[1] for p in listed}
         assert "group_s3.json" in names
         assert "complex_square_reflection.json" in names
+
+
+PHASE_C2 = ["phase", "-g", "{fx}/group_c2.json", "-x", "{bad}"]
+QUIVER_C2 = ["quiver", "-g", "{fx}/group_c2.json", "-r", "{bad}"]
+LDP = ["ldp", "--bernoulli", "0.3", "--grid"]
+MALFORMED = {
+    # id: (argv, payload written to {bad}, text the message must contain)
+    "simplices_int": (PHASE_C2, {"vertices": 4, "simplices": 5,
+                                 "action": [[0, 3, 2, 1]]}, "simplices"),
+    "group_top_list": (["group", "info", "-i", "{bad}"], [1, 2],
+                       "top level"),
+    "complex_top_list": (PHASE_C2, [[0]], "top level"),
+    "vertices_float": (PHASE_C2, {"vertices": 2.7, "simplices": [[0, 1]],
+                                  "action": [[1, 0]]}, "vertices"),
+    "degree_bool": (["group", "info", "-i", "{bad}"],
+                    {"degree": True, "generators": []}, "degree"),
+    "action_int": (PHASE_C2, {"vertices": 4, "simplices": [[0, 1]],
+                              "action": 7}, "action"),
+    "simplex_string_vertex": (PHASE_C2, {"vertices": 4,
+                                         "simplices": [[0, "a"]],
+                                         "action": [[0, 3, 2, 1]]},
+                              "simplices"),
+    "rep_generators_int": (QUIVER_C2, {"dim": 2, "generators": 3},
+                           "generators"),
+    "rep_entry_string": (QUIVER_C2, {"dim": 2, "generators": [
+        [["x", "0"], ["0", "1"]]]}, "generators"),
+    "poset_int": (["strata", "-i", "{bad}"], {
+        "vertices": 2, "simplices": [[0], [1], [0, 1]],
+        "assignment": [0, 0, 0], "poset": 5}, "poset"),
+    "grid_zero_step": (LDP + ["0.1:0.9:0"], None, "--grid"),
+    "grid_missing_part": (LDP + ["0.1:0.9"], None, "--grid"),
+    "grid_over_cap": (LDP + ["0.1:0.9:1e-9"], None, "--grid"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_one_error_line(case, inputs, tmp_path):
+    """Exit 1 with one ``error:`` line naming the field; a child process
+    with a timeout, so an input that hangs fails the test."""
+    argv, payload, field = MALFORMED[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    src = os.path.dirname(os.path.dirname(phasecat.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "phasecat.cli",
+         *(a.format(fx=inputs, bad=bad) for a in argv)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert field in lines[0]
+
+
+class TestLoaderEquivalence:
+    """The CLI path (bundled file -> read_spec -> *_from_spec) builds the
+    same objects as fixtures.load_*."""
+
+    @staticmethod
+    def group(inputs, name):
+        return fx.group_from_spec(read_spec(inputs / f"group_{name}.json"))
+
+    @pytest.mark.parametrize("name", sorted(fx.GROUPS))
+    def test_groups(self, inputs, name):
+        assert self.group(inputs, name).elements == \
+            fx.load_group(name).elements
+
+    @pytest.mark.filterwarnings("ignore:an element fixes a simplex setwise")
+    @pytest.mark.parametrize("name", sorted(fx.COMPLEXES))
+    def test_complexes(self, inputs, name):
+        G = self.group(inputs, fx.COMPLEXES[name]["group"])
+        X = fx.complex_from_spec(
+            read_spec(inputs / f"complex_{name}.json"), G)
+        Y = fx.load_complex(name)
+        assert X.simplices == Y.simplices
+        assert X.element_maps == Y.element_maps
+
+    @pytest.mark.parametrize("name", sorted(fx.REPRESENTATIONS))
+    def test_representations(self, inputs, name):
+        G = self.group(inputs, fx.REPRESENTATIONS[name]["group"])
+        A = fx.rep_from_spec(read_spec(inputs / f"rep_{name}.json"), G)
+        assert A.element_matrices == \
+            fx.load_representation(name).element_matrices
+
+    @pytest.mark.parametrize("name", sorted(fx.STRATIFIED))
+    def test_strata(self, inputs, name):
+        S = fx.strata_from_spec(read_spec(inputs / f"strata_{name}.json"))
+        T = fx.load_stratified(name)
+        assert (S.leq, S.codim, S.assignment) == \
+            (T.leq, T.codim, T.assignment)
+
+    def test_codim_as_list(self):
+        spec = dict(fx.STRATIFIED["segment_midpoint"], codim=[1, 0])
+        assert fx.strata_from_spec(spec).codim == \
+            fx.load_stratified("segment_midpoint").codim

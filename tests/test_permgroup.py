@@ -7,8 +7,10 @@ from phasecat import (CapExceededError, ValidationError, all_subgroups,
                       build_orbit_category, closure,
                       conjugacy_classes_of_subgroups, normalizer,
                       transporter, weyl_group)
-from phasecat.permgroup import (ORDER_CAP, Subgroup, left_cosets,
-                                subgroup_closure, trivial_subgroup)
+from phasecat import fixtures as fx
+from phasecat.permgroup import (ORDER_CAP, Subgroup, extend_generators,
+                                left_cosets, perm_mul, subgroup_closure,
+                                trivial_subgroup)
 
 
 def naive_subgroup_closure(G, seed):
@@ -85,6 +87,26 @@ class TestCayleyTable:
         G = groups["s4"]
         again = closure(G.degree, G.elements)
         assert again.table == G.table
+
+
+class TestExtendGenerators:
+    @pytest.mark.parametrize("name", sorted(fx.GROUPS))
+    def test_regular_action_is_a_homomorphism(self, name):
+        G = fx.load_group(name)
+        rows = [G.table[G.index(g)] for g in G.generators]
+        img = extend_generators(G, rows, perm_mul, tuple(range(G.order)))
+        assert len(img) == G.order
+        for a in range(G.order):
+            for b in range(G.order):
+                assert img[G.mul(a, b)] == perm_mul(img[a], img[b])
+
+    def test_broken_relation_rejected(self, s3):
+        # generators (0 1) and (0 1 2); the 3-cycle sent to the
+        # transposition breaks c^3 = 1
+        t, c = s3.generators
+        assert (t, c) == ((1, 0, 2), (1, 2, 0))
+        with pytest.raises(ValidationError, match="relations"):
+            extend_generators(s3, [t, t], perm_mul, (0, 1, 2))
 
 
 class TestSubgroupClosure:
