@@ -1,12 +1,12 @@
 """Finite categories with explicit hom-sets and composition tables.
 
 This is the shared output shape for the orbit category, the phase diagram,
-and stratified-set diagrams: a list of labeled objects, a global morphism
-list, per-object identities, and a total composition table on composable
-pairs.  Associativity and unit laws are checkable exhaustively.  Every
-walk over composable pairs goes through a per-object index of morphisms
-by source or target, so its cost is the number of pairs, not M^2.
-"""
+and stratified-set diagrams, each built by ``keyed_category``: labeled
+objects, morphisms named by distinct ``data`` (``FiniteCategory.find`` maps
+data back to an index), identities, and a total composition table on
+composable pairs.  Associativity and unit laws are checkable exhaustively.
+Every walk over composable pairs goes through a per-object index of
+morphisms by source or target, so its cost is the number of pairs, not M^2."""
 
 from __future__ import annotations
 
@@ -38,15 +38,6 @@ def by_endpoint(morphisms: list[Morphism], n_objects: int,
     return out
 
 
-def composition_table(morphisms: list[Morphism], n_objects: int,
-                      compose) -> dict[tuple[int, int], int]:
-    """``{(m2, m1): compose(m2, m1)}`` over every composable pair, in
-    order of m1, then m2."""
-    outgoing = by_endpoint(morphisms, n_objects, "src")
-    return {(m2, m1): compose(m2, m1)
-            for m1, a in enumerate(morphisms) for m2 in outgoing[a.dst]}
-
-
 class FiniteCategory:
     """Objects, morphisms, identities and a total composition table.
 
@@ -64,6 +55,7 @@ class FiniteCategory:
         self._hom: dict[tuple[int, int], list[int]] = {}
         for i, m in enumerate(self.morphisms):
             self._hom.setdefault((m.src, m.dst), []).append(i)
+        self._by_data = {m.data: i for i, m in enumerate(self.morphisms)}
         self._validate()
 
     def _validate(self):
@@ -79,6 +71,10 @@ class FiniteCategory:
             if a.dst != b.src or c.src != a.src or c.dst != b.dst:
                 raise ValidationError(
                     f"composition table entry ({m2},{m1})->{r} mismatched")
+
+    def find(self, data) -> int | None:
+        """The index of the morphism carrying ``data``, or None."""
+        return self._by_data.get(data)
 
     def hom(self, src: int, dst: int) -> list[int]:
         return list(self._hom.get((src, dst), []))
@@ -151,6 +147,22 @@ class FiniteCategory:
                     if left != right:
                         raise ValidationError(
                             f"associativity fails on ({m3},{m2},{m1})")
+
+
+def keyed_category(objects: list[str], morphisms: list[Morphism],
+                   identity_keys, compose_on_data) -> FiniteCategory:
+    """The category whose morphisms are named by their distinct ``data``:
+    ``identity_keys[o]`` names the identity of object o, and
+    ``compose_on_data(d2, d1)`` names d2 after d1 for each composable pair.
+    """
+    index = {m.data: i for i, m in enumerate(morphisms)}
+    if len(index) != len(morphisms):
+        raise ValidationError("morphism data must be distinct")
+    outgoing = by_endpoint(morphisms, len(objects), "src")
+    table = {(m2, m1): index[compose_on_data(morphisms[m2].data, a.data)]
+             for m1, a in enumerate(morphisms) for m2 in outgoing[a.dst]}
+    return FiniteCategory(objects, morphisms,
+                          [index[k] for k in identity_keys], table)
 
 
 @dataclass

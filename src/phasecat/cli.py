@@ -37,6 +37,20 @@ def read_spec(path: str):
         return json.load(fh)
 
 
+def load_inputs(*inputs):
+    """Build each ``(path, from_spec)`` input; later builders also get the
+    first result, the group.  With two files, an error names its file."""
+    built = []
+    for path, from_spec in inputs:
+        try:
+            built.append(from_spec(read_spec(path), *built[:1]))
+        except (ValidationError, json.JSONDecodeError) as exc:
+            if len(inputs) == 1:
+                raise
+            raise ValidationError(f"{path}: {exc}") from exc
+    return built
+
+
 def emit(text: str, out: str | None):
     if out:
         atomic_write(out, text)
@@ -54,7 +68,7 @@ def emit_category(category, phase, out: str | None, fmt: str | None):
 
 
 def cmd_group(args) -> int:
-    G = fixtures.group_from_spec(read_spec(args.input))
+    G, = load_inputs((args.input, fixtures.group_from_spec))
     if args.action == "info":
         subs = all_subgroups(G)
         classes = conjugacy_classes_of_subgroups(G, subs)
@@ -66,30 +80,30 @@ def cmd_group(args) -> int:
 
 
 def cmd_orbitcat(args) -> int:
-    G = fixtures.group_from_spec(read_spec(args.input))
+    G, = load_inputs((args.input, fixtures.group_from_spec))
     orbit = build_orbit_category(G)
     emit_category(orbit.category, None, args.output, args.format)
     return 0
 
 
 def cmd_phase(args) -> int:
-    G = fixtures.group_from_spec(read_spec(args.group))
-    X = fixtures.complex_from_spec(read_spec(args.complex), G)
+    G, X = load_inputs((args.group, fixtures.group_from_spec),
+                       (args.complex, fixtures.complex_from_spec))
     phase = build_phase_diagram(G, X)
     emit_category(phase.category, phase, args.output, args.format)
     return 0
 
 
 def cmd_strata(args) -> int:
-    strat = fixtures.strata_from_spec(read_spec(args.input))
+    strat, = load_inputs((args.input, fixtures.strata_from_spec))
     cat = strata_category(strat)
     emit_category(cat, None, args.output, args.format)
     return 0
 
 
 def cmd_quiver(args) -> int:
-    G = fixtures.group_from_spec(read_spec(args.group))
-    action = fixtures.rep_from_spec(read_spec(args.rep), G)
+    _, action = load_inputs((args.group, fixtures.group_from_spec),
+                            (args.rep, fixtures.rep_from_spec))
     quiver = degeneracy_quiver(action)
     payload = {
         "nodes": [{
@@ -121,8 +135,12 @@ def cmd_sing(args) -> int:
     elif args.action == "spectrum":
         if not args.weights:
             raise ValidationError("spectrum requires --weights")
-        weights = [Fraction(w) for w in args.weights.split(",")]
-        q = QuasihomogeneousGerm(germ, tuple(weights))
+        try:
+            weights = tuple(Fraction(w) for w in args.weights.split(","))
+        except (ValueError, ZeroDivisionError):
+            raise ValidationError(f"--weights: expected rationals such as "
+                                  f"1/3,1/4, got {args.weights!r}") from None
+        q = QuasihomogeneousGerm(germ, weights)
         print(", ".join(str(v) for v in spectrum_grading(q)))
     elif args.action == "stabilize":
         print(stabilize(germ))

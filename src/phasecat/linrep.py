@@ -90,12 +90,11 @@ def relative_normal(action: LinearAction, H0: Subgroup, H1: Subgroup,
     K-averaging projector, so it is canonical and K-stable where K acts.
     """
     G = action.group
-    if witness not in transporter(G, H0, H1):
+    # range check first: a negative witness would wrap around G.inverse
+    K = H1.conjugate(G.inv(witness)) if 0 <= witness < G.order else None
+    if K is None or not H0.member_set <= K.member_set:
         raise ValidationError(
             f"witness {witness} does not conjugate H0 into H1")
-    K = H1.conjugate(G.inv(witness))
-    if not H0.member_set <= K.member_set:
-        raise ValidationError("conjugated H1 does not contain H0")
     fix0 = fix_subspace(action, H0)
     PK = averaging_projector(action, K)
     basis = ratmat.intersect(fix0, PK)

@@ -10,17 +10,19 @@ category is meant to model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .category import FiniteCategory, Morphism, composition_table
+from .category import Morphism, keyed_category
 from .errors import ValidationError
 from .permgroup import (FiniteGroup, Subgroup, SubgroupClass,
                         conjugacy_classes_of_subgroups, transporter)
 
 
-@dataclass(frozen=True)
-class OrbitMorphism:
-    """A morphism of the orbit category, by canonical transporter coset rep."""
+class OrbitMorphism(NamedTuple):
+    """A morphism of the orbit category, by canonical transporter coset rep.
+
+    As a tuple it is also the morphism's key: ``category.find((c0, c1, g))``.
+    """
     source_class: int
     target_class: int
     coset_rep: int
@@ -37,8 +39,7 @@ def transporter_coset_reps(G: FiniteGroup, H0: Subgroup,
 class OrbitCategory:
     """O_0(G) together with the class data used to build it.
 
-    ``index[(c0, c1, g)]`` is the morphism c0 -> c1 whose canonical coset
-    representative is g.
+    ``orbit_morphisms[m]`` is the data of morphism m of ``category``.
     """
 
     def __init__(self, G: FiniteGroup,
@@ -46,8 +47,8 @@ class OrbitCategory:
         self.group = G
         self.classes = (classes if classes is not None
                         else conjugacy_classes_of_subgroups(G))
-        self.category, self.orbit_morphisms, self.index = _build(
-            G, self.classes)
+        self.category = _build(G, self.classes)
+        self.orbit_morphisms = [m.data for m in self.category.morphisms]
 
     def hom_set(self, c0: int, c1: int) -> list[OrbitMorphism]:
         return [self.orbit_morphisms[m] for m in self.category.hom(c0, c1)]
@@ -55,7 +56,7 @@ class OrbitCategory:
     def morphism_index(self, c0: int, c1: int, rep: int) -> int:
         """Index of the morphism c0 -> c1 whose coset contains element rep."""
         canon = self.classes[c1].representative.right_coset_min[rep]
-        m = self.index.get((c0, c1, canon))
+        m = self.category.find((c0, c1, canon))
         if m is None:
             raise ValidationError(
                 f"element {rep} does not represent a morphism {c0} -> {c1}")
@@ -68,31 +69,25 @@ class OrbitCategory:
 def _build(G: FiniteGroup, classes: list[SubgroupClass]):
     objects = [f"H{c.class_index}|{c.order}" for c in classes]
     morphisms: list[Morphism] = []
-    data: list[OrbitMorphism] = []
-    index: dict[tuple[int, int, int], int] = {}
     for c0 in range(len(classes)):
         for c1 in range(len(classes)):
             reps = transporter_coset_reps(G, classes[c0].representative,
                                           classes[c1].representative)
             for g in reps:
-                om = OrbitMorphism(c0, c1, g)
-                index[(c0, c1, g)] = len(morphisms)
-                morphisms.append(Morphism(c0, c1, f"g{g}:{c0}->{c1}", om))
-                data.append(om)
+                morphisms.append(Morphism(c0, c1, f"g{g}:{c0}->{c1}",
+                                          OrbitMorphism(c0, c1, g)))
     canon = [cls.representative.right_coset_min for cls in classes]
-    identity = [index[(c, c, canon[c][G.identity_index])]
-                for c in range(len(classes))]
     table = G.table
 
-    def compose(m2: int, m1: int) -> int:
-        om1, om2 = data[m1], data[m2]
-        g = table[om2.coset_rep][om1.coset_rep]
-        return index[(om1.source_class, om2.target_class,
-                      canon[om2.target_class][g])]
+    def compose(om2: OrbitMorphism, om1: OrbitMorphism) -> tuple:
+        c0, _, g1 = om1
+        _, c2, g2 = om2
+        return (c0, c2, canon[c2][table[g2][g1]])
 
-    compose_table = composition_table(morphisms, len(classes), compose)
-    return (FiniteCategory(objects, morphisms, identity, compose_table),
-            data, index)
+    return keyed_category(
+        objects, morphisms,
+        [(c, c, canon[c][G.identity_index]) for c in range(len(classes))],
+        compose)
 
 
 def build_orbit_category(G: FiniteGroup,

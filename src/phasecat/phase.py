@@ -14,12 +14,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .category import FiniteCategory, Morphism, composition_table
+from .category import FiniteCategory, Morphism, keyed_category
 from .errors import ValidationError
 from .gspace import (FixPresheaf, GComplex, close_under_faces,
                      component_index, components, isotropy, pi0_fix_presheaf)
 from .orbitcat import OrbitCategory, build_orbit_category
-from .permgroup import FiniteGroup, Subgroup, conjugacy_classes_of_subgroups
+from .permgroup import FiniteGroup
 
 Simplex = frozenset[int]
 
@@ -37,17 +37,16 @@ class PhaseObject:
 class PhaseCategory:
     """Phi_0[X/G] with its forgetful data down to O_0(G).
 
-    ``obj_index[(class, component)]`` is a position in ``objects``;
-    ``mor_index[(orbit morphism, target component)]`` is a morphism of
-    ``category``.
+    ``obj_index[(class, component)]`` is a position in ``objects``; the
+    data of a morphism of ``category`` is (orbit morphism, target
+    component).
     """
 
     def __init__(self, orbit: OrbitCategory, presheaf: FixPresheaf):
         self.orbit = orbit
         self.presheaf = presheaf
-        (self.category, self.objects, self.forgetful_objects,
-         self.forgetful_morphisms, self.obj_index,
-         self.mor_index) = _build_phase(orbit, presheaf)
+        self.category, self.objects, self.obj_index = _build_phase(
+            orbit, presheaf)
 
     @property
     def aut_orders(self) -> list[int]:
@@ -76,42 +75,28 @@ def _build_phase(orbit: OrbitCategory, presheaf: FixPresheaf):
             obj_index[(c, comp_id)] = len(objects)
             objects.append(PhaseObject(c, comp_id))
 
-    induced: dict[int, list[int]] = {}
-    for m, om in enumerate(orbit.orbit_morphisms):
-        induced[m] = presheaf.induced_map(om.source_class, om.target_class,
-                                          om.coset_rep)
-
     morphisms: list[Morphism] = []
-    mor_index: dict[tuple[int, int], int] = {}
-    forget_mor: list[int] = []
     for m, om in enumerate(orbit.orbit_morphisms):
-        for c1 in range(len(presheaf.comps[om.target_class])):
-            c0 = induced[m][c1]
+        induced = presheaf.induced_map(om.source_class, om.target_class,
+                                       om.coset_rep)
+        for c1, c0 in enumerate(induced):
             src = obj_index[(om.source_class, c0)]
             dst = obj_index[(om.target_class, c1)]
-            mor_index[(m, c1)] = len(morphisms)
             morphisms.append(Morphism(
                 src, dst, f"{orbit.category.morphisms[m].label}@c{c1}",
                 (m, c1)))
-            forget_mor.append(m)
 
-    identity = []
-    for o in objects:
-        base = orbit.category.identity[o.subgroup_class]
-        identity.append(mor_index[(base, o.component_id)])
+    base = orbit.category
+    base_table = base.compose_table
 
-    base_table = orbit.category.compose_table
+    def compose(d2: tuple, d1: tuple) -> tuple:
+        return (base_table[(d2[0], d1[0])], d2[1])
 
-    def compose(i2: int, i1: int) -> int:
-        m2, comp2 = morphisms[i2].data
-        return mor_index[(base_table[(m2, morphisms[i1].data[0])], comp2)]
-
-    table = composition_table(morphisms, len(objects), compose)
-
-    cat = FiniteCategory([o.label for o in objects], morphisms, identity,
-                         table)
-    forget_obj = [o.subgroup_class for o in objects]
-    return cat, objects, forget_obj, forget_mor, obj_index, mor_index
+    cat = keyed_category(
+        [o.label for o in objects], morphisms,
+        [(base.identity[o.subgroup_class], o.component_id) for o in objects],
+        compose)
+    return cat, objects, obj_index
 
 
 def build_phase_diagram(G: FiniteGroup, X: GComplex,
@@ -148,7 +133,7 @@ class QuotientFunctor:
         dst = self.phase.objects[self.vertex_object[w]]
         base = self.phase.orbit.morphism_index(
             src.subgroup_class, dst.subgroup_class, n)
-        m = self.phase.mor_index.get((base, dst.component_id))
+        m = self.phase.category.find((base, dst.component_id))
         if m is None:
             raise ValidationError(
                 f"no phase morphism for arrow (g={g}, v={v})")
@@ -194,8 +179,9 @@ class ForgetfulFunctor:
 
 
 def forgetful_functor(phase: PhaseCategory) -> ForgetfulFunctor:
-    return ForgetfulFunctor(phase, list(phase.forgetful_objects),
-                            list(phase.forgetful_morphisms))
+    return ForgetfulFunctor(
+        phase, [o.subgroup_class for o in phase.objects],
+        [m.data[0] for m in phase.category.morphisms])
 
 
 class StratifiedComplex:
@@ -300,20 +286,16 @@ def strata_category(strat: StratifiedComplex) -> FiniteCategory:
     # the frontier condition puts closure(i) inside closure(j) for i <= j
     component_of = {i: component_index(comps[i]) for i in strat.strata}
     morphisms: list[Morphism] = []
-    mor_index: dict[tuple[int, int, int], int] = {}
     for (i, j) in sorted(strat.leq):
         for c, comp in enumerate(comps[i]):
             cj = component_of[j][comp[0]]
-            mor_index[(i, c, j)] = len(morphisms)
             morphisms.append(Morphism(
                 obj_index[(i, c)], obj_index[(j, cj)],
                 f"{i}.c{c}<={j}", (i, c, j)))
-    identity = [mor_index[(i, c, i)] for (i, c) in objects]
 
-    def compose(m2: int, m1: int) -> int:
-        i, c, _ = morphisms[m1].data
-        return mor_index[(i, c, morphisms[m2].data[2])]
+    def compose(d2: tuple, d1: tuple) -> tuple:
+        return (d1[0], d1[1], d2[2])
 
-    table = composition_table(morphisms, len(objects), compose)
     labels = [f"(S{i},c{c})" for (i, c) in objects]
-    return FiniteCategory(labels, morphisms, identity, table)
+    return keyed_category(labels, morphisms,
+                          [(i, c, i) for (i, c) in objects], compose)

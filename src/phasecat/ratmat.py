@@ -125,12 +125,6 @@ def solve(A: Mat, b: Vec) -> Vec:
     return tuple(x)
 
 
-def coordinates(basis: list[Vec], v: Vec) -> Vec:
-    """Coordinates of v in the span of ``basis``; raises if outside."""
-    A = transpose(as_mat(basis)) if basis else zeros(len(v), 0)
-    return solve(A, v)
-
-
 def intersect(basis_a: list[Vec], constraint: Mat) -> list[Vec]:
     """Basis of {v in span(basis_a) | constraint @ v = 0}, expressed as
     ambient vectors."""

@@ -117,7 +117,7 @@ def _truncated_quotient(partials, nvars: int, degree: int):
     return standard
 
 
-def local_algebra(f: PolyGerm, cap: int = TRUNCATION_CAP) -> LocalAlgebra:
+def local_algebra(f: PolyGerm) -> LocalAlgebra:
     """Jacobian-quotient basis; raises NonIsolated if it never stabilizes."""
     partials = [f.derivative(v) for v in range(f.variable_count)]
     if any(not p for p in partials):
@@ -127,7 +127,7 @@ def local_algebra(f: PolyGerm, cap: int = TRUNCATION_CAP) -> LocalAlgebra:
     start = max(4, 2 * f.max_degree())
     history = []
     degree = start
-    while degree <= cap:
+    while degree <= TRUNCATION_CAP:
         standard = _truncated_quotient(partials, f.variable_count, degree)
         history.append((degree, len(standard), standard))
         if (len(history) >= STABLE_RUNS
@@ -138,9 +138,9 @@ def local_algebra(f: PolyGerm, cap: int = TRUNCATION_CAP) -> LocalAlgebra:
     raise NonIsolated(str(f))
 
 
-def milnor_number(f: PolyGerm, cap: int = TRUNCATION_CAP) -> int:
+def milnor_number(f: PolyGerm) -> int:
     """dim of the local algebra; finite exactly for isolated singularities."""
-    return local_algebra(f, cap).dimension
+    return local_algebra(f).dimension
 
 
 def weight_milnor(weights) -> Fraction:
@@ -155,14 +155,13 @@ def weight_milnor(weights) -> Fraction:
     return out
 
 
-def euler_apply(q: QuasihomogeneousGerm, poly=None):
-    """Apply the Euler derivation D = sum w_i x_i d/dx_i.
+def euler_apply(q: QuasihomogeneousGerm):
+    """Apply the Euler derivation D = sum w_i x_i d/dx_i to the germ.
 
     Monomials are eigenvectors with eigenvalue equal to their weight
     degree; on the germ itself D acts as the identity.
     """
-    terms = dict(q.germ.terms) if poly is None else dict(poly)
-    return {e: c * q.monomial_weight(e) for e, c in terms.items()
+    return {e: c * q.monomial_weight(e) for e, c in dict(q.germ.terms).items()
             if c * q.monomial_weight(e) != 0}
 
 
@@ -170,10 +169,9 @@ def euler_eigenvalue(q: QuasihomogeneousGerm, monomial) -> Fraction:
     return q.monomial_weight(monomial)
 
 
-def spectrum_grading(q: QuasihomogeneousGerm,
-                     cap: int = TRUNCATION_CAP) -> list[Fraction]:
+def spectrum_grading(q: QuasihomogeneousGerm) -> list[Fraction]:
     """Sorted Euler eigenvalues of the local-algebra monomial basis."""
-    algebra = local_algebra(q.germ, cap)
+    algebra = local_algebra(q.germ)
     return sorted(q.monomial_weight(m) for m in algebra.monomial_basis)
 
 

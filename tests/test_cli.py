@@ -264,6 +264,7 @@ class TestExitCodes:
 PHASE_C2 = ["phase", "-g", "{fx}/group_c2.json", "-x", "{bad}"]
 QUIVER_C2 = ["quiver", "-g", "{fx}/group_c2.json", "-r", "{bad}"]
 LDP = ["ldp", "--bernoulli", "0.3", "--grid"]
+SPECTRUM = ["sing", "spectrum", "--germ", "x^3", "--weights"]
 MALFORMED = {
     # id: (argv, payload written to {bad}, text the message must contain)
     "simplices_int": (PHASE_C2, {"vertices": 4, "simplices": 5,
@@ -291,6 +292,8 @@ MALFORMED = {
     "grid_zero_step": (LDP + ["0.1:0.9:0"], None, "--grid"),
     "grid_missing_part": (LDP + ["0.1:0.9"], None, "--grid"),
     "grid_over_cap": (LDP + ["0.1:0.9:1e-9"], None, "--grid"),
+    "weights_zero_denominator": (SPECTRUM + ["1/0"], None, "--weights"),
+    "weights_not_rational": (SPECTRUM + ["abc"], None, "--weights"),
 }
 
 
@@ -311,6 +314,42 @@ def test_malformed_input_is_one_error_line(case, inputs, tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert field in lines[0]
+
+
+class TestTwoFileErrors:
+    """A command that reads two files names the one an error is in."""
+
+    def test_bad_group_file(self, capsys, inputs, tmp_path):
+        bad = tmp_path / "g.json"
+        bad.write_text(json.dumps({"generators": []}))
+        code, _, err = run(capsys, [
+            "phase", "-g", str(bad),
+            "-x", str(inputs / "complex_square_reflection.json")])
+        assert code == 1
+        assert err == f"error: {bad}: input is missing key 'degree'\n"
+
+    def test_bad_complex_file(self, capsys, inputs, tmp_path):
+        bad = tmp_path / "x.json"
+        bad.write_text(json.dumps([[0]]))
+        code, _, err = run(capsys, ["phase", "-g",
+                                    str(inputs / "group_c2.json"),
+                                    "-x", str(bad)])
+        assert code == 1
+        assert err == (f"error: {bad}: input: expected a JSON object at "
+                       f"top level\n")
+
+    @pytest.mark.parametrize("command,flag", [("phase", "-x"),
+                                              ("quiver", "-r")])
+    def test_truncated_json_file(self, capsys, inputs, tmp_path, command,
+                                 flag):
+        bad = tmp_path / "cut.json"
+        bad.write_text('{"vertices": 4,\n "simplices": [[0, 1]]\n')
+        code, _, err = run(capsys, [command, "-g",
+                                    str(inputs / "group_c2.json"),
+                                    flag, str(bad)])
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {bad}: Expecting ',' delimiter")
 
 
 class TestLoaderEquivalence:

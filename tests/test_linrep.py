@@ -155,6 +155,21 @@ class TestRelativeNormal:
         with pytest.raises(ValidationError):
             relative_normal(s3_standard, refl, a3, s3.identity_index)
 
+    def test_witness_accepted_exactly_on_the_transporter(self, s3_standard,
+                                                         s3):
+        from phasecat.permgroup import transporter
+        subs = all_subgroups(s3)
+        for h0 in subs:
+            for h1 in subs:
+                t = transporter(s3, h0, h1)
+                for g in (-1, *range(s3.order), s3.order):
+                    if g in t:
+                        relative_normal(s3_standard, h0, h1, g)
+                        continue
+                    with pytest.raises(ValidationError,
+                                       match="does not conjugate H0 into H1"):
+                        relative_normal(s3_standard, h0, h1, g)
+
 
 class TestDegeneracyQuiver:
     def test_c2_quiver(self, c2_plane, c2):

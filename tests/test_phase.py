@@ -365,3 +365,56 @@ class TestCategoryIsomorphic:
         cat = FiniteCategory(objs, mors, list(range(n)), table)
         with pytest.raises(CapExceededError):
             category_isomorphic(cat, cat)
+
+
+class TestKeyedLookup:
+    """Every bundled builder goes through keyed_category, so each
+    morphism is found again through its data."""
+
+    @staticmethod
+    def categories(tetra_phase):
+        from phasecat import fixtures as fx
+        cats = {"orbit_s4": tetra_phase.orbit.category,
+                "tetra_phase": tetra_phase.category}
+        for name in sorted(fx.STRATIFIED):
+            cats[name] = strata_category(fx.load_stratified(name))
+        return cats
+
+    def test_find_returns_each_morphism(self, tetra_phase):
+        for name, cat in self.categories(tetra_phase).items():
+            for i, m in enumerate(cat.morphisms):
+                # an orbit morphism is found by its plain tuple as well
+                assert cat.find(m.data) == i == cat.find(tuple(m.data)), \
+                    name
+
+    def test_absent_key_is_none(self, tetra_phase):
+        orbit = tetra_phase.orbit
+        absent = {"orbit_s4": (0, 0, orbit.group.order),
+                  "tetra_phase": (len(orbit.category.morphisms), 0)}
+        for name, cat in self.categories(tetra_phase).items():
+            key = absent.get(name, (0, len(cat.objects), 0))
+            assert cat.find(key) is None, name
+            assert cat.find(None) is None, name
+
+    def test_strata_tables_follow_the_poset_rule(self):
+        # (i,c,j) then (j,c',k) is (i,c,k), checked over all pairs
+        from phasecat import fixtures as fx
+        for name in sorted(fx.STRATIFIED):
+            cat = strata_category(fx.load_stratified(name))
+            mors = cat.morphisms
+            for m1, a in enumerate(mors):
+                for m2, b in enumerate(mors):
+                    assert ((m2, m1) in cat.compose_table) \
+                        == (a.dst == b.src), name
+                    if a.dst != b.src:
+                        continue
+                    (i, c, j), (j2, _, k) = a.data, b.data
+                    assert j2 == j, name
+                    r = cat.compose_table[(m2, m1)]
+                    assert mors[r].data == (i, c, k), name
+
+    def test_duplicate_data_rejected(self):
+        from phasecat.category import Morphism, keyed_category
+        mors = [Morphism(0, 0, "id", "k"), Morphism(0, 0, "s", "k")]
+        with pytest.raises(ValidationError, match="distinct"):
+            keyed_category(["pt"], mors, ["k"], lambda d2, d1: d1)
