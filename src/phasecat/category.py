@@ -1,15 +1,17 @@
 """Finite categories with explicit hom-sets and composition tables.
 
 This is the shared output shape for the orbit category, the phase diagram,
-and stratified-set diagrams, each built by ``keyed_category``: labeled
-objects, morphisms named by distinct ``data`` (``FiniteCategory.find`` maps
-data back to an index), identities, and a total composition table on
-composable pairs.  Associativity and unit laws are checkable exhaustively.
+stratified-set diagrams and imported ologs, each built by ``keyed_category``
+from records named by keys: objects by an ordered key -> label mapping, and
+morphisms by distinct ``data``, with ``src`` and ``dst`` given as object
+keys and stored as object positions (``FiniteCategory.find`` maps data back
+to a position).  Associativity and unit laws are checkable exhaustively.
 Every walk over composable pairs goes through a per-object index of
 morphisms by source or target, so its cost is the number of pairs, not M^2."""
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Mapping
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any
@@ -22,8 +24,8 @@ ISO_OBJECT_GUARD = 64
 
 @dataclass(frozen=True)
 class Morphism:
-    src: int
-    dst: int
+    src: Hashable
+    dst: Hashable
     label: str
     data: Any = None
 
@@ -149,19 +151,23 @@ class FiniteCategory:
                             f"associativity fails on ({m3},{m2},{m1})")
 
 
-def keyed_category(objects: list[str], morphisms: list[Morphism],
+def keyed_category(objects: Mapping[Hashable, str], morphisms: list[Morphism],
                    identity_keys, compose_on_data) -> FiniteCategory:
-    """The category whose morphisms are named by their distinct ``data``:
-    ``identity_keys[o]`` names the identity of object o, and
-    ``compose_on_data(d2, d1)`` names d2 after d1 for each composable pair.
+    """The category on the keys of ``objects``, labelled by its values, with
+    morphisms named by distinct ``data``: ``identity_keys[o]`` names object
+    o's identity and ``compose_on_data(d2, d1)`` names d2 after d1.
     """
+    position = {key: o for o, key in enumerate(objects)}
+    morphisms = [Morphism(position[m.src], position[m.dst], m.label, m.data)
+                 for m in morphisms]
     index = {m.data: i for i, m in enumerate(morphisms)}
     if len(index) != len(morphisms):
         raise ValidationError("morphism data must be distinct")
-    outgoing = by_endpoint(morphisms, len(objects), "src")
-    table = {(m2, m1): index[compose_on_data(morphisms[m2].data, a.data)]
-             for m1, a in enumerate(morphisms) for m2 in outgoing[a.dst]}
-    return FiniteCategory(objects, morphisms,
+    into = by_endpoint(morphisms, len(objects), "dst")
+    # filled in ascending (m2, m1), the order export_olog sorts it into
+    table = {(m2, m1): index[compose_on_data(b.data, morphisms[m1].data)]
+             for m2, b in enumerate(morphisms) for m1 in into[b.src]}
+    return FiniteCategory(list(objects.values()), morphisms,
                           [index[k] for k in identity_keys], table)
 
 

@@ -121,7 +121,7 @@ def cmd_quiver(args) -> int:
                 for k, mat in sorted(a.normal.restricted.items())},
         } for a in quiver.arrows],
     }
-    emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
+    emit(olog_json(payload), args.output)
     return 0
 
 
@@ -151,11 +151,15 @@ def _parse_dist(text: str) -> DiscreteObservable:
     outcomes = []
     for chunk in text.split(","):
         value, _, prob = chunk.partition(":")
-        if not prob:
-            raise ValidationError(f"malformed outcome {chunk!r}; expected "
-                                  "value:probability")
-        outcomes.append((float(value), float(prob)))
-    return DiscreteObservable(tuple(outcomes))
+        try:
+            outcomes.append((float(value), float(prob)))
+        except ValueError:
+            raise ValidationError(f"--dist: malformed outcome {chunk!r}; "
+                                  "expected value:probability") from None
+    try:
+        return DiscreteObservable(tuple(outcomes))
+    except ValidationError as exc:
+        raise ValidationError(f"--dist: {exc}") from None
 
 
 def _parse_grid(text: str) -> list[float]:

@@ -8,13 +8,13 @@ shape, naming the bad field, before building.  Unknown keys are ignored.
 
 from __future__ import annotations
 
-import json
 import os
 from fractions import Fraction
 
 from .errors import ValidationError
 from .gspace import GComplex
 from .linrep import LinearAction
+from .ologio import olog_json
 from .permgroup import FiniteGroup, check_perm, closure, parse_cycles
 from .phase import StratifiedComplex
 
@@ -209,8 +209,7 @@ def write_fixtures(directory: str) -> list[str]:
     def dump(name, payload):
         path = os.path.join(directory, name)
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(olog_json(payload))
         written.append(path)
 
     for name, spec in GROUPS.items():

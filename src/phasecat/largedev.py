@@ -33,6 +33,11 @@ class DiscreteObservable:
     def __post_init__(self):
         outcomes = tuple((float(v), float(p)) for v, p in self.outcomes)
         object.__setattr__(self, "outcomes", outcomes)
+        # NaN passes every comparison below, so check finiteness first
+        if not all(math.isfinite(v) and math.isfinite(p)
+                   for v, p in outcomes):
+            raise ValidationError(
+                "outcome values and probabilities must be finite")
         if any(p <= 0 for _, p in outcomes):
             raise ValidationError("probabilities must be positive")
         total = sum(p for _, p in outcomes)

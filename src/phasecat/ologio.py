@@ -14,7 +14,7 @@ import json
 import os
 import tempfile
 
-from .category import FiniteCategory, Morphism
+from .category import FiniteCategory, Morphism, keyed_category
 from .errors import ValidationError
 from .phase import PhaseCategory
 
@@ -83,67 +83,67 @@ def export_olog(category: FiniteCategory,
 def import_olog(data: dict) -> FiniteCategory:
     """Rebuild a finite category from an olog export.
 
-    Objects keep their exported order; identities are re-synthesized.
-    Dangling arrow endpoints and inconsistent composition triples are
-    rejected with the offending ids.
+    Objects keep their exported order; identities are re-synthesized.  Each
+    morphism's data is its olog id (``id:<object id>`` for an identity), so
+    ``find`` returns it.  Dangling arrow endpoints, unknown ids and
+    inconsistent composition triples are rejected with the offending ids.
     """
-    obj_ids = [o["id"] for o in data.get("objects", [])]
-    obj_index = {oid: i for i, oid in enumerate(obj_ids)}
-    if len(obj_index) != len(obj_ids):
+    objects = {o["id"]: o.get("label", o["id"])
+               for o in data.get("objects", [])}
+    if len(objects) != len(data.get("objects", [])):
         raise ValidationError("duplicate object ids")
-    labels = [o.get("label", o["id"]) for o in data.get("objects", [])]
-
-    morphisms: list[Morphism] = []
-    identity: list[int] = []
-    for i, oid in enumerate(obj_ids):
-        identity.append(len(morphisms))
-        morphisms.append(Morphism(i, i, f"id:{oid}", None))
-    arrow_index: dict[str, int] = {}
+    identity_keys = [f"id:{oid}" for oid in objects]
+    morphisms = {key: Morphism(oid, oid, key, key)
+                 for oid, key in zip(objects, identity_keys)}
     for a in data.get("arrows", []):
-        if a["src"] not in obj_index or a["dst"] not in obj_index:
+        if a["src"] not in objects or a["dst"] not in objects:
             raise ValidationError(
                 f"arrow {a['id']} has dangling endpoint "
                 f"{a['src']}->{a['dst']}")
-        if a["id"] in arrow_index:
+        if a["id"] in morphisms:
             raise ValidationError(f"duplicate arrow id {a['id']}")
-        arrow_index[a["id"]] = len(morphisms)
-        morphisms.append(Morphism(obj_index[a["src"]], obj_index[a["dst"]],
-                                  a.get("label", a["id"]), a["id"]))
+        morphisms[a["id"]] = Morphism(a["src"], a["dst"],
+                                      a.get("label", a["id"]), a["id"])
 
-    def resolve(mid: str) -> int:
-        if mid.startswith("id:"):
-            oid = mid[3:]
-            if oid not in obj_index:
-                raise ValidationError(f"identity of unknown object {oid}")
-            return identity[obj_index[oid]]
-        if mid not in arrow_index:
-            raise ValidationError(f"composition names unknown arrow {mid}")
-        return arrow_index[mid]
-
-    table: dict[tuple[int, int], int] = {}
+    table: dict[tuple[str, str], str] = {}
     for c in data.get("compositions", []):
-        m2, m1, r = resolve(c["left"]), resolve(c["right"]), \
-            resolve(c["result"])
-        a, b, res = morphisms[m1], morphisms[m2], morphisms[r]
+        left, right, result = c["left"], c["right"], c["result"]
+        try:
+            b, a, res = morphisms[left], morphisms[right], morphisms[result]
+        except KeyError as exc:
+            mid = exc.args[0]
+            raise ValidationError(
+                f"identity of unknown object {mid[3:]}"
+                if mid.startswith("id:")
+                else f"composition names unknown arrow {mid}") from None
         if a.dst != b.src or res.src != a.src or res.dst != b.dst:
+            raise ValidationError(f"inconsistent composition triple "
+                                  f"({left},{right})->{result}")
+        if table.setdefault((left, right), result) != result:
             raise ValidationError(
-                f"inconsistent composition triple "
-                f"({c['left']},{c['right']})->{c['result']}")
-        if table.get((m2, m1), r) != r:
+                f"conflicting composition triple for ({left},{right})")
+    units = set(identity_keys)
+
+    def compose(d2: str, d1: str) -> str:
+        if d1 in units:
+            return d2
+        if d2 in units:
+            return d1
+        try:
+            return table[(d2, d1)]
+        except KeyError:
             raise ValidationError(
-                f"conflicting composition triple for "
-                f"({c['left']},{c['right']})")
-        table[(m2, m1)] = r
-    # unit laws fill in all pairs involving identities
-    for m, mor in enumerate(morphisms):
-        table[(m, identity[mor.src])] = m
-        table[(identity[mor.dst], m)] = m
-    cat = FiniteCategory(labels, morphisms, identity, table)
+                f"missing composition ({d2},{d1})") from None
+
+    cat = keyed_category(objects, list(morphisms.values()), identity_keys,
+                         compose)
     cat.check_category_laws()
     return cat
 
 
 def olog_json(data: dict) -> str:
+    """The package's one JSON text form (olog exports, ``quiver`` output,
+    fixture files): two-space indent, sorted keys, a final newline."""
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 

@@ -67,7 +67,8 @@ class OrbitCategory:
 
 
 def _build(G: FiniteGroup, classes: list[SubgroupClass]):
-    objects = [f"H{c.class_index}|{c.order}" for c in classes]
+    objects = {c: f"H{cls.class_index}|{cls.order}"
+               for c, cls in enumerate(classes)}
     morphisms: list[Morphism] = []
     for c0 in range(len(classes)):
         for c1 in range(len(classes)):

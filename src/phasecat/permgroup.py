@@ -246,12 +246,6 @@ class Subgroup:
         G = self.parent
         return Subgroup(G, tuple(G.conj(g, h) for h in self.members))
 
-    def as_group(self) -> FiniteGroup:
-        """The subgroup as a standalone FiniteGroup on the same points."""
-        G = self.parent
-        elems = {G.elements[i] for i in self.members}
-        return FiniteGroup(G.degree, sorted(elems), _elements=elems)
-
     def __repr__(self):
         return f"Subgroup(order={self.order}, members={self.members})"
 

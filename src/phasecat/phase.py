@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .category import FiniteCategory, Morphism, keyed_category
 from .errors import ValidationError
@@ -24,8 +25,8 @@ from .permgroup import FiniteGroup
 Simplex = frozenset[int]
 
 
-@dataclass(frozen=True)
-class PhaseObject:
+class PhaseObject(NamedTuple):
+    """A phase object (H, c); as a tuple it is also the object's key."""
     subgroup_class: int
     component_id: int
 
@@ -37,28 +38,29 @@ class PhaseObject:
 class PhaseCategory:
     """Phi_0[X/G] with its forgetful data down to O_0(G).
 
-    ``obj_index[(class, component)]`` is a position in ``objects``; the
-    data of a morphism of ``category`` is (orbit morphism, target
-    component).
+    ``objects[o]`` is the ``PhaseObject`` key of object o of ``category``;
+    the data of a morphism is (orbit morphism, target component).
     """
 
     def __init__(self, orbit: OrbitCategory, presheaf: FixPresheaf):
         self.orbit = orbit
         self.presheaf = presheaf
-        self.category, self.objects, self.obj_index = _build_phase(
-            orbit, presheaf)
+        self.category, self.objects = _build_phase(orbit, presheaf)
 
     @property
     def aut_orders(self) -> list[int]:
         return [self.category.aut_order(o) for o in range(len(self.objects))]
 
     def object_index(self, subgroup_class: int, component_id: int) -> int:
-        try:
-            return self.obj_index[(subgroup_class, component_id)]
-        except KeyError:
+        """The object (H, c), found as the source of its identity."""
+        identity = self.orbit.category.identity
+        # a negative class would wrap around the identity list
+        m = (self.category.find((identity[subgroup_class], component_id))
+             if 0 <= subgroup_class < len(identity) else None)
+        if m is None:
             raise ValidationError(
-                f"no phase object (H{subgroup_class},c{component_id})"
-            ) from None
+                f"no phase object (H{subgroup_class},c{component_id})")
+        return self.category.morphisms[m].src
 
     def fiber(self, class_index: int) -> list[int]:
         """Phase objects lying over a given orbit-category object."""
@@ -67,24 +69,18 @@ class PhaseCategory:
 
 
 def _build_phase(orbit: OrbitCategory, presheaf: FixPresheaf):
-    classes = orbit.classes
-    objects: list[PhaseObject] = []
-    obj_index: dict[tuple[int, int], int] = {}
-    for c in range(len(classes)):
-        for comp_id in range(len(presheaf.comps[c])):
-            obj_index[(c, comp_id)] = len(objects)
-            objects.append(PhaseObject(c, comp_id))
-
+    objects = [PhaseObject(c, comp_id)
+               for c, comps in enumerate(presheaf.comps)
+               for comp_id in range(len(comps))]
     morphisms: list[Morphism] = []
     for m, om in enumerate(orbit.orbit_morphisms):
         induced = presheaf.induced_map(om.source_class, om.target_class,
                                        om.coset_rep)
         for c1, c0 in enumerate(induced):
-            src = obj_index[(om.source_class, c0)]
-            dst = obj_index[(om.target_class, c1)]
             morphisms.append(Morphism(
-                src, dst, f"{orbit.category.morphisms[m].label}@c{c1}",
-                (m, c1)))
+                PhaseObject(om.source_class, c0),
+                PhaseObject(om.target_class, c1),
+                f"{orbit.category.morphisms[m].label}@c{c1}", (m, c1)))
 
     base = orbit.category
     base_table = base.compose_table
@@ -93,10 +89,10 @@ def _build_phase(orbit: OrbitCategory, presheaf: FixPresheaf):
         return (base_table[(d2[0], d1[0])], d2[1])
 
     cat = keyed_category(
-        [o.label for o in objects], morphisms,
+        {o: o.label for o in objects}, morphisms,
         [(base.identity[o.subgroup_class], o.component_id) for o in objects],
         compose)
-    return cat, objects, obj_index
+    return cat, objects
 
 
 def build_phase_diagram(G: FiniteGroup, X: GComplex,
@@ -276,12 +272,8 @@ def strata_category(strat: StratifiedComplex) -> FiniteCategory:
     (i,c) -> (j,c') when i <= j and the closure inclusion carries c into c'.
     """
     comps = {i: components(strat.stratum_closure(i)) for i in strat.strata}
-    objects: list[tuple[int, int]] = []
-    obj_index: dict[tuple[int, int], int] = {}
-    for i in strat.strata:
-        for c in range(len(comps[i])):
-            obj_index[(i, c)] = len(objects)
-            objects.append((i, c))
+    objects = {(i, c): f"(S{i},c{c})"
+               for i in strat.strata for c in range(len(comps[i]))}
 
     # the frontier condition puts closure(i) inside closure(j) for i <= j
     component_of = {i: component_index(comps[i]) for i in strat.strata}
@@ -289,13 +281,11 @@ def strata_category(strat: StratifiedComplex) -> FiniteCategory:
     for (i, j) in sorted(strat.leq):
         for c, comp in enumerate(comps[i]):
             cj = component_of[j][comp[0]]
-            morphisms.append(Morphism(
-                obj_index[(i, c)], obj_index[(j, cj)],
-                f"{i}.c{c}<={j}", (i, c, j)))
+            morphisms.append(Morphism((i, c), (j, cj), f"{i}.c{c}<={j}",
+                                      (i, c, j)))
 
     def compose(d2: tuple, d1: tuple) -> tuple:
         return (d1[0], d1[1], d2[2])
 
-    labels = [f"(S{i},c{c})" for (i, c) in objects]
-    return keyed_category(labels, morphisms,
+    return keyed_category(objects, morphisms,
                           [(i, c, i) for (i, c) in objects], compose)

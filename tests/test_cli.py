@@ -265,6 +265,7 @@ PHASE_C2 = ["phase", "-g", "{fx}/group_c2.json", "-x", "{bad}"]
 QUIVER_C2 = ["quiver", "-g", "{fx}/group_c2.json", "-r", "{bad}"]
 LDP = ["ldp", "--bernoulli", "0.3", "--grid"]
 SPECTRUM = ["sing", "spectrum", "--germ", "x^3", "--weights"]
+DIST = ["ldp", "--dist"]
 MALFORMED = {
     # id: (argv, payload written to {bad}, text the message must contain)
     "simplices_int": (PHASE_C2, {"vertices": 4, "simplices": 5,
@@ -294,6 +295,11 @@ MALFORMED = {
     "grid_over_cap": (LDP + ["0.1:0.9:1e-9"], None, "--grid"),
     "weights_zero_denominator": (SPECTRUM + ["1/0"], None, "--weights"),
     "weights_not_rational": (SPECTRUM + ["abc"], None, "--weights"),
+    "dist_value_not_number": (DIST + ["a:0.5,1:0.5"], None, "--dist"),
+    "dist_missing_probability": (DIST + ["0:0.5,1"], None, "--dist"),
+    "dist_nan_probability": (DIST + ["0:nan,1:1"], None, "--dist"),
+    "dist_nan_value": (DIST + ["0:.5,nan:.5"], None, "--dist"),
+    "dist_bad_total": (DIST + ["0:0.5,1:0.4"], None, "--dist"),
 }
 
 

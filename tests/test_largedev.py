@@ -37,6 +37,17 @@ class TestObservable:
         with pytest.raises(ValidationError):
             DiscreteObservable(((1.0, 0.5), (1.0, 0.5)))
 
+    @pytest.mark.parametrize("outcomes", [
+        ((0, math.nan), (1, 1)),
+        ((0, .5), (math.nan, .5)),
+        ((0, math.inf), (1, .5)),
+        ((-math.inf, .5), (1, .5)),
+    ])
+    def test_rejects_non_finite(self, outcomes):
+        # NaN slips past every comparison, so it needs its own check
+        with pytest.raises(ValidationError, match="finite"):
+            DiscreteObservable(outcomes)
+
     def test_bernoulli_parameter_range(self):
         with pytest.raises(ValidationError):
             bernoulli(0.0)

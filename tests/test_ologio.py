@@ -4,7 +4,9 @@ import pytest
 
 from phasecat import (ValidationError, atomic_write, build_orbit_category,
                       build_phase_diagram, category_isomorphic, export_dot,
-                      export_olog, import_olog, olog_json)
+                      export_olog, import_olog, olog_json, strata_category,
+                      subdivide)
+from phasecat import fixtures as fx
 from phasecat.category import FiniteCategory, Morphism
 
 
@@ -108,6 +110,40 @@ class TestRoundTrip:
         assert category_isomorphic(cat, back) is not None
 
 
+class TestKeyedImport:
+    """An imported olog is built by keyed_category: each arrow is found by
+    its olog id and each identity by ``id:<object id>``."""
+
+    @pytest.fixture(scope="class")
+    def round_trips(self, groups, tetrahedron):
+        cats = {"orbit_s3": build_orbit_category(groups["s3"]).category,
+                "tetra_phase": build_phase_diagram(
+                    groups["s4"], subdivide(tetrahedron)).category}
+        for name in sorted(fx.STRATIFIED):
+            cats[name] = strata_category(fx.load_stratified(name))
+        return {name: (export_olog(cat), import_olog(export_olog(cat)))
+                for name, cat in cats.items()}
+
+    def test_arrows_found_by_olog_id(self, round_trips):
+        for name, (data, back) in round_trips.items():
+            assert data["arrows"], name
+            for k, arrow in enumerate(data["arrows"]):
+                m = back.find(f"m{k}")
+                assert m is not None and not back.is_identity(m), name
+                mor = back.morphisms[m]
+                assert (f"o{mor.src}", f"o{mor.dst}", mor.label) == \
+                    (arrow["src"], arrow["dst"], arrow["label"]), name
+
+    def test_identities_found_by_object_id(self, round_trips):
+        for name, (_, back) in round_trips.items():
+            for o in range(len(back.objects)):
+                assert back.find(f"id:o{o}") == back.identity[o], name
+
+    def test_no_morphism_has_none_as_data(self, round_trips):
+        for name, (_, back) in round_trips.items():
+            assert back.find(None) is None, name
+
+
 class TestImportErrors:
     def base(self):
         return export_olog(one_object_monoid())
@@ -131,6 +167,37 @@ class TestImportErrors:
                                      "result": "m0"}]}
         with pytest.raises(ValidationError, match="inconsistent"):
             import_olog(oc_data)
+
+    def test_duplicate_arrow_id(self):
+        data = self.base()
+        data["arrows"].append(dict(data["arrows"][0]))
+        with pytest.raises(ValidationError, match="duplicate arrow id m0"):
+            import_olog(data)
+
+    def test_identity_of_unknown_object_in_composition(self):
+        data = self.base()
+        data["compositions"][0]["result"] = "id:o9"
+        with pytest.raises(ValidationError,
+                           match="identity of unknown object o9"):
+            import_olog(data)
+
+    def test_conflicting_triples(self):
+        data = self.base()
+        data["compositions"].append(
+            {"left": "m0", "right": "m0", "result": "m0"})
+        with pytest.raises(ValidationError,
+                           match=r"conflicting composition triple for "
+                                 r"\(m0,m0\)"):
+            import_olog(data)
+
+    def test_missing_triple_names_both_arrows(self):
+        data = {"objects": [{"id": "o0"}, {"id": "o1"}, {"id": "o2"}],
+                "arrows": [{"id": "m0", "src": "o0", "dst": "o1"},
+                           {"id": "m1", "src": "o1", "dst": "o2"}],
+                "compositions": []}
+        with pytest.raises(ValidationError,
+                           match=r"missing composition \(m1,m0\)"):
+            import_olog(data)
 
     def test_duplicate_object_ids(self):
         with pytest.raises(ValidationError, match="duplicate"):

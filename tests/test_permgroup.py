@@ -83,7 +83,7 @@ class TestCayleyTable:
         assert "table" in vars(G)
 
     def test_table_from_many_generators(self, groups):
-        # every element as a generator, as Subgroup.as_group does
+        # every element as a generator, the largest generating set
         G = groups["s4"]
         again = closure(G.degree, G.elements)
         assert again.table == G.table

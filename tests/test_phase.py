@@ -417,4 +417,4 @@ class TestKeyedLookup:
         from phasecat.category import Morphism, keyed_category
         mors = [Morphism(0, 0, "id", "k"), Morphism(0, 0, "s", "k")]
         with pytest.raises(ValidationError, match="distinct"):
-            keyed_category(["pt"], mors, ["k"], lambda d2, d1: d1)
+            keyed_category({0: "pt"}, mors, ["k"], lambda d2, d1: d1)
