@@ -33,12 +33,20 @@ print("weight-formula mu =", weight_milnor(e6.weights))
 spec = spectrum_grading(e6.quasihomogeneous)
 print("spectrum:", ", ".join(str(s) for s in spec))
 
-# Non-isolated singularities are detected, not silently mis-measured.
+# Non-isolated singularities are detected, not silently mis-measured: the
+# error names a coordinate subspace on which every partial vanishes, which
+# therefore lies in the critical locus.
 
 try:
     milnor_number(parse_germ("x^2*y"))
 except NonIsolated as exc:
-    print("x^2*y is non-isolated:", exc)
+    print("non-isolated, with proof:", exc)
+
+# mu is certified, whatever the degree of the terms beyond the
+# determinacy bound: this A2 germ has a term of degree 41.
+
+h = parse_germ("x^2 + y^3 + x^41")
+print(f"mu of {h} = {milnor_number(h)}")
 
 # Adding a square in a fresh variable (stabilization) never changes mu.
 

@@ -80,22 +80,42 @@ def export_olog(category: FiniteCategory,
             "compositions": compositions}
 
 
+def _records(data, key: str, fields: tuple[str, ...]) -> list[dict]:
+    """``data[key]``, default empty, as a list of objects whose ``fields``
+    are strings; a malformed one is named with the field."""
+    if not isinstance(data, dict):
+        raise ValidationError("olog: expected a JSON object at top level")
+    records = data.get(key, [])
+    if not isinstance(records, list):
+        raise ValidationError(f"{key}: expected a list of objects")
+    for i, record in enumerate(records):
+        for field in fields:
+            if not (isinstance(record, dict)
+                    and isinstance(record.get(field), str)):
+                raise ValidationError(
+                    f"{key}[{i}]: expected an object with a string {field!r}")
+    return records
+
+
 def import_olog(data: dict) -> FiniteCategory:
     """Rebuild a finite category from an olog export.
 
     Objects keep their exported order; identities are re-synthesized.  Each
     morphism's data is its olog id (``id:<object id>`` for an identity), so
-    ``find`` returns it.  Dangling arrow endpoints, unknown ids and
-    inconsistent composition triples are rejected with the offending ids.
+    ``find`` returns it.  A record without its string ids, dangling arrow
+    endpoints, unknown ids and inconsistent composition triples are
+    rejected with the offending field or ids.
     """
-    objects = {o["id"]: o.get("label", o["id"])
-               for o in data.get("objects", [])}
-    if len(objects) != len(data.get("objects", [])):
+    records = _records(data, "objects", ("id",))
+    arrows = _records(data, "arrows", ("id", "src", "dst"))
+    compositions = _records(data, "compositions", ("left", "right", "result"))
+    objects = {o["id"]: o.get("label", o["id"]) for o in records}
+    if len(objects) != len(records):
         raise ValidationError("duplicate object ids")
     identity_keys = [f"id:{oid}" for oid in objects]
     morphisms = {key: Morphism(oid, oid, key, key)
                  for oid, key in zip(objects, identity_keys)}
-    for a in data.get("arrows", []):
+    for a in arrows:
         if a["src"] not in objects or a["dst"] not in objects:
             raise ValidationError(
                 f"arrow {a['id']} has dangling endpoint "
@@ -106,7 +126,7 @@ def import_olog(data: dict) -> FiniteCategory:
                                       a.get("label", a["id"]), a["id"])
 
     table: dict[tuple[str, str], str] = {}
-    for c in data.get("compositions", []):
+    for c in compositions:
         left, right, result = c["left"], c["right"], c["result"]
         try:
             b, a, res = morphisms[left], morphisms[right], morphisms[result]

@@ -1,13 +1,19 @@
 """Local algebras, Milnor numbers, Euler gradings and the ADE corpus.
 
-The Milnor number is the dimension of the quotient of the polynomial ring
-by the Jacobian ideal of the germ, computed Macaulay-style: truncate at a
-total degree D (work modulo the D+1st power of the maximal ideal), row
-reduce the multiples of the partials, and accept the quotient dimension
-once it is stable across three consecutive truncation degrees.  Failure to
-stabilize up to the degree cap is reported as NonIsolated -- a heuristic
-signal, but also the mathematically expected answer for non-isolated
-inputs.
+The Milnor number mu is the dimension of the local algebra, the quotient
+of the local ring at the origin by the Jacobian ideal J of the germ.  It
+is computed Macaulay-style: truncate at a total degree D (work modulo the
+D+1st power of the maximal ideal m), row reduce the multiples of the
+partials with the lowest-degree monomial as the leading term, and read
+off the standard (non-leading) monomials.  When no standard monomial has
+degree D, m^D lies in J + m^(D+1), so Nakayama's lemma gives m^D in J and
+mu is exactly the number of standard monomials.  The degrees D = 1, 2, 4,
+8, then 25 % more each step, are tried up to TRUNCATION_CAP.
+
+NonIsolated is raised only with a proof: a coordinate subspace of
+positive dimension on which every partial vanishes, so that it lies in
+the critical locus.  A germ with neither a certificate by TRUNCATION_CAP
+nor such a subspace raises CapExceededError.
 
 Everything is exact rational arithmetic; quotient dimensions over the
 rationals agree with the complex ones for the linear algebra performed.
@@ -21,15 +27,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .errors import ValidationError
-from .germs import PolyGerm, parse_germ
+from .errors import CapExceededError, PhasecatError, ValidationError
+from .germs import VAR_NAMES, PolyGerm, parse_germ
 
 TRUNCATION_CAP = 40
-STABLE_RUNS = 3
 
 
-class NonIsolated(Exception):
-    """Raised when the Jacobian quotient dimension does not stabilize."""
+class NonIsolated(PhasecatError):
+    """The critical locus of the germ has positive dimension at 0."""
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,8 @@ def _mono_key(exps):
 def _truncated_quotient(partials, nvars: int, degree: int):
     """Standard monomials of span{m * df_i} modulo degree > `degree` terms.
 
-    Sparse elimination keyed by graded-lex leading monomial; the standard
+    Sparse elimination keyed by the lowest monomial in graded-lex order, so
+    a row whose lead has degree `degree` has no other degree; the standard
     (non-leading) monomials of total degree <= degree form a basis of the
     quotient by the truncated Jacobian ideal.
     """
@@ -92,17 +98,14 @@ def _truncated_quotient(partials, nvars: int, degree: int):
             continue
         mindeg = min(sum(e) for e in p)
         for m in _monomials_up_to(nvars, degree - mindeg):
-            row = {}
-            for e, c in p.items():
-                shifted = tuple(a + b for a, b in zip(e, m))
-                if sum(shifted) <= degree:
-                    row[shifted] = row.get(shifted, Fraction(0)) + c
+            row = {tuple(a + b for a, b in zip(e, m)): c
+                   for e, c in p.items() if sum(e) + sum(m) <= degree}
             if row:
                 rows.append(row)
     rows.sort(key=len)
     for row in rows:
         while row:
-            lead = max(row, key=_mono_key)
+            lead = min(row, key=_mono_key)
             other = echelon.get(lead)
             if other is None:
                 inv = 1 / row[lead]
@@ -112,30 +115,36 @@ def _truncated_quotient(partials, nvars: int, degree: int):
             for e, c in other.items():
                 row[e] = row.get(e, Fraction(0)) - factor * c
             row = {e: c for e, c in row.items() if c != 0}
-    standard = [m for m in _monomials_up_to(nvars, degree)
-                if m not in echelon]
-    return standard
+    return [m for m in _monomials_up_to(nvars, degree) if m not in echelon]
 
 
 def local_algebra(f: PolyGerm) -> LocalAlgebra:
-    """Jacobian-quotient basis; raises NonIsolated if it never stabilizes."""
-    partials = [f.derivative(v) for v in range(f.variable_count)]
-    if any(not p for p in partials):
-        # a partial vanishes identically: the quotient contains a free
-        # variable, so the singularity line is positive-dimensional
-        raise NonIsolated(str(f))
-    start = max(4, 2 * f.max_degree())
-    history = []
-    degree = start
-    while degree <= TRUNCATION_CAP:
-        standard = _truncated_quotient(partials, f.variable_count, degree)
-        history.append((degree, len(standard), standard))
-        if (len(history) >= STABLE_RUNS
-                and len({h[1] for h in history[-STABLE_RUNS:]}) == 1):
-            basis = sorted(history[-1][2], key=_mono_key)
-            return LocalAlgebra(f, basis)
-        degree += 2
-    raise NonIsolated(str(f))
+    """Jacobian-quotient basis, certified by Nakayama's lemma.
+
+    Raises NonIsolated when every partial vanishes on a coordinate
+    subspace of positive dimension, and CapExceededError when no degree up
+    to TRUNCATION_CAP certifies the quotient.
+    """
+    n = f.variable_count
+    partials = [f.derivative(v) for v in range(n)]
+    for size in range(n):
+        for zeros in itertools.combinations(range(n), size):
+            if all(any(e[i] for i in zeros) for p in partials for e in p):
+                where = (" = ".join([VAR_NAMES[i] for i in zeros] + ["0"])
+                         if zeros else "the whole space")
+                raise NonIsolated(f"{f}: every partial vanishes on {where}")
+    degree = 1
+    while True:
+        standard = _truncated_quotient(partials, n, degree)
+        # no standard monomial of degree D: m^D lies in J + m^(D+1), so in
+        # J by Nakayama, and every larger D would give the same basis
+        if all(sum(m) < degree for m in standard):
+            return LocalAlgebra(f, sorted(standard, key=_mono_key))
+        if degree >= TRUNCATION_CAP:
+            raise CapExceededError(f"{f}: mu not certified up to truncation "
+                                   f"degree TRUNCATION_CAP={TRUNCATION_CAP}")
+        degree = min(TRUNCATION_CAP,
+                     degree + (degree if degree < 8 else degree // 4))
 
 
 def milnor_number(f: PolyGerm) -> int:

@@ -182,6 +182,13 @@ class TestSingCommand:
         assert code == 0
         assert out.strip() == "NonIsolated"
 
+    def test_mu_without_certificate_or_proof(self, capsys):
+        # singular along x = y: no proof of non-isolation, so a cap error
+        code, out, err = run(capsys, ["sing", "mu", "--germ",
+                                      "x^2 - 2*x*y + y^2"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "TRUNCATION_CAP" in err
+
     def test_spectrum(self, capsys):
         code, out, _ = run(capsys, ["sing", "spectrum",
                                     "--germ", "x^3 + y^4",
@@ -300,6 +307,12 @@ MALFORMED = {
     "dist_nan_probability": (DIST + ["0:nan,1:1"], None, "--dist"),
     "dist_nan_value": (DIST + ["0:.5,nan:.5"], None, "--dist"),
     "dist_bad_total": (DIST + ["0:0.5,1:0.4"], None, "--dist"),
+    "spectrum_non_isolated": (["sing", "spectrum", "--germ", "x^2*y",
+                               "--weights", "1/3,1/3"], None,
+                              "every partial vanishes on x = 0"),
+    "spectrum_free_variable": (["sing", "spectrum", "--germ", "y^2",
+                                "--weights", "1/3,1/2"], None,
+                               "every partial vanishes on y = 0"),
 }
 
 

@@ -212,6 +212,26 @@ class TestImportErrors:
         with pytest.raises(ValidationError):
             import_olog(data)
 
+    @pytest.mark.parametrize("mutate,field", [
+        (lambda d: d["objects"][0].pop("id"), r"objects\[0\].*'id'"),
+        (lambda d: d["arrows"][0].pop("dst"), r"arrows\[0\].*'dst'"),
+        (lambda d: d["compositions"][0].pop("result"),
+         r"compositions\[0\].*'result'"),
+        (lambda d: d["compositions"][0].update(left=0),
+         r"compositions\[0\].*'left'"),
+        (lambda d: d.update(objects="abc"), "objects: expected a list"),
+    ], ids=["object_id", "arrow_dst", "composition_result", "int_left",
+            "objects_string"])
+    def test_malformed_shape_names_field(self, mutate, field):
+        data = self.base()
+        mutate(data)
+        with pytest.raises(ValidationError, match=field):
+            import_olog(data)
+
+    def test_top_level_list(self):
+        with pytest.raises(ValidationError, match="top level"):
+            import_olog([self.base()])
+
     def test_non_associative_triples(self):
         # one object, arrows a and b; every triple has the right endpoints
         # but (a a) b = b b = id while a (a b) = a a = b

@@ -1,12 +1,14 @@
+import re
 from fractions import Fraction
 
 import pytest
 
-from phasecat import (NonIsolated, QuasihomogeneousGerm, ValidationError,
-                      corpus_adjacency, euler_apply, euler_eigenvalue,
-                      local_algebra, milnor_number, modality, parse_germ,
-                      relative_cokernel, spectrum_grading, stabilize,
-                      weight_milnor)
+from phasecat import (CapExceededError, NonIsolated, QuasihomogeneousGerm,
+                      ValidationError, corpus_adjacency, euler_apply,
+                      euler_eigenvalue, local_algebra, milnor_number,
+                      modality, parse_germ, relative_cokernel,
+                      spectrum_grading, stabilize, weight_milnor)
+from phasecat import singularity
 
 F = Fraction
 
@@ -67,6 +69,70 @@ class TestMilnorNumber:
                                       (1, 1), (1, 2)]
 
 
+def substitute(germ, images: dict) -> str:
+    """The germ's text with each variable replaced by its image."""
+    return re.sub("[xyz]", lambda m: images.get(m.group(), m.group()),
+                  str(germ))
+
+
+class TestCertifiedMilnor:
+    """Oracles: the weight formula prod(1/w - 1) of the principal part,
+    finite determinacy and invariance under linear coordinate changes."""
+
+    @pytest.mark.parametrize("text,weights", [
+        ("x^2 + y^2 + z^2 + (x + y)^200", ("1/2", "1/2", "1/2")),
+        ("x^3 + y^5 + (x + y)^50", ("1/3", "1/5")),
+        ("x^2 + y^3 + x^41", ("1/2", "1/3")),
+        ("x^20", ("1/20",)),
+        ("x^3 + y^19", ("1/3", "1/19")),
+        ("x^2 + y^2 + z^30", ("1/2", "1/2", "1/30")),
+    ])
+    def test_high_degree_germs(self, text, weights):
+        want = weight_milnor([F(w) for w in weights])
+        assert milnor_number(parse_germ(text)) == want
+
+    @pytest.mark.parametrize("exponents", [
+        (25,), (2, 21), (3, 22), (4, 21), (2, 3, 21), (3, 3, 21)])
+    def test_brieskorn_pham_ladder(self, exponents):
+        text = " + ".join(f"{v}^{k}" for v, k in zip("xyz", exponents))
+        want = weight_milnor([F(1, k) for k in exponents])
+        assert milnor_number(parse_germ(text)) == want
+
+    def test_finite_determinacy(self, corpus):
+        # f is (mu+1)-determined: terms of order >= mu+2 leave mu alone
+        for entry in corpus.entries.values():
+            d = entry.mu + 2
+            tail = {1: [f"x^{d}", f"3*x^{d + 1}"],
+                    2: [f"(x + y)^{d}", f"x*y^{d}"]}
+            for extra in tail[entry.germ.variable_count] + [f"x^{d + 25}"]:
+                f = parse_germ(f"{entry.normal_form} + {extra}")
+                assert milnor_number(f) == entry.mu, (entry.name, extra)
+
+    @pytest.mark.parametrize("images", [
+        {"x": "(x + y)"}, {"y": "(y - 2*x)"},
+        {"x": "(x + y)", "y": "(x - y)"}])
+    def test_linear_coordinate_change(self, corpus, images):
+        for entry in corpus.entries.values():
+            germ = entry.germ
+            if germ.variable_count == 1:
+                germ = stabilize(germ)
+            f = parse_germ(substitute(germ, images))
+            assert milnor_number(f) == entry.mu, (entry.name, str(f))
+
+    @pytest.mark.parametrize("text,where", [
+        ("x^2*y", "x = 0"), ("y^2", "y = 0"), ("(x - y)^2*z", "x = y = 0")])
+    def test_non_isolated_names_its_subspace(self, text, where):
+        with pytest.raises(NonIsolated,
+                           match=f": every partial vanishes on {where}$"):
+            milnor_number(parse_germ(text))
+
+    def test_cap_error_without_proof(self, monkeypatch):
+        # (x-y)^2 is singular along x = y, which no coordinate test sees
+        monkeypatch.setattr(singularity, "TRUNCATION_CAP", 6)
+        with pytest.raises(CapExceededError, match="TRUNCATION_CAP=6"):
+            milnor_number(parse_germ("x^2 - 2*x*y + y^2"))
+
+
 class TestWeightMilnor:
     def test_bad_weight_rejected(self):
         with pytest.raises(ValidationError):
@@ -124,6 +190,7 @@ class TestEulerGrading:
         for entry in corpus.entries.values():
             spec = spectrum_grading(entry.quasihomogeneous)
             top = sum(1 - 2 * w for w in entry.weights)
+            assert len(spec) == entry.mu
             assert spec[-1] == top
             assert [top - s for s in reversed(spec)] == spec
 
