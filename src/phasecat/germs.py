@@ -13,9 +13,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import CapExceededError, ValidationError
 
 MAX_VARIABLES = 3
+#: Largest exponent times base degree a power may have (a constant base
+#: counts as degree 1); powers are multiplied out one factor at a time.
+DEGREE_CAP = 200
 VAR_NAMES = ("x", "y", "z")
 
 
@@ -162,6 +165,11 @@ class _Parser:
             if neg:
                 raise ParseError("negative exponent", pos)
             power = int(tok)
+            degree = max([sum(e) for e in base] + [1])
+            if power * degree > DEGREE_CAP:
+                raise CapExceededError(
+                    f"power {power} of a degree-{degree} base at position "
+                    f"{pos} exceeds DEGREE_CAP={DEGREE_CAP}")
             out = {(0, 0, 0): Fraction(1)}
             for _ in range(power):
                 out = _mul(out, base)

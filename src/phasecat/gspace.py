@@ -6,9 +6,12 @@ group generator.  From it we compute fixed subcomplexes, their pi_0 (on the
 1-skeleton, which determines connectivity), vertex isotropy/orbits, and the
 full fixed-point presheaf over the subgroup classes.
 
-"Fixed" means vertex-wise fixed.  An element that fixes a simplex setwise
-but not pointwise triggers a warning recommending barycentric subdivision
-(provided by :func:`subdivide`), after which setwise and pointwise fixing
+Every simplex set -- of a GComplex, of a subdivision and of a stratified
+complex -- is built by :func:`close_under_faces`.  Every GComplex is checked
+on its generator maps: each must carry simplices to simplices.  "Fixed"
+means vertex-wise fixed; the same check warns exactly when some element
+fixes a simplex setwise but not pointwise, which barycentric subdivision
+(:func:`subdivide`) rules out, after which setwise and pointwise fixing
 agree.
 """
 
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import permutations
 
 from .errors import ValidationError
 from .permgroup import (FiniteGroup, Subgroup, SubgroupClass, check_perm,
@@ -25,18 +28,32 @@ from .permgroup import (FiniteGroup, Subgroup, SubgroupClass, check_perm,
 Simplex = frozenset[int]
 
 
-def close_under_faces(simplices) -> frozenset[Simplex]:
+def close_under_faces(simplices, vertex_count: int) -> frozenset[Simplex]:
+    """The given simplices with all their nonempty faces.
+
+    Rejects an empty simplex and a vertex outside ``0 .. vertex_count-1``;
+    only the given simplices are checked, as their faces use the same
+    vertices.  A face is marked when it is pushed, so the stack holds each
+    simplex at most once.
+    """
     out: set[Simplex] = set()
-    stack = [frozenset(s) for s in simplices]
-    for s in stack:
+    stack: list[Simplex] = []
+    for s in simplices:
+        s = frozenset(s)
         if not s:
             raise ValidationError("empty simplex")
+        for v in s:
+            if not 0 <= v < vertex_count:
+                raise ValidationError(f"vertex {v} out of range")
         if s not in out:
             out.add(s)
-            for v in s:
-                face = s - {v}
-                if face and face not in out:
-                    stack.append(face)
+            stack.append(s)
+    for s in stack:
+        for v in s:
+            face = s - {v}
+            if face and face not in out:
+                out.add(face)
+                stack.append(face)
     return frozenset(out)
 
 
@@ -46,50 +63,54 @@ class GComplex:
     ``generator_maps[i]`` is the vertex image array of ``group.generators[i]``;
     maps for every group element are derived by composing along the closure
     and checked for consistency (the generator maps must satisfy the group's
-    relations).
+    relations).  Building warns when some element fixes a simplex setwise
+    but not pointwise.
     """
 
     def __init__(self, group: FiniteGroup, vertex_count: int, simplices,
-                 generator_maps, warn_setwise: bool = True):
+                 generator_maps):
         if vertex_count <= 0:
             raise ValidationError("vertex count must be positive")
         self.group = group
         self.vertex_count = vertex_count
-        self.simplices = close_under_faces(simplices)
-        for s in self.simplices:
-            for v in s:
-                if not 0 <= v < vertex_count:
-                    raise ValidationError(f"vertex {v} out of range")
+        self.simplices = close_under_faces(simplices, vertex_count)
         self.generator_maps = tuple(
             check_perm(m, vertex_count) for m in generator_maps)
         self.element_maps = extend_generators(
             group, self.generator_maps, perm_mul, tuple(range(vertex_count)))
-        self._validate_simplicial(warn_setwise)
+        self._validate_simplicial()
 
-    def _validate_simplicial(self, warn_setwise: bool):
-        # Every element map is a product of generator maps (consistent, as
-        # extend_generators checked), so the generators carry simplices
-        # to simplices iff every element does; only the setwise warning
-        # needs the element maps.
-        maps = self.element_maps if warn_setwise else self.generator_maps
-        warned = False
-        for vmap in maps:
-            for s in self.simplices:
-                image = frozenset(vmap[v] for v in s)
-                if image not in self.simplices:
-                    raise ValidationError(
-                        f"vertex map {vmap} does not carry simplex "
-                        f"{sorted(s)} to a simplex")
-                if (warn_setwise and not warned and image == s
-                        and any(vmap[v] != v for v in s)):
-                    warnings.warn(
-                        "an element fixes a simplex setwise but not "
-                        "pointwise; fixed subcomplexes may miss topological "
-                        "fixed points -- consider subdivide()", stacklevel=3)
-                    warned = True
-
-    def vertices(self) -> list[int]:
-        return sorted(v for s in self.simplices if len(s) == 1 for v in s)
+    def _validate_simplicial(self):
+        # Walk each orbit of simplices as vertex tuples under the generator
+        # maps.  The tuple orbit of a simplex has |G| / |pointwise
+        # stabilizer| members and its simplex orbit |G| / |setwise
+        # stabilizer|, so the orbits hold more tuples than there are
+        # simplices exactly when some element fixes a simplex setwise but
+        # moves one of its vertices.
+        remaining = set(self.simplices)
+        tuple_count = 0
+        while remaining:
+            orbit = [tuple(remaining.pop())]
+            seen = set(orbit)
+            for t in orbit:
+                for vmap in self.generator_maps:
+                    image = tuple([vmap[v] for v in t])
+                    if image in seen:
+                        continue
+                    s = frozenset(image)
+                    if s not in self.simplices:
+                        raise ValidationError(
+                            f"vertex map {vmap} does not carry simplex "
+                            f"{sorted(t)} to a simplex")
+                    seen.add(image)
+                    orbit.append(image)
+                    remaining.discard(s)
+            tuple_count += len(orbit)
+        if tuple_count > len(self.simplices):
+            warnings.warn(
+                "an element fixes a simplex setwise but not pointwise; "
+                "fixed subcomplexes may miss topological fixed points -- "
+                "consider subdivide()", stacklevel=3)
 
 
 def fixed_subcomplex(X: GComplex, H: Subgroup) -> frozenset[Simplex]:
@@ -210,31 +231,16 @@ def pi0_fix_presheaf(X: GComplex,
 def subdivide(X: GComplex) -> GComplex:
     """Barycentric subdivision, with the action extended to barycenters.
 
-    New vertices are the simplices of X (in sorted order); new simplices are
-    the flags of proper inclusions.  A coface index ``up[i]`` lists, in
-    vertex order, every simplex that properly contains simplex ``i``; it is
-    built once from the faces of each simplex, and flags grow through it,
-    so the work is proportional to the number of flags.
+    New vertices are the simplices of X in (size, sorted vertices) order;
+    new simplices are the flags of proper inclusions.  Only the complete
+    flags of X's maximal simplices are passed on, one per ordering of a
+    maximal simplex's vertices; :func:`close_under_faces` adds the rest.
     """
     old = sorted(X.simplices, key=lambda s: (len(s), sorted(s)))
     where = {s: i for i, s in enumerate(old)}
-    up: list[list[int]] = [[] for _ in old]
-    for t, s in enumerate(old):
-        verts = sorted(s)
-        for k in range(1, len(verts)):
-            for face in combinations(verts, k):
-                up[where[frozenset(face)]].append(t)
-    flags: list[tuple[int, ...]] = []
-
-    def extend(chain: tuple[int, ...]):
-        flags.append(chain)
-        for t in up[chain[-1]]:
-            extend(chain + (t,))
-
-    for i in range(len(old)):
-        extend((i,))
-    gen_maps = []
-    for vmap in X.generator_maps:
-        gen_maps.append(tuple(where[frozenset(vmap[v] for v in s)]
-                              for s in old))
-    return GComplex(X.group, len(old), flags, gen_maps, warn_setwise=False)
+    faces = {s - {v} for s in old for v in s}
+    flags = [[where[frozenset(order[:k])] for k in range(1, len(s) + 1)]
+             for s in old if s not in faces for order in permutations(s)]
+    gen_maps = [tuple(where[frozenset(vmap[v] for v in s)] for s in old)
+                for vmap in X.generator_maps]
+    return GComplex(X.group, len(old), flags, gen_maps)

@@ -187,7 +187,8 @@ class StratifiedComplex:
     closure is taken.  The closure condition (faces live in lower strata)
     and the frontier condition (closure of a lower stratum is contained in
     the closure of any higher one) are both validated -- the latter is what
-    makes i |-> pi_0(closure X_i) a functor on the poset.
+    makes i |-> pi_0(closure X_i) a functor on the poset.  Every vertex
+    must lie in ``0 .. vertex_count-1``.
     """
 
     def __init__(self, vertex_count: int, simplices, assignment,
@@ -196,7 +197,7 @@ class StratifiedComplex:
         raw = [frozenset(s) for s in simplices]
         if len(set(raw)) != len(raw):
             raise ValidationError("duplicate simplices")
-        closed = close_under_faces(raw)
+        closed = close_under_faces(raw, vertex_count)
         if closed != frozenset(raw):
             missing = next(iter(closed - set(raw)))
             raise ValidationError(
@@ -242,7 +243,7 @@ class StratifiedComplex:
 
     def stratum_closure(self, i: int) -> frozenset[Simplex]:
         own = [s for s, k in self.assignment.items() if k == i]
-        return close_under_faces(own) if own else frozenset()
+        return close_under_faces(own, self.vertex_count)
 
 
 def _poset_closure(strata, relations) -> set[tuple[int, int]]:

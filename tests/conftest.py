@@ -35,7 +35,10 @@ def square_halfturn(c2):
 
 @pytest.fixture(scope="session")
 def tetrahedron(groups):
-    """S4 permuting the vertices of the tetrahedron boundary."""
+    """S4 permuting the vertices of the tetrahedron boundary; a
+    transposition fixes two faces setwise but swaps two of their
+    vertices, so building it warns."""
     s4 = groups["s4"]
-    return GComplex(s4, 4, itertools.combinations(range(4), 3),
-                    s4.generators, warn_setwise=False)
+    with pytest.warns(UserWarning, match="setwise"):
+        return GComplex(s4, 4, itertools.combinations(range(4), 3),
+                        s4.generators)

@@ -140,6 +140,14 @@ def bf_subdivide(simplices, generator_maps):
     return len(old), frozenset(flags), maps
 
 
+def bf_setwise_moved(simplices, element_maps):
+    """True when some element map sends a simplex onto itself and moves
+    one of its vertices."""
+    return any(frozenset(vmap[v] for v in s) == s
+               and any(vmap[v] != v for v in s)
+               for vmap in element_maps for s in simplices)
+
+
 def bf_fixed_subcomplex(simplices, element_maps, members):
     """Simplices whose every vertex is fixed by every listed element."""
     return frozenset(s for s in simplices

@@ -297,6 +297,14 @@ MALFORMED = {
     "poset_int": (["strata", "-i", "{bad}"], {
         "vertices": 2, "simplices": [[0], [1], [0, 1]],
         "assignment": [0, 0, 0], "poset": 5}, "poset"),
+    "strata_vertex_out_of_range": (["strata", "-i", "{bad}"], {
+        "vertices": 1, "simplices": [[5], [7], [5, 7]],
+        "assignment": [0, 0, 1], "poset": [[0, 1]]},
+        "vertex 5 out of range"),
+    "germ_power_over_cap": (["sing", "mu", "--germ", "x^1000000000"], None,
+                            "DEGREE_CAP"),
+    "germ_trinomial_power_over_cap": (["sing", "mu", "--germ",
+                                       "(x+y+z)^1000"], None, "DEGREE_CAP"),
     "grid_zero_step": (LDP + ["0.1:0.9:0"], None, "--grid"),
     "grid_missing_part": (LDP + ["0.1:0.9"], None, "--grid"),
     "grid_over_cap": (LDP + ["0.1:0.9:1e-9"], None, "--grid"),

@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from phasecat import ParseError, PolyGerm, ValidationError, parse_germ
+from phasecat.errors import CapExceededError
+from phasecat.germs import DEGREE_CAP
 
 F = Fraction
 
@@ -83,6 +85,20 @@ class TestParseErrors:
     def test_missing_denominator(self):
         with pytest.raises(ParseError, match="denominator"):
             parse_germ("1/x")
+
+    @pytest.mark.parametrize("text,degree", [
+        (f"x^{DEGREE_CAP}", DEGREE_CAP),
+        (f"(x*y)^{DEGREE_CAP // 2}", DEGREE_CAP),
+        (f"x + 2^{DEGREE_CAP}*y", 1)])
+    def test_power_at_cap(self, text, degree):
+        assert parse_germ(text).max_degree() == degree
+
+    @pytest.mark.parametrize("text", [
+        f"x^{DEGREE_CAP + 1}", f"(x*y)^{DEGREE_CAP // 2 + 1}",
+        f"x + 2^{DEGREE_CAP + 1}*y", "x^1000000000"])
+    def test_power_past_cap(self, text):
+        with pytest.raises(CapExceededError, match="DEGREE_CAP"):
+            parse_germ(text)
 
 
 class TestPolyGerm:

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import pytest
@@ -6,6 +7,7 @@ import oracles
 from phasecat import (GComplex, ValidationError, components,
                       conjugacy_classes_of_subgroups, fixed_subcomplex,
                       isotropy, orbit_of, pi0_fix_presheaf, subdivide)
+from phasecat import fixtures as fx
 from phasecat.permgroup import (Subgroup, all_subgroups, closure,
                                 full_subgroup, trivial_subgroup)
 
@@ -15,11 +17,38 @@ HEXAGON_DIAGONALS = ([[i, (i + 1) % 6] for i in range(6)]
 ROTATION = [1, 2, 3, 4, 5, 0]
 
 
-def hexagon_with_diagonals(warn_setwise):
+def hexagon_with_diagonals():
     """C6 rotating a hexagon that also has its three long diagonals: r^3
     flips each diagonal, and no generator fixes a simplex setwise."""
-    return GComplex(closure(6, [ROTATION]), 6, HEXAGON_DIAGONALS, [ROTATION],
-                    warn_setwise=warn_setwise)
+    return GComplex(closure(6, [ROTATION]), 6, HEXAGON_DIAGONALS, [ROTATION])
+
+
+def s3_triangle(s3):
+    """S3 permuting the vertices of a triangle boundary; a transposition
+    flips an edge."""
+    return GComplex(s3, 3, [[0, 1], [1, 2], [2, 0]], [[1, 0, 2], [1, 2, 0]])
+
+
+#: name -> builder from the group fixtures, for the warning exactness test
+SETWISE_CASES = {
+    **{name: (lambda groups, name=name: fx.load_complex(name))
+       for name in fx.COMPLEXES},
+    "hexagon_diagonals": lambda groups: hexagon_with_diagonals(),
+    "s3_triangle": lambda groups: s3_triangle(groups["s3"]),
+    "tetrahedron": lambda groups: GComplex(
+        groups["s4"], 4, itertools.combinations(range(4), 3),
+        groups["s4"].generators),
+}
+SETWISE_MOVED = {"square_d4", "hexagon_diagonals", "s3_triangle",
+                 "tetrahedron"}
+
+
+def build_recording_warning(build):
+    """(build(), whether building warned about a setwise fix)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        X = build()
+    return X, any("setwise" in str(w.message) for w in caught)
 
 
 def assert_subdivision_matches_scan(X):
@@ -47,22 +76,34 @@ class TestValidation:
         with pytest.warns(UserWarning):
             GComplex(c2, 2, [[0, 1]], [[1, 0]])
 
-    def test_rejects_non_simplicial_map_without_setwise_scan(self, c2):
-        with pytest.raises(ValidationError):
-            GComplex(c2, 3, [[0, 1], [1, 2]], [[1, 0, 2]],
-                     warn_setwise=False)
+    def test_rejects_relation_respecting_non_simplicial_map(self):
         # (0 1 3)(2 5 4) respects r^6 = 1 but sends edge {0,1} to {1,3}
         with pytest.raises(ValidationError, match="does not carry"):
             GComplex(closure(6, [ROTATION]), 6, HEXAGON_DIAGONALS,
-                     [[1, 3, 5, 0, 2, 4]], warn_setwise=False)
+                     [[1, 3, 5, 0, 2, 4]])
 
     def test_setwise_warning_scans_every_element(self):
         # only r^3, not the generator r, fixes a diagonal setwise
         with pytest.warns(UserWarning, match="setwise"):
-            hexagon_with_diagonals(warn_setwise=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            hexagon_with_diagonals(warn_setwise=False)
+            hexagon_with_diagonals()
+
+    @pytest.mark.parametrize("name", sorted(SETWISE_CASES))
+    def test_warns_exactly_when_setwise_moved(self, groups, name):
+        X, warned = build_recording_warning(
+            lambda: SETWISE_CASES[name](groups))
+        moved = oracles.bf_setwise_moved(X.simplices, X.element_maps)
+        assert warned == moved == (name in SETWISE_MOVED)
+        sd, warned = build_recording_warning(lambda: subdivide(X))
+        assert not warned
+        assert not oracles.bf_setwise_moved(sd.simplices, sd.element_maps)
+
+    def test_rejects_out_of_range_vertex(self, c2):
+        with pytest.raises(ValidationError, match="vertex 4 out of range"):
+            GComplex(c2, 4, [[0, 1], [1, 4]], [[1, 0, 3, 2]])
+
+    def test_rejects_empty_simplex(self, c2):
+        with pytest.raises(ValidationError, match="empty simplex"):
+            GComplex(c2, 2, [[0], []], [[1, 0]])
 
     def test_faces_added_automatically(self, square_reflection):
         sizes = sorted(len(s) for s in square_reflection.simplices)
@@ -163,11 +204,9 @@ class TestFixPresheaf:
     def test_induced_map_coset_independent(self, s3):
         # exhaustive over transporter elements: the induced component map
         # must not depend on the representative
-        from phasecat.gspace import GComplex
         from phasecat.permgroup import transporter
-        # S3 permuting a triangle boundary
-        X = GComplex(s3, 3, [[0, 1], [1, 2], [2, 0]],
-                     [[1, 0, 2], [1, 2, 0]], warn_setwise=False)
+        with pytest.warns(UserWarning, match="setwise"):
+            X = s3_triangle(s3)
         classes = conjugacy_classes_of_subgroups(s3)
         pre = pi0_fix_presheaf(X, classes)
         for c0 in classes:
@@ -237,4 +276,15 @@ class TestSubdivide:
 
     def test_small_complexes_match_coface_scan(self, square_reflection):
         assert_subdivision_matches_scan(square_reflection)
-        assert_subdivision_matches_scan(hexagon_with_diagonals(False))
+        with pytest.warns(UserWarning, match="setwise"):
+            X = hexagon_with_diagonals()
+        assert_subdivision_matches_scan(X)
+
+    def test_mixed_dimensions_match_coface_scan(self, c2):
+        # maximal simplices of three dimensions: the triangle {0,1,2},
+        # the edge {2,3} hanging off it and the isolated vertex 4; the
+        # swap of 0 and 1 flips the triangle onto itself
+        with pytest.warns(UserWarning, match="setwise"):
+            X = GComplex(c2, 5, [[0, 1, 2], [2, 3], [4]],
+                         [[1, 0, 2, 3, 4]])
+        assert_subdivision_matches_scan(X)

@@ -128,6 +128,21 @@ class TestLegendre:
         assert legendre(obs, 1e-9) == pytest.approx(
             bernoulli_rate(0.5, 1e-3), rel=1e-6)
 
+    @pytest.mark.parametrize("a,b", [(1e-6, 0), (1e6, 0), (-1e6, 0),
+                                     (-3, 7)])
+    def test_affine_law(self, a, b):
+        # Gamma*_{aL+b}(ax+b) = Gamma*_L(x) on interior points of the hull;
+        # b stays 0 at the extreme scales, where rounding a*x + b alone
+        # would move the value by more than the tolerance
+        outcomes = ((-1.0, 0.2), (0.5, 0.5), (2.0, 0.3))
+        obs = DiscreteObservable(outcomes)
+        moved = DiscreteObservable(tuple((a * v + b, p)
+                                         for v, p in outcomes))
+        for k in range(1, 41):
+            x = -1.0 + 3.0 * k / 41
+            assert legendre(moved, a * x + b) == pytest.approx(
+                legendre(obs, x), rel=1e-9)
+
     def test_bracket_cap(self, monkeypatch):
         # the narrow-hull root needs 23 doublings of the lower end
         monkeypatch.setattr(largedev, "BRACKET_CAP", 10)

@@ -309,6 +309,13 @@ class TestStrataCategory:
             StratifiedComplex(3, [[0], [1], [2], [1, 2]],
                               [0, 1, 1, 1], [(0, 1)])
 
+    def test_out_of_range_vertex_rejected(self):
+        from phasecat import fixtures as fx
+        spec = {"vertices": 1, "simplices": [[5], [7], [5, 7]],
+                "assignment": [0, 0, 1], "poset": [[0, 1]]}
+        with pytest.raises(ValidationError, match="vertex 5 out of range"):
+            fx.strata_from_spec(spec)
+
     def test_codim_warning(self):
         with pytest.warns(UserWarning, match="codimension"):
             StratifiedComplex(**SEGMENT, codim={0: 0, 1: 5})
