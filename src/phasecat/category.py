@@ -186,9 +186,11 @@ def category_isomorphic(A: FiniteCategory,
     then over morphism bijections with forced closure under composition.
     Intended for desk-scale categories only.
     """
-    if max(len(A.objects), len(B.objects)) > ISO_OBJECT_GUARD:
+    most = max(len(A.objects), len(B.objects))
+    if most > ISO_OBJECT_GUARD:
         raise CapExceededError(
-            f"isomorphism search capped at {ISO_OBJECT_GUARD} objects")
+            f"isomorphism search over {most} objects exceeds "
+            f"ISO_OBJECT_GUARD={ISO_OBJECT_GUARD}")
     if (len(A.objects) != len(B.objects)
             or len(A.morphisms) != len(B.morphisms)):
         return None

@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from json.encoder import encode_basestring_ascii as _encode_str
+from operator import itemgetter
 
 from .category import FiniteCategory, Morphism, keyed_category
 from .errors import ValidationError
@@ -59,20 +61,21 @@ def export_olog(category: FiniteCategory,
                 phase: PhaseCategory | None = None) -> dict:
     """Olog schema: objects, non-identity arrows, and all composition
     triples over composable non-identity pairs."""
+    identities = set(category.identity)
     arrow_id = {}
     arrows = []
     for m, mor in enumerate(category.morphisms):
-        if category.is_identity(m):
+        if m in identities:
             continue
-        arrow_id[m] = f"m{len(arrows)}"
-        arrows.append({"id": f"m{len(arrows)}", "src": f"o{mor.src}",
+        aid = arrow_id[m] = f"m{len(arrows)}"
+        arrows.append({"id": aid, "src": f"o{mor.src}",
                        "dst": f"o{mor.dst}", "label": mor.label})
     compositions = []
     for (m2, m1), r in sorted(category.compose_table.items()):
-        if category.is_identity(m1) or category.is_identity(m2):
+        if m1 in identities or m2 in identities:
             continue
         rid = (f"id:o{category.morphisms[r].src}"
-               if category.is_identity(r) else arrow_id[r])
+               if r in identities else arrow_id[r])
         compositions.append({"left": arrow_id[m2], "right": arrow_id[m1],
                              "result": rid})
     return {"objects": _object_meta(category, phase),
@@ -161,10 +164,73 @@ def import_olog(data: dict) -> FiniteCategory:
     return cat
 
 
+_SCALARS = {str, int, float, bool, type(None)}
+
+
 def olog_json(data: dict) -> str:
     """The package's one JSON text form (olog exports, ``quiver`` output,
-    fixture files): two-space indent, sorted keys, a final newline."""
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    fixture files): exactly ``json.dumps(data, indent=2, sort_keys=True)``
+    plus a final newline.
+
+    ``json.dumps`` with ``indent`` runs the pure-Python encoder, so the
+    two shapes that make up an olog are written here with the C string
+    encoder: dicts with ``str`` keys, and lists of flat records (dicts
+    sharing one ``str`` key set, scalar values only), encoded column by
+    column.  Every other value is handed to ``json.dumps`` and indented,
+    which is exact because JSON text holds no raw newline in a string.
+    """
+    return _json_text(data, "", ()) + "\n"
+
+
+def _json_text(value, pad: str, path: tuple[int, ...]) -> str:
+    """``value`` as JSON text nested at indent ``pad``.  ``path`` holds the
+    ids of the dicts being written, so a cycle is left to ``json.dumps``,
+    which reports it."""
+    inner = pad + "  "
+    if (type(value) is dict and id(value) not in path
+            and set(map(type, value)) == {str}):
+        path += (id(value),)
+        return "{\n" + ",\n".join(
+            f"{inner}{_encode_str(k)}: {_json_text(value[k], inner, path)}"
+            for k in sorted(value)) + f"\n{pad}}}"
+    if type(value) is list and set(map(type, value)) == {dict}:
+        text = _records_text(value, pad)
+        if text is not None:
+            return text
+    return json.dumps(value, indent=2, sort_keys=True).replace(
+        "\n", "\n" + pad)
+
+
+def _records_text(records: list[dict], pad: str) -> str | None:
+    """A list of flat records, written as one join over a slot per key,
+    value and record end, or None if the records do not share one
+    non-empty ``str`` key set or hold a non-scalar value."""
+    first = records[0]
+    if not (set(map(type, first)) == {str}
+            and set(map(len, records)) == {len(first)}):
+        return None
+    inner = pad + "  "
+    n, width = len(records), 2 * len(first) + 1
+    # Record j owns slots j*width ...: a key prefix and a value per key,
+    # then its end.  Every slot starts as an end; the last loses its comma.
+    pieces = [f"\n{inner}}},\n{inner}"] * (n * width)
+    for i, k in enumerate(sorted(first)):
+        try:
+            column = list(map(itemgetter(k), records))
+        except KeyError:  # same size, another key set
+            return None
+        kinds = set(map(type, column))
+        if kinds == {str}:
+            encode = _encode_str
+        elif kinds <= _SCALARS:
+            encode = json.dumps
+        else:
+            return None
+        head = "," if i else "{"
+        pieces[2 * i::width] = [f"{head}\n{inner}  {_encode_str(k)}: "] * n
+        pieces[2 * i + 1::width] = map(encode, column)
+    pieces[-1] = f"\n{inner}}}"
+    return f"[\n{inner}" + "".join(pieces) + f"\n{pad}]"
 
 
 def atomic_write(path: str, text: str):

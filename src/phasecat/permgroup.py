@@ -167,7 +167,8 @@ def _closure_elements(degree: int, generators) -> set[Perm]:
                     nxt.append(q)
                     if len(seen) > ORDER_CAP:
                         raise CapExceededError(
-                            f"group order exceeds cap {ORDER_CAP}")
+                            f"closure passed ORDER_CAP={ORDER_CAP}: "
+                            f"{len(seen)} elements found so far")
         frontier = nxt
     if len(seen) > ORDER_WARN:
         warnings.warn(
@@ -294,7 +295,8 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     every subgroup is reachable by adjoining its elements one at a time.
     """
     if G.order > ORDER_CAP:
-        raise CapExceededError(f"group order {G.order} exceeds {ORDER_CAP}")
+        raise CapExceededError(
+            f"group order {G.order} exceeds ORDER_CAP={ORDER_CAP}")
     table = G.table
     known: dict[frozenset[int], tuple[int, ...]] = {
         frozenset({G.identity_index}): ()}

@@ -2,6 +2,7 @@
 library implementations they check."""
 
 import itertools
+import json
 
 
 def compose(p, q):
@@ -153,3 +154,8 @@ def bf_fixed_subcomplex(simplices, element_maps, members):
     return frozenset(s for s in simplices
                      if all(element_maps[h][v] == v
                             for h in members for v in s))
+
+
+def bf_olog_json(data):
+    """The stdlib's indented, key-sorted JSON text plus a final newline."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"

@@ -1,13 +1,17 @@
 import json
+import math
+import random
 
 import pytest
 
+from oracles import bf_olog_json
 from phasecat import (ValidationError, atomic_write, build_orbit_category,
                       build_phase_diagram, category_isomorphic, export_dot,
                       export_olog, import_olog, olog_json, strata_category,
                       subdivide)
 from phasecat import fixtures as fx
 from phasecat.category import FiniteCategory, Morphism
+from phasecat.cli import main
 
 
 def one_object_monoid():
@@ -90,6 +94,144 @@ class TestExportOlog:
         assert a == b
         assert a.endswith("\n")
         json.loads(a)  # valid JSON
+
+
+def outcome(write, value):
+    """The text ``write`` gives for ``value``, or the error it raises."""
+    try:
+        return write(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+CHARS = ["a", "Z", "0", " ", "%", "%s", '"', "\\", "\n", "\t", "\x00",
+         "\x7f", "\u00e9", "\u2603", "\U0001f600", "/"]
+
+
+def random_str(rng):
+    return "".join(rng.choice(CHARS) for _ in range(rng.randint(0, 5)))
+
+
+def random_scalar(rng):
+    return rng.choice([
+        lambda: random_str(rng),
+        lambda: rng.randint(-1000, 1000),
+        lambda: rng.choice([-1, 1]) * 2 ** rng.randint(60, 300),
+        lambda: rng.choice([True, False, None]),
+        lambda: rng.uniform(-1e6, 1e6),
+        lambda: rng.choice([math.inf, -math.inf, math.nan, -0.0, 1e-300]),
+    ])()
+
+
+def random_key(rng):
+    """Mostly strings; otherwise one of JSON's coerced key types."""
+    if rng.random() < 0.9:
+        return random_str(rng)
+    return rng.choice([rng.randint(-5, 5), 0.5, True, False, None])
+
+
+def random_records(rng, depth):
+    """A flat record list, sometimes made ragged or non-flat."""
+    keys = list({random_str(rng) for _ in range(rng.randint(0, 4))})
+    records = [{k: random_scalar(rng) for k in keys}
+               for _ in range(rng.randint(1, 6))]
+    r = rng.choice(records)
+    damage = rng.randrange(10)
+    if damage == 0 and keys:
+        del r[rng.choice(keys)]                      # missing key
+    elif damage == 1:
+        r[random_str(rng) + "!"] = random_scalar(rng)  # extra key
+    elif damage == 2 and keys:
+        r[random_str(rng) + "?"] = r.pop(rng.choice(keys))  # other key
+    elif damage == 3:
+        records.insert(rng.randrange(len(records) + 1),
+                       random_value(rng, depth))     # non-dict element
+    elif damage == 4 and keys:
+        r[rng.choice(keys)] = random_value(rng, depth)  # nested value
+    elif damage == 5:
+        r[random_key(rng)] = random_scalar(rng)      # maybe non-str key
+    return records
+
+
+def random_value(rng, depth=0):
+    if depth > 3:
+        return random_scalar(rng)
+    d = depth + 1
+    kind = rng.randrange(8)
+    if kind == 0:
+        return random_scalar(rng)
+    if kind == 1:
+        return [random_value(rng, d) for _ in range(rng.randint(0, 4))]
+    if kind == 2:
+        return tuple(random_value(rng, d) for _ in range(rng.randint(0, 3)))
+    if kind == 3:
+        return {random_str(rng): random_value(rng, d)
+                for _ in range(rng.randint(0, 4))}
+    if kind == 4:
+        return {random_key(rng): random_value(rng, d)
+                for _ in range(rng.randint(0, 3))}
+    if kind == 5:
+        return random_records(rng, d)
+    if kind == 6:
+        return [random_records(rng, d) for _ in range(rng.randint(1, 3))]
+    return {random_str(rng): {random_str(rng): random_records(rng, d)}}
+
+
+class TestOlogJson:
+    """``olog_json`` writes exactly the stdlib's indented, key-sorted
+    text."""
+
+    def test_random_corpus(self):
+        rng = random.Random(20121)
+        values = [random_value(rng) for _ in range(6000)]
+        for i, value in enumerate(values):
+            assert outcome(olog_json, value) == \
+                outcome(bf_olog_json, value), i
+
+    def test_flat_and_ragged_records(self):
+        flat = [{"a": "x", "b": 1}, {"a": "y\u00e9", "b": None}]
+        assert olog_json(flat) == bf_olog_json(flat)
+        for ragged in (flat + [{"a": "z"}], flat + [{"a": "z", "c": 2}],
+                       flat + [{"a": "z", "b": 2, "c": 3}], flat + [[]],
+                       [{1: "x"}, {1: "y"}], [{}, {}]):
+            assert olog_json(ragged) == bf_olog_json(ragged)
+
+    def test_circular_reference_raises_like_stdlib(self):
+        loop = {"a": 1}
+        loop["self"] = {"up": loop}
+        with pytest.raises(ValueError, match="Circular reference"):
+            olog_json(loop)
+
+    def test_bundled_exports(self):
+        exports = []
+        for name in sorted(fx.GROUPS):
+            exports.append(export_olog(
+                build_orbit_category(fx.load_group(name)).category))
+        with pytest.warns(UserWarning, match="setwise"):
+            complexes = [fx.load_complex(n) for n in sorted(fx.COMPLEXES)]
+        for x in complexes:
+            ph = build_phase_diagram(x.group, x)
+            exports.append(export_olog(ph.category, ph))
+        for name in sorted(fx.STRATIFIED):
+            exports.append(export_olog(
+                strata_category(fx.load_stratified(name))))
+        for data in exports:
+            assert olog_json(data) == bf_olog_json(data)
+
+    def test_quiver_and_fixture_files(self, tmp_path, capsys):
+        written = fx.write_fixtures(str(tmp_path))
+        for name in sorted(fx.REPRESENTATIONS):
+            group = fx.REPRESENTATIONS[name]["group"]
+            out = tmp_path / f"quiver_{name}.json"
+            assert main(["quiver", "-g", str(tmp_path / f"group_{group}.json"),
+                         "-r", str(tmp_path / f"rep_{name}.json"),
+                         "-o", str(out)]) == 0
+            written.append(str(out))
+        capsys.readouterr()
+        for path in written:
+            with open(path) as fh:
+                text = fh.read()
+            assert text == bf_olog_json(json.loads(text)), path
 
 
 class TestRoundTrip:

@@ -8,6 +8,7 @@ from phasecat import (CapExceededError, ValidationError, all_subgroups,
                       conjugacy_classes_of_subgroups, normalizer,
                       transporter, weyl_group)
 from phasecat import fixtures as fx
+from phasecat import permgroup
 from phasecat.permgroup import (ORDER_CAP, Subgroup, extend_generators,
                                 left_cosets, perm_mul, subgroup_closure,
                                 trivial_subgroup)
@@ -64,8 +65,16 @@ class TestClosure:
         # symmetric group on 7 points has order 5040 > cap
         assert ORDER_CAP == 1024
         gens = [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]]
-        with pytest.raises(CapExceededError):
+        with pytest.raises(CapExceededError,
+                           match=r"closure passed ORDER_CAP=1024: "
+                                 r"1025 elements"):
             closure(7, gens)
+
+    def test_all_subgroups_cap_names_order(self, groups, monkeypatch):
+        monkeypatch.setattr(permgroup, "ORDER_CAP", 20)
+        with pytest.raises(CapExceededError,
+                           match=r"group order 24 exceeds ORDER_CAP=20"):
+            all_subgroups(groups["s4"])
 
 
 class TestCayleyTable:

@@ -370,8 +370,12 @@ class TestCategoryIsomorphic:
         mors = [Morphism(i, i, f"id{i}") for i in range(n)]
         table = {(i, i): i for i in range(n)}
         cat = FiniteCategory(objs, mors, list(range(n)), table)
-        with pytest.raises(CapExceededError):
-            category_isomorphic(cat, cat)
+        small = FiniteCategory(objs[:1], mors[:1], [0], {(0, 0): 0})
+        for a, b in ((cat, cat), (small, cat), (cat, small)):
+            with pytest.raises(CapExceededError,
+                               match=r"over 65 objects exceeds "
+                                     r"ISO_OBJECT_GUARD=64"):
+                category_isomorphic(a, b)
 
 
 class TestKeyedLookup:
