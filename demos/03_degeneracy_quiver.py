@@ -3,10 +3,11 @@
 # # Degeneracy quivers of linear actions
 #
 # For a group acting linearly on rational space, every subgroup H has a
-# fixed subspace Fix(H), computed exactly with the averaging projector
-# P = (1/|H|) sum rho(h).  Arranging the subgroup classes by subconjugacy
-# gives the degeneracy quiver: each covering arrow carries the "order
-# parameter" directions lost when symmetry grows.
+# fixed subspace Fix(H), the image of the averaging projector
+# P = (1/|H|) sum rho(h); it is computed exactly from the generators s of
+# H alone, as the common kernel of rho(s) - I.  Arranging the subgroup
+# classes by subconjugacy gives the degeneracy quiver: each covering
+# arrow carries the "order parameter" directions lost when symmetry grows.
 #
 #     python3 demos/03_degeneracy_quiver.py
 

@@ -12,12 +12,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import CapExceededError, ValidationError
 
 MAX_VARIABLES = 3
 #: Largest exponent times base degree a power may have (a constant base
-#: counts as degree 1); powers are multiplied out one factor at a time.
+#: counts as degree 1); powers are multiplied out one factor at a time,
+#: on integer coefficients.
 DEGREE_CAP = 200
 VAR_NAMES = ("x", "y", "z")
 
@@ -170,10 +172,15 @@ class _Parser:
                 raise CapExceededError(
                     f"power {power} of a degree-{degree} base at position "
                     f"{pos} exceeds DEGREE_CAP={DEGREE_CAP}")
-            out = {(0, 0, 0): Fraction(1)}
+            # one linear loop on the base scaled to integers: a squaring
+            # step of a dense base costs more than the whole loop
+            den = lcm(*(c.denominator for c in base.values()))
+            scaled = {e: c.numerator * (den // c.denominator)
+                      for e, c in base.items()}
+            out = {(0, 0, 0): 1}
             for _ in range(power):
-                out = _mul(out, base)
-            return out
+                out = _mul(out, scaled)
+            return {e: Fraction(c, den ** power) for e, c in out.items()}
         return base
 
     def atom(self) -> dict[tuple[int, int, int], Fraction]:
@@ -219,11 +226,12 @@ def _scale(a, s: Fraction):
 
 
 def _mul(a, b):
-    out: dict[tuple[int, int, int], Fraction] = {}
+    """Product of two term dicts; coefficients may be Fractions or ints."""
+    out: dict[tuple[int, int, int], Fraction | int] = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, Fraction(0)) + ca * cb
+            e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2])
+            out[e] = out.get(e, 0) + ca * cb
     return {e: c for e, c in out.items() if c != 0}
 
 

@@ -1,7 +1,8 @@
 """Finite groups acting linearly over exact rationals.
 
-Fixed subspaces are computed by averaging projectors, symmetry-breaking
-adjacencies carry relative normal spaces ("order parameter" directions),
+Fixed subspaces are computed from a subgroup's generators, as the kernel
+of the stacked rho(s) - I; symmetry-breaking adjacencies carry relative
+normal spaces ("order parameter" directions),
 and the whole bookkeeping is collected into the degeneracy quiver: one node
 per subgroup class with its fixed-subspace dimension, one arrow per
 subconjugacy covering relation with the dimension lost along it.
@@ -57,10 +58,19 @@ def averaging_projector(action: LinearAction, H: Subgroup) -> Mat:
     return ratmat.mat_scale(Fraction(1, H.order), total)
 
 
+def _fixed_space(mats, dimension: int) -> list[Vec]:
+    """Canonical basis of the vectors every matrix in ``mats`` fixes: the
+    kernel of the stacked M - I, or of one zero row when there is none."""
+    eye = ratmat.eye(dimension)
+    stacked = tuple(row for M in mats for row in ratmat.mat_sub(M, eye))
+    return ratmat.kernel_basis(stacked or ratmat.zeros(1, dimension))
+
+
 def fix_subspace(action: LinearAction, H: Subgroup) -> list[Vec]:
-    """Canonical basis of {v | rho(h) v = v for all h in H}."""
-    P = averaging_projector(action, H)
-    return ratmat.kernel_basis(ratmat.mat_sub(P, ratmat.eye(action.dimension)))
+    """Canonical basis of {v | rho(h) v = v for all h in H}, cut out by
+    the generators of H alone."""
+    return _fixed_space([action.matrix(s) for s in H.generator_indices],
+                        action.dimension)
 
 
 @dataclass
@@ -86,31 +96,48 @@ def relative_normal(action: LinearAction, H0: Subgroup, H1: Subgroup,
     """Normal data of the adjacency H0 -> H1 along a transporter witness.
 
     Requires witness g with g H0 g^-1 <= H1; then K = g^-1 H1 g contains H0
-    and Fix(K) <= Fix(H0).  The complement is cut out of Fix(H0) by the
-    K-averaging projector, so it is canonical and K-stable where K acts.
+    and Fix(K) <= Fix(H0).  The complement is cut out of Fix(H0) by
+    ker P_K, P_K the K-averaging projector, so it is canonical and
+    K-stable where K acts.  ker P_K is the annihilator of the vectors that
+    the transposes rho(s)^T fix, s running over the generators of K, and
+    the restricted matrices come from one left inverse of the basis.
     """
+    return _relative_normal(action, fix_subspace(action, H0), H0, H1,
+                            witness)
+
+
+def _relative_normal(action: LinearAction, fix0: list[Vec], H0: Subgroup,
+                     H1: Subgroup, witness: int) -> RelativeNormal:
+    """relative_normal, given the basis fix0 of Fix(H0)."""
     G = action.group
     # range check first: a negative witness would wrap around G.inverse
     K = H1.conjugate(G.inv(witness)) if 0 <= witness < G.order else None
     if K is None or not H0.member_set <= K.member_set:
         raise ValidationError(
             f"witness {witness} does not conjugate H0 into H1")
-    fix0 = fix_subspace(action, H0)
-    PK = averaging_projector(action, K)
-    basis = ratmat.intersect(fix0, PK)
+    d = action.dimension
+    # K is generated by the conjugates of H1's generators
+    gens = [G.conj(G.inv(witness), h) for h in H1.generator_indices]
+    annihilator = _fixed_space(
+        [ratmat.transpose(action.matrix(s)) for s in gens], d)
+    basis = ratmat.intersect(fix0, tuple(annihilator))
 
     acting_members = tuple(sorted(
         K.member_set & transporter(G, H0, H0)))
     acting = Subgroup(G, acting_members)
+    if not basis:
+        return RelativeNormal(basis, acting, {k: () for k in acting.members})
+    cols = ratmat.transpose(basis)
+    # the basis is independent, so the first len(basis) rows of the
+    # reduced [cols | I] read [I | left] with left * cols = I
+    R, _ = ratmat.rref(tuple(c + e for c, e in zip(cols, ratmat.eye(d))))
+    left = tuple(row[len(basis):] for row in R[:len(basis)])
     restricted: dict[int, Mat] = {}
-    cols = ratmat.transpose(ratmat.as_mat(basis)) if basis else None
     for k in acting.members:
-        if not basis:
-            restricted[k] = ()
-            continue
-        images = [ratmat.mat_vec(action.matrix(k), b) for b in basis]
-        coord_cols = [ratmat.solve(cols, img) for img in images]
-        restricted[k] = ratmat.transpose(ratmat.as_mat(coord_cols))
+        image = ratmat.mat_mul(action.matrix(k), cols)
+        restricted[k] = ratmat.mat_mul(left, image)
+        if ratmat.mat_mul(cols, restricted[k]) != image:
+            raise ValidationError("inconsistent linear system")
     return RelativeNormal(basis, acting, restricted)
 
 
@@ -181,8 +208,9 @@ def degeneracy_quiver(action: LinearAction,
         nodes.append(QuiverNode(c, len(basis), basis))
     arrows = []
     for (a, b, g) in subconjugacy_covers(G, classes):
-        normal = relative_normal(action, classes[a].representative,
-                                 classes[b].representative, g)
+        normal = _relative_normal(action, nodes[a].fix_basis,
+                                  classes[a].representative,
+                                  classes[b].representative, g)
         arrows.append(QuiverArrow(a, b, g, normal))
     return DegeneracyQuiver(nodes, arrows)
 

@@ -1,14 +1,20 @@
 """Small exact linear algebra over the rationals.
 
 Matrices are tuples of row tuples of Fraction; vectors are tuples.  Enough
-row reduction to get ranks, kernels, canonical subspace bases and exact
-solves -- idempotence and dimension bookkeeping downstream are asserted as
+row reduction to get ranks, kernels and canonical subspace bases --
+idempotence and dimension bookkeeping downstream are asserted as
 equalities, so no floating point is allowed here.
+
+Products and eliminations run on integer rows: a matrix is scaled by the
+common denominator of its entries once, and each returned entry is built
+as one Fraction at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .errors import ValidationError
 
@@ -32,14 +38,29 @@ def eye(n: int) -> Mat:
                  for i in range(n))
 
 
+def _int_rows(A: Mat) -> tuple[list[list[int]], int]:
+    """Integer rows N and the common denominator den with A = N / den."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in A]
+    den = lcm(*(d for row in ratios for _, d in row))
+    return [[n * (den // d) for n, d in row] for row in ratios], den
+
+
+def _combine(A: Mat, B: Mat, sign: int) -> Mat:
+    """A + sign * B on integer rows over the common denominator."""
+    a, da = _int_rows(A)
+    b, db = _int_rows(B)
+    den = lcm(da, db)
+    sa, sb = den // da, sign * (den // db)
+    return tuple(tuple(Fraction(sa * x + sb * y, den) for x, y in zip(ra, rb))
+                 for ra, rb in zip(a, b))
+
+
 def mat_add(A: Mat, B: Mat) -> Mat:
-    return tuple(tuple(a + b for a, b in zip(ra, rb))
-                 for ra, rb in zip(A, B))
+    return _combine(A, B, 1)
 
 
 def mat_sub(A: Mat, B: Mat) -> Mat:
-    return tuple(tuple(a - b for a, b in zip(ra, rb))
-                 for ra, rb in zip(A, B))
+    return _combine(A, B, -1)
 
 
 def mat_scale(c, A: Mat) -> Mat:
@@ -50,60 +71,87 @@ def mat_scale(c, A: Mat) -> Mat:
 def mat_mul(A: Mat, B: Mat) -> Mat:
     if A and B and len(A[0]) != len(B):
         raise ValidationError("dimension mismatch in matrix product")
-    bt = tuple(zip(*B))
-    return tuple(tuple(sum(a * b for a, b in zip(row, col))
-                       for col in bt) for row in A)
+    a, da = _int_rows(A)
+    b, db = _int_rows(B)
+    den = da * db
+    bt = tuple(zip(*b))
+    return tuple(tuple(Fraction(sum(map(mul, row, col)), den)
+                       for col in bt) for row in a)
 
 
 def mat_vec(A: Mat, v: Vec) -> Vec:
-    return tuple(sum(a * x for a, x in zip(row, v)) for row in A)
+    a, da = _int_rows(A)
+    (x,), dx = _int_rows((v,))
+    den = da * dx
+    return tuple(Fraction(sum(map(mul, row, x)), den) for row in a)
 
 
 def transpose(A: Mat) -> Mat:
     return tuple(zip(*A))
 
 
-def rref(A: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form and pivot column indices."""
-    rows = [list(r) for r in A]
+def _primitive(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _reduce(A: Mat) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan on the integer rows of A.
+
+    Row i becomes p * row_i - q * row_r, divided by the gcd of its
+    entries, so the integers stay small.  Returns the rows, row k a
+    multiple of the k-th row of the reduced echelon form, and the pivots.
+    """
+    rows = [_primitive(row) for row in _int_rows(A)[0]]
     nrows, ncols = len(rows), len(rows[0]) if rows else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        top = rows[r]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            if i != r and rows[i][c]:
+                g = gcd(top[c], rows[i][c])
+                p, q = top[c] // g, rows[i][c] // g
+                rows[i] = _primitive([p * x - q * y
+                                      for x, y in zip(rows[i], top)])
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return tuple(tuple(row) for row in rows), pivots
+    return rows, pivots
+
+
+def rref(A: Mat) -> tuple[Mat, list[int]]:
+    """Reduced row echelon form and pivot column indices; each pivot row
+    is divided by its pivot once, and the rows past the rank are zero."""
+    rows, pivots = _reduce(A)
+    out = [tuple(Fraction(x, row[c]) for x in row)
+           for row, c in zip(rows, pivots)]
+    out += [tuple(map(Fraction, row)) for row in rows[len(pivots):]]
+    return tuple(out), pivots
 
 
 def rank(A: Mat) -> int:
-    return len(rref(A)[1])
+    return len(_reduce(A)[1])
 
 
 def kernel_basis(A: Mat) -> list[Vec]:
     """Canonical basis of the null space, from the reduced echelon form."""
     if not A:
         return []
-    R, pivots = rref(A)
+    rows, pivots = _reduce(A)
     ncols = len(A[0])
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -R[r][f]
+        for row, p in zip(rows, pivots):
+            v[p] = Fraction(-row[f], row[p])
         basis.append(tuple(v))
     return basis
 
@@ -112,24 +160,13 @@ def is_invertible(A: Mat) -> bool:
     return len(A) == len(A[0]) and rank(A) == len(A)
 
 
-def solve(A: Mat, b: Vec) -> Vec:
-    """One exact solution of A x = b; raises if inconsistent."""
-    ncols = len(A[0])
-    aug = tuple(row + (bb,) for row, bb in zip(A, b))
-    R, pivots = rref(aug)
-    if ncols in pivots:
-        raise ValidationError("inconsistent linear system")
-    x = [Fraction(0)] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = R[r][ncols]
-    return tuple(x)
-
-
 def intersect(basis_a: list[Vec], constraint: Mat) -> list[Vec]:
     """Basis of {v in span(basis_a) | constraint @ v = 0}, expressed as
     ambient vectors."""
     if not basis_a:
         return []
+    if not constraint:
+        return list(as_mat(basis_a))
     cols = transpose(as_mat(basis_a))
     reduced = mat_mul(constraint, cols)
     out = []

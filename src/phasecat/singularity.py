@@ -26,6 +26,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from math import gcd, lcm
 
 from .errors import CapExceededError, PhasecatError, ValidationError
 from .germs import VAR_NAMES, PolyGerm, parse_germ
@@ -83,38 +84,56 @@ def _mono_key(exps):
     return (sum(exps), exps)
 
 
+def _echelon(rows) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
+    """Fraction-free sparse elimination of integer rows, keyed by the
+    lowest monomial of each kept row in graded-lex order.
+
+    A row meeting a kept row at its lead becomes a * row - b * kept,
+    divided by the gcd of its entries; a lead is never normalised, since
+    scaling a row does not move it.
+    """
+    echelon: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    for row in sorted(rows, key=len):
+        while row:
+            lead = min(row, key=_mono_key)
+            other = echelon.get(lead)
+            if other is None:
+                echelon[lead] = row
+                break
+            g = gcd(other[lead], row[lead])
+            a, b = other[lead] // g, row[lead] // g
+            row = {e: a * c for e, c in row.items()}
+            for e, c in other.items():
+                row[e] = row.get(e, 0) - b * c
+            row = {e: c for e, c in row.items() if c}
+            g = gcd(*row.values())
+            if g > 1:
+                row = {e: c // g for e, c in row.items()}
+    return echelon
+
+
 def _truncated_quotient(partials, nvars: int, degree: int):
     """Standard monomials of span{m * df_i} modulo degree > `degree` terms.
 
     Sparse elimination keyed by the lowest monomial in graded-lex order, so
     a row whose lead has degree `degree` has no other degree; the standard
     (non-leading) monomials of total degree <= degree form a basis of the
-    quotient by the truncated Jacobian ideal.
+    quotient by the truncated Jacobian ideal.  The rows are the partials
+    scaled to integers once, times each monomial.
     """
-    echelon: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
     rows = []
     for p in partials:
         if not p:
             continue
+        den = lcm(*(c.denominator for c in p.values()))
+        p = {e: c.numerator * (den // c.denominator) for e, c in p.items()}
         mindeg = min(sum(e) for e in p)
         for m in _monomials_up_to(nvars, degree - mindeg):
             row = {tuple(a + b for a, b in zip(e, m)): c
                    for e, c in p.items() if sum(e) + sum(m) <= degree}
             if row:
                 rows.append(row)
-    rows.sort(key=len)
-    for row in rows:
-        while row:
-            lead = min(row, key=_mono_key)
-            other = echelon.get(lead)
-            if other is None:
-                inv = 1 / row[lead]
-                echelon[lead] = {e: c * inv for e, c in row.items()}
-                break
-            factor = row[lead]
-            for e, c in other.items():
-                row[e] = row.get(e, Fraction(0)) - factor * c
-            row = {e: c for e, c in row.items() if c != 0}
+    echelon = _echelon(rows)
     return [m for m in _monomials_up_to(nvars, degree) if m not in echelon]
 
 

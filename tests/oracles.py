@@ -3,6 +3,7 @@ library implementations they check."""
 
 import itertools
 import json
+from fractions import Fraction
 
 
 def compose(p, q):
@@ -159,3 +160,170 @@ def bf_fixed_subcomplex(simplices, element_maps, members):
 def bf_olog_json(data):
     """The stdlib's indented, key-sorted JSON text plus a final newline."""
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+# -- exact linear algebra over Fraction -------------------------------------
+
+def bf_rref(A):
+    """Gauss-Jordan over Fraction: each pivot row is divided by its pivot
+    and cleared from every other row, column by column."""
+    rows = [list(r) for r in A]
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(tuple(row) for row in rows), pivots
+
+
+def bf_kernel_basis(A):
+    """Null-space basis read off bf_rref: one vector per free column."""
+    if not A:
+        return []
+    R, pivots = bf_rref(A)
+    ncols = len(A[0])
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -R[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def bf_solve(A, b):
+    """One solution of A x = b from the reduced augmented matrix; None when
+    the system is inconsistent."""
+    ncols = len(A[0])
+    R, pivots = bf_rref(tuple(tuple(row) + (bb,) for row, bb in zip(A, b)))
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, p in enumerate(pivots):
+        x[p] = R[r][ncols]
+    return tuple(x)
+
+
+def bf_mat_mul(A, B):
+    return tuple(tuple(sum((a * b for a, b in zip(row, col)), Fraction(0))
+                       for col in zip(*B)) for row in A)
+
+
+def bf_averaging_projector(action, members):
+    """(1/|H|) times the entrywise sum of rho(h) over every member h."""
+    d = action.dimension
+    total = [[Fraction(0)] * d for _ in range(d)]
+    for h in members:
+        for i, row in enumerate(action.matrix(h)):
+            for j, x in enumerate(row):
+                total[i][j] += x
+    return tuple(tuple(x / len(members) for x in row) for row in total)
+
+
+def bf_fix_subspace(action, members):
+    """Fix(H) as the kernel of P - I, P the averaging projector of H."""
+    P = bf_averaging_projector(action, members)
+    return bf_kernel_basis(tuple(
+        tuple(x - (i == j) for j, x in enumerate(row))
+        for i, row in enumerate(P)))
+
+
+def bf_relative_normal(action, H0, H1, witness):
+    """(basis, restricted) of the adjacency H0 -> H1: the part of Fix(H0)
+    killed by the averaging projector of K = witness^-1 H1 witness, and
+    each element of K normalizing H0 in basis coordinates, one solve per
+    basis vector."""
+    G = action.group
+    K = [G.conj(G.inv(witness), h) for h in H1.members]
+    fix0 = bf_fix_subspace(action, H0.members)
+    basis = []
+    if fix0:
+        cols = tuple(zip(*fix0))
+        reduced = bf_mat_mul(bf_averaging_projector(action, K), cols)
+        basis = [tuple(sum((a * x for a, x in zip(row, c)), Fraction(0))
+                       for row in cols)
+                 for c in bf_kernel_basis(reduced)]
+    h0 = set(H0.members)
+    restricted = {}
+    for k in sorted(K):
+        if {G.conj(k, h) for h in h0} != h0:
+            continue
+        if not basis:
+            restricted[k] = ()
+            continue
+        cols = tuple(zip(*basis))
+        images = [tuple(sum((a * x for a, x in zip(row, b)), Fraction(0))
+                        for row in action.matrix(k)) for b in basis]
+        restricted[k] = tuple(zip(*(bf_solve(cols, img) for img in images)))
+    return basis, restricted
+
+
+# -- polynomials --------------------------------------------------------------
+
+def bf_poly_power(terms, k):
+    """k-fold product of an {exponents: Fraction} dict, one Fraction
+    product at a time."""
+    out = {(0,) * len(next(iter(terms))): Fraction(1)}
+    for _ in range(k):
+        nxt = {}
+        for ea, ca in out.items():
+            for eb, cb in terms.items():
+                e = tuple(a + b for a, b in zip(ea, eb))
+                nxt[e] = nxt.get(e, Fraction(0)) + ca * cb
+        out = {e: c for e, c in nxt.items() if c != 0}
+    return out
+
+
+def bf_standard_monomials(partials, nvars, degree):
+    """Non-leading monomials of span{m * df_i} truncated above `degree`,
+    by Fraction elimination with every lead normalised to 1; the lead is
+    the lowest monomial by (total degree, exponents)."""
+    def key(e):
+        return (sum(e), e)
+
+    monomials = sorted((e for e in itertools.product(range(degree + 1),
+                                                     repeat=nvars)
+                        if sum(e) <= degree), key=key)
+    rows = []
+    for p in partials:
+        for m in monomials:
+            row = {tuple(a + b for a, b in zip(e, m)): c
+                   for e, c in p.items() if sum(e) + sum(m) <= degree}
+            if row:
+                rows.append(row)
+    leads = bf_leads(rows, key)
+    return [m for m in monomials if m not in leads]
+
+
+def bf_leads(rows, key):
+    """Leads of the span of sparse rows ({column: value}): Fraction
+    elimination with every lead normalised to 1, the lead being the
+    column of least key."""
+    echelon = {}
+    for row in rows:
+        row = {e: Fraction(c) for e, c in row.items() if c != 0}
+        while row:
+            lead = min(row, key=key)
+            other = echelon.get(lead)
+            if other is None:
+                echelon[lead] = {e: c / row[lead] for e, c in row.items()}
+                break
+            f = row[lead]
+            for e, c in other.items():
+                row[e] = row.get(e, Fraction(0)) - f * c
+            row = {e: c for e, c in row.items() if c != 0}
+    return set(echelon)

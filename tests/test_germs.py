@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from phasecat import ParseError, PolyGerm, ValidationError, parse_germ
 from phasecat.errors import CapExceededError
 from phasecat.germs import DEGREE_CAP
+
+from oracles import bf_poly_power
 
 F = Fraction
 
@@ -99,6 +102,29 @@ class TestParseErrors:
     def test_power_past_cap(self, text):
         with pytest.raises(CapExceededError, match="DEGREE_CAP"):
             parse_germ(text)
+
+
+class TestIntegerPowers:
+    """Oracle: a power multiplied out on integer coefficients equals the
+    repeated Fraction product of its base."""
+
+    @staticmethod
+    def check(base, k):
+        want = bf_poly_power(parse_germ(base).term_dict, k)
+        assert parse_germ(f"({base})^{k}").term_dict == want, (base, k)
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_rational_trinomial(self, k):
+        self.check("1/2*x + 3*y - 1/3*z", k)
+
+    def test_seeded_rational_bases(self):
+        rng = random.Random("germ-powers")
+        monomials = ["x", "y", "z", "x*y", "y^2", "x*z^2", "2/7*x^3"]
+        for _ in range(40):
+            base = " ".join(
+                f"{rng.choice('+-')} {rng.randint(1, 9)}/{rng.randint(1, 9)}"
+                f"*{m}" for m in rng.sample(monomials, rng.randint(1, 4)))
+            self.check(base, rng.randint(1, 12))
 
 
 class TestPolyGerm:

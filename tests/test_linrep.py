@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,8 +9,10 @@ from phasecat import (LinearAction, ValidationError, averaging_projector,
                       fix_subspace, isotypic_decomposition, relative_normal)
 from phasecat import fixtures as fx
 from phasecat import ratmat
-from phasecat.permgroup import (Subgroup, all_subgroups, full_subgroup,
-                                trivial_subgroup)
+from phasecat.permgroup import (Subgroup, all_subgroups, closure,
+                                full_subgroup, transporter, trivial_subgroup)
+
+from oracles import bf_fix_subspace, bf_rref, bf_relative_normal
 
 F = Fraction
 
@@ -239,3 +243,101 @@ class TestIsotypicDecomposition:
         swap = LinearAction(c2, 2, [[[0, 1], [1, 0]]])
         pieces = isotypic_decomposition(swap, full_subgroup(c2))
         assert {d: len(b) for d, b in pieces.items()} == {1: 1, 2: 1}
+
+
+D4C2 = [[1, 2, 3, 0, 4, 5], [1, 0, 3, 2, 4, 5], [0, 1, 2, 3, 5, 4]]
+
+
+def permutation_matrices(images_list, dim):
+    """e_i -> e_p(i) for each image array p."""
+    mats = []
+    for p in images_list:
+        m = [[0] * dim for _ in range(dim)]
+        for i, img in enumerate(p):
+            m[img][i] = 1
+        mats.append(m)
+    return mats
+
+
+def rationally_conjugated(mats, seed):
+    """T M T^-1 for a seeded invertible rational T, so the kernels see
+    fractions rather than 0/1 entries."""
+    dim = len(mats[0])
+    rng = random.Random(seed)
+    while True:
+        T = [[F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(dim)]
+             for _ in range(dim)]
+        if ratmat.is_invertible(ratmat.as_mat(T)):
+            break
+    aug = [row + [F(int(i == j)) for j in range(dim)]
+           for i, row in enumerate(T)]
+    T_inv = [row[dim:] for row in bf_rref(aug)[0]]
+    return [ratmat.mat_mul(ratmat.mat_mul(ratmat.as_mat(T), ratmat.as_mat(m)),
+                           ratmat.as_mat(T_inv)) for m in mats]
+
+
+@pytest.fixture(scope="module")
+def oracle_reps(c2_plane, s3_standard, groups):
+    """The bundled representations, the permutation representations of
+    the exact benchmark workload (S4 on points and on 2-subsets, D4 x C2
+    on six points) and rational conjugates of two of them."""
+    s4 = groups["s4"]
+    d4c2 = closure(6, D4C2)
+    pairs = list(itertools.combinations(range(4), 2))
+    where = {frozenset(p): i for i, p in enumerate(pairs)}
+    pair_images = [[where[frozenset(g[v] for v in p)] for p in pairs]
+                   for g in s4.generators]
+    q4 = permutation_matrices(s4.generators, 4)
+    q6 = permutation_matrices(d4c2.generators, 6)
+    return {"c2_plane": c2_plane, "s3_standard": s3_standard,
+            "s4_q4": LinearAction(s4, 4, q4),
+            "s4_pairs_q6": LinearAction(
+                s4, 6, permutation_matrices(pair_images, 6)),
+            "d4c2_q6": LinearAction(d4c2, 6, q6),
+            "s4_q4_rational": LinearAction(
+                s4, 4, rationally_conjugated(q4, "s4")),
+            "d4c2_q6_rational": LinearAction(
+                d4c2, 6, rationally_conjugated(q6, "d4c2"))}
+
+
+class TestGeneratorKernelsMatchProjectors:
+    """Oracle: fixed spaces and relative normals from generators equal the
+    averaging-projector and solve-based constructions, entry for entry."""
+
+    def test_fix_subspace_on_every_subgroup(self, oracle_reps):
+        for name, action in oracle_reps.items():
+            for H in all_subgroups(action.group):
+                assert repr(fix_subspace(action, H)) \
+                    == repr(bf_fix_subspace(action, H.members)), (name, H)
+
+    def test_trivial_subgroup_fixes_the_standard_basis(self, oracle_reps):
+        for action in oracle_reps.values():
+            basis = fix_subspace(action, trivial_subgroup(action.group))
+            assert basis == list(ratmat.eye(action.dimension))
+
+    def test_relative_normal_on_every_class_pair(self, oracle_reps):
+        for name, action in oracle_reps.items():
+            G = action.group
+            reps = [c.representative
+                    for c in conjugacy_classes_of_subgroups(G)]
+            for h0, h1 in itertools.product(reps, reps):
+                t = transporter(G, h0, h1)
+                if not t:
+                    continue
+                rn = relative_normal(action, h0, h1, min(t))
+                basis, restricted = bf_relative_normal(action, h0, h1,
+                                                       min(t))
+                assert repr(rn.basis) == repr(basis), (name, h0, h1)
+                assert repr(rn.restricted) == repr(restricted)
+                assert rn.acting_subgroup.members == tuple(restricted)
+
+    def test_quiver_arrows(self, oracle_reps):
+        for name, action in oracle_reps.items():
+            q = degeneracy_quiver(action)
+            for a in q.arrows:
+                h0 = q.nodes[a.source].subgroup_class.representative
+                h1 = q.nodes[a.target].subgroup_class.representative
+                basis, restricted = bf_relative_normal(action, h0, h1,
+                                                       a.witness)
+                assert repr(a.normal.basis) == repr(basis), name
+                assert repr(a.normal.restricted) == repr(restricted), name

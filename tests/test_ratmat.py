@@ -1,0 +1,142 @@
+"""Integer-row kernels of ratmat against the Fraction oracles: a seeded
+corpus of random matrices, with zero rows and columns, 1 x n and n x 1
+shapes, rank-deficient products and large denominators."""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from phasecat import ratmat
+
+from oracles import bf_kernel_basis, bf_mat_mul, bf_rref
+
+F = Fraction
+CORPUS_SIZE = 2000
+
+
+def _entry(rng, style):
+    if style == "sparse" and rng.random() < 0.6:
+        return F(0)
+    if style == "large":
+        return F(rng.randint(-10**12, 10**12), rng.randint(1, 10**12))
+    return F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 5, 7, 12)))
+
+
+def _matrix(rng, n, m, style):
+    return tuple(tuple(_entry(rng, style) for _ in range(m))
+                 for _ in range(n))
+
+
+def _corpus_matrix(rng):
+    n, m = rng.randint(1, 7), rng.randint(1, 7)
+    kind = rng.randrange(6)
+    if kind == 0:
+        n = 1
+    elif kind == 1:
+        m = 1
+    style = rng.choice(("small", "sparse", "large"))
+    if kind == 2 and min(n, m) > 1:
+        k = rng.randint(1, min(n, m) - 1)
+        A = bf_mat_mul(_matrix(rng, n, k, style), _matrix(rng, k, m, style))
+    else:
+        A = _matrix(rng, n, m, style)
+    rows = [list(r) for r in A]
+    if kind == 3:
+        rows[rng.randrange(n)] = [F(0)] * m
+    if kind == 4:
+        c = rng.randrange(m)
+        for row in rows:
+            row[c] = F(0)
+    if kind == 5 and n > 1:
+        a, b = rng.sample(range(n), 2)
+        s = F(rng.randint(-5, 5), rng.randint(1, 4))
+        rows[a] = [s * x for x in rows[b]]
+    return tuple(tuple(r) for r in rows)
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    rng = random.Random("ratmat-corpus")
+    return [_corpus_matrix(rng) for _ in range(CORPUS_SIZE)]
+
+
+def test_corpus_covers_the_edge_shapes(corpus):
+    shapes = {(len(A), len(A[0])) for A in corpus}
+    assert any(n == 1 for n, _ in shapes) and any(m == 1 for _, m in shapes)
+    assert any(any(all(x == 0 for x in row) for row in A) for A in corpus)
+    assert any(any(all(x == 0 for x in col) for col in zip(*A))
+               for A in corpus)
+    assert any(len(bf_rref(A)[1]) < min(len(A), len(A[0])) for A in corpus)
+    assert any(x.denominator > 10**6 for A in corpus for row in A
+               for x in row)
+
+
+def test_rref_equals_fraction_elimination(corpus):
+    # repr also pins the entry type: every entry stays a Fraction
+    for A in corpus:
+        assert repr(ratmat.rref(A)) == repr(bf_rref(A)), A
+
+
+def test_kernel_and_rank_equal_fraction_elimination(corpus):
+    for A in corpus:
+        assert repr(ratmat.kernel_basis(A)) == repr(bf_kernel_basis(A)), A
+        assert ratmat.rank(A) == len(bf_rref(A)[1])
+
+
+def test_products_equal_fraction_products(corpus):
+    rng = random.Random("ratmat-products")
+    for A in corpus:
+        B = _matrix(rng, len(A[0]), rng.randint(1, 5),
+                    rng.choice(("small", "sparse", "large")))
+        AB = bf_mat_mul(A, B)
+        assert repr(ratmat.mat_mul(A, B)) == repr(AB)
+        assert repr(ratmat.mat_vec(A, tuple(row[0] for row in B))) \
+            == repr(tuple(row[0] for row in AB))
+
+
+def test_sums_equal_fraction_sums(corpus):
+    rng = random.Random("ratmat-sums")
+    for A in corpus[:500]:
+        B = _matrix(rng, len(A), len(A[0]), "large")
+        assert repr(ratmat.mat_add(A, B)) == repr(tuple(
+            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B)))
+        assert repr(ratmat.mat_sub(A, B)) == repr(tuple(
+            tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B)))
+
+
+def test_reduced_rows_stay_primitive(corpus):
+    # the fraction-free rows are divided by their gcd, so no common
+    # factor builds up; row k is a multiple of the k-th reduced row
+    for A in corpus[:500]:
+        rows, pivots = ratmat._reduce(A)
+        R, _ = bf_rref(A)
+        for k, row in enumerate(rows):
+            if not any(row):
+                continue
+            assert gcd(*row) == 1, (A, row)
+            assert all(F(x, row[pivots[k]]) == r for x, r in zip(row, R[k]))
+
+
+class TestIntersect:
+    def test_no_constraint_rows_keeps_basis_a(self):
+        basis_a = [(F(1), F(0)), (F(0), F(1))]
+        out = ratmat.intersect(basis_a, ())
+        assert ratmat.rank(tuple(out)) == 2
+        assert ratmat.rank(tuple(out) + tuple(basis_a)) == 2
+
+    def test_no_constraint_rows_spans_basis_a_in_general(self):
+        rng = random.Random("intersect-empty")
+        for _ in range(50):
+            n, d = rng.randint(1, 4), rng.randint(4, 6)
+            basis_a = list(_matrix(rng, n, d, "small"))
+            out = ratmat.intersect(basis_a, ())
+            r = ratmat.rank(tuple(basis_a))
+            assert ratmat.rank(tuple(out)) == r
+            assert ratmat.rank(tuple(out) + tuple(basis_a)) == r
+
+    def test_constraint_cuts_out_its_null_space(self):
+        basis_a = [(F(1), F(0), F(0)), (F(0), F(1), F(0))]
+        out = ratmat.intersect(basis_a, ((F(1), F(1), F(0)),))
+        assert out == [(F(-1), F(1), F(0))]

@@ -1,5 +1,7 @@
+import random
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -9,6 +11,8 @@ from phasecat import (CapExceededError, NonIsolated, QuasihomogeneousGerm,
                       modality, parse_germ, relative_cokernel,
                       spectrum_grading, stabilize, weight_milnor)
 from phasecat import singularity
+
+from oracles import bf_leads, bf_standard_monomials
 
 F = Fraction
 
@@ -272,3 +276,72 @@ class TestRelativeCokernel:
     def test_missing_arrow_rejected(self, corpus):
         with pytest.raises(ValidationError):
             relative_cokernel(corpus, "A2", "E6")
+
+
+def truncation_ladder():
+    degree = 1
+    while degree <= singularity.TRUNCATION_CAP:
+        yield degree
+        degree += degree if degree < 8 else degree // 4
+
+
+def seeded_brieskorn_pham(seed, count):
+    """Germs sum of c_i x_i^e_i with rational c_i and e_i in 2..7."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 3)
+        terms = [f"{rng.choice('+-')} {rng.randint(1, 9)}/{rng.randint(1, 9)}"
+                 f"*{v}^{rng.randint(2, 7)}" for v in "xyz"[:n]]
+        out.append(parse_germ(" ".join(terms)))
+    return out
+
+
+class TestIntegerElimination:
+    """Oracle: the fraction-free Milnor elimination leaves the same
+    standard monomials as Fraction elimination with normalised leads, at
+    every degree of the truncation ladder up to the certified one."""
+
+    @staticmethod
+    def check(germ):
+        n = germ.variable_count
+        partials = [germ.derivative(v) for v in range(n)]
+        for degree in truncation_ladder():
+            want = bf_standard_monomials(partials, n, degree)
+            got = singularity._truncated_quotient(partials, n, degree)
+            assert sorted(got) == sorted(want), (str(germ), degree)
+            if all(sum(m) < degree for m in want):
+                return
+
+    def test_ade_corpus(self, corpus):
+        for entry in corpus.entries.values():
+            self.check(entry.germ)
+            germ = entry.germ
+            if germ.variable_count == 1:
+                germ = stabilize(germ)
+            self.check(parse_germ(substitute(
+                germ, {"x": "(1/2*x + 3*y)", "y": "(x - 2/3*y)"})))
+
+    def test_seeded_brieskorn_pham(self):
+        for germ in seeded_brieskorn_pham("bp-oracle", 12):
+            self.check(germ)
+
+    def test_echelon_rows_stay_primitive(self):
+        # primitive rows in: every kept row is primitive and keyed by its
+        # lead, and the leads are those of Fraction elimination
+        rng = random.Random("echelon-rows")
+        monomials = [(i, j) for i in range(5) for j in range(5)]
+        for _ in range(200):
+            rows = []
+            for _ in range(rng.randint(1, 12)):
+                row = {m: rng.randint(-30, 30)
+                       for m in rng.sample(monomials, rng.randint(1, 8))}
+                row = {m: c for m, c in row.items() if c}
+                g = gcd(*row.values())
+                if g:
+                    rows.append({m: c // g for m, c in row.items()})
+            echelon = singularity._echelon([dict(r) for r in rows])
+            for lead, row in echelon.items():
+                assert gcd(*row.values()) == 1, row
+                assert lead == min(row, key=singularity._mono_key)
+            assert set(echelon) == bf_leads(rows, singularity._mono_key)
