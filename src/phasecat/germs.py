@@ -18,8 +18,8 @@ from .errors import CapExceededError, ValidationError
 
 MAX_VARIABLES = 3
 #: Largest exponent times base degree a power may have (a constant base
-#: counts as degree 1); powers are multiplied out one factor at a time,
-#: on integer coefficients.
+#: counts as degree 1); powers are expanded binomially on integer
+#: coefficients.
 DEGREE_CAP = 200
 VAR_NAMES = ("x", "y", "z")
 
@@ -137,11 +137,13 @@ class _Parser:
         while self.peek() in ("+", "-"):
             if self.take() == "-":
                 sign = -sign
-        total = _scale(self.term(), sign)
+        total = self.term()
+        if sign < 0:
+            total = _scale(total, sign)
         while self.peek() in ("+", "-"):
             op = self.take()
             t = self.term()
-            total = _add(total, _scale(t, Fraction(-1 if op == "-" else 1)))
+            total = _add(total, _scale(t, Fraction(-1)) if op == "-" else t)
         return total
 
     def term(self) -> dict[tuple[int, int, int], Fraction]:
@@ -172,15 +174,11 @@ class _Parser:
                 raise CapExceededError(
                     f"power {power} of a degree-{degree} base at position "
                     f"{pos} exceeds DEGREE_CAP={DEGREE_CAP}")
-            # one linear loop on the base scaled to integers: a squaring
-            # step of a dense base costs more than the whole loop
             den = lcm(*(c.denominator for c in base.values()))
             scaled = {e: c.numerator * (den // c.denominator)
                       for e, c in base.items()}
-            out = {(0, 0, 0): 1}
-            for _ in range(power):
-                out = _mul(out, scaled)
-            return {e: Fraction(c, den ** power) for e, c in out.items()}
+            return {e: Fraction(c, den ** power)
+                    for e, c in _power(scaled, power).items()}
         return base
 
     def atom(self) -> dict[tuple[int, int, int], Fraction]:
@@ -232,6 +230,37 @@ def _mul(a, b):
         for eb, cb in b.items():
             e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2])
             out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def _power(base, n: int):
+    """base^n for a term dict with integer coefficients.
+
+    One term t is peeled off, base = t + R, and (t + R)^n = sum_k C(n, k)
+    t^(n-k) R^k: R^k comes from the linear ``_mul`` loop (a squaring step
+    of a dense base costs more than the whole loop), and t^(n-k) and
+    C(n, k) are single terms taken from their neighbours.
+    """
+    if not base:
+        return {} if n else {(0, 0, 0): 1}
+    (te, tc), *rest = base.items()
+    rest = dict(rest)
+    t_powers = [((0, 0, 0), 1)]
+    for _ in range(n):
+        e, c = t_powers[-1]
+        t_powers.append(((e[0] + te[0], e[1] + te[1], e[2] + te[2]), c * tc))
+    out: dict[tuple[int, int, int], int] = {}
+    r_power, binomial = {(0, 0, 0): 1}, 1
+    for k in range(n + 1):
+        (e0, e1, e2), c = t_powers[n - k]
+        c *= binomial
+        for e, cr in r_power.items():
+            key = (e[0] + e0, e[1] + e1, e[2] + e2)
+            out[key] = out.get(key, 0) + c * cr
+        if k == n or not rest:
+            break
+        r_power = _mul(r_power, rest)
+        binomial = binomial * (n - k) // (k + 1)
     return {e: c for e, c in out.items() if c != 0}
 
 

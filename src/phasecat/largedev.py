@@ -3,26 +3,33 @@ for finite discrete observables.
 
 The CGF Gamma(theta) = log E exp(theta L) is evaluated with a max-shift for
 overflow safety.  The convex conjugate Gamma*(x) = sup_theta (theta x -
-Gamma(theta)) is found by monotone root-finding on Gamma'(theta) = x
-(bisection bracketed by strict convexity, polished with damped Newton
-steps); the Cramer function is its negative.  Natural logarithms
+Gamma(theta)) is found by solving Gamma'(theta) = x, which has one root
+since Gamma' is strictly increasing: Newton's step from theta = 0 is
+doubled until it brackets the root, and Newton steps converge on it from
+the end nearer the root, with a bisection whenever a step leaves the
+bracket or fails to halve the step before last.  One pass over the
+outcomes gives Gamma, Gamma' and Gamma'' together, so the last step also
+gives the rate.
+The Cramer function is the conjugate's negative.  Natural logarithms
 throughout.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import CapExceededError, ValidationError
 
 PROB_TOL = 1e-12
-THETA_TOL = 1e-12
-# theta = +-2^k stays finite for k < 1024
-BRACKET_CAP = 1024
-# halving the widest finite bracket down to adjacent floats takes about
-# 2100 steps
-BISECTION_CAP = 2200
+# doubling a positive float overflows within 2098 steps (2^-1074 to
+# 2^1024), so the overflow check ends a bracket search before this cap
+BRACKET_CAP = 2100
+# every step halves something: a bisection the bracket, an accepted
+# Newton step the step before last; between the widest finite bracket
+# and adjacent floats each can halve about 2100 times, hence twice that
+NEWTON_CAP = 4400
 
 
 @dataclass(frozen=True)
@@ -68,24 +75,110 @@ def cgf(obs: DiscreteObservable, theta: float) -> float:
     """Gamma(theta) = log sum p_i exp(theta l_i), max-shifted."""
     if not math.isfinite(theta):
         raise ValidationError("theta must be finite")
-    shift = max(theta * v for v, _ in obs.outcomes)
-    return shift + math.log(
-        sum(p * math.exp(theta * v - shift) for v, p in obs.outcomes))
+    return _tilted(obs, theta, 0.0)[0]
 
 
-def _tilted_moments(obs: DiscreteObservable, theta: float):
-    shift = max(theta * v for v, _ in obs.outcomes)
-    z = [(v, p * math.exp(theta * v - shift)) for v, p in obs.outcomes]
-    total = sum(w for _, w in z)
-    m1 = sum(v * w for v, w in z) / total
-    m2 = sum(v * v * w for v, w in z) / total
-    return m1, m2 - m1 * m1
+def _tilted(obs: DiscreteObservable, theta: float, center: float):
+    """(Gamma(theta) - theta*center, Gamma'(theta) - center, Gamma''(theta))
+    in one max-shifted pass over the outcomes.
+
+    The tilted mean and variance are taken of l - center: centred at the
+    target x, the variance near the root and the residual Gamma' - x
+    come out without cancellation.
+    """
+    shift = max(theta * (v - center) for v, _ in obs.outcomes)
+    total = s1 = s2 = 0.0
+    for v, p in obs.outcomes:
+        d = v - center
+        w = p * math.exp(theta * d - shift)
+        total += w
+        s1 += d * w
+        s2 += d * d * w
+    m1 = s1 / total
+    return shift + math.log(total), m1, s2 / total - m1 * m1
 
 
 def cgf_prime(obs: DiscreteObservable, theta: float) -> float:
     """Gamma'(theta): the mean of the exponentially tilted distribution;
     strictly increasing in theta."""
-    return _tilted_moments(obs, theta)[0]
+    return _tilted(obs, theta, 0.0)[1]
+
+
+def _conjugate_root(obs: DiscreteObservable, x: float):
+    """Solve Gamma'(theta) = x by safeguarded Newton (rtsafe: Press et al.,
+    Numerical Recipes, section 9.4).
+
+    Returns ``(theta, evaluations, residual, value)``: the root, the number
+    of moment evaluations spent on it, |Gamma'(theta) - x| and Gamma*(x),
+    the last two read off the final evaluation.
+    """
+    lo, hi = obs.support
+    if not lo < x < hi:
+        raise ValidationError(
+            f"x={x} outside the open outcome hull ({lo}, {hi}); "
+            "rate is infinite or a boundary limit")
+    theta = 0.0
+    state = g, f, var = _tilted(obs, theta, x)
+    evaluations = 1
+    # The first probe is Newton's step from 0, which puts theta on the
+    # scale of the root whatever the hull width (or +-1 when that step
+    # is 0 or not finite); it doubles until Gamma' - x changes sign, and
+    # Newton goes on from the end of that bracket nearer the root.
+    side = math.copysign(1.0, f)
+    end = -f / var if var > 0 else math.inf
+    if not 0 < abs(end) < math.inf:
+        end = -side
+    for _ in range(BRACKET_CAP):
+        at_end = _tilted(obs, end, x)
+        evaluations += 1
+        if not at_end[1] * side > 0:
+            break
+        theta, state, end = end, at_end, 2.0 * end
+        if math.isinf(end):
+            break
+    if at_end[1] * side > 0:
+        raise CapExceededError(
+            f"no {'lower' if side > 0 else 'upper'} theta bracket for "
+            f"x={x} within BRACKET_CAP={BRACKET_CAP} doublings of a "
+            "finite theta")
+    a, b = min(theta, end), max(theta, end)
+    if abs(at_end[1]) < abs(state[1]):
+        theta, state = end, at_end
+    g, f, var = state
+    # Newton stops at a step of 4 ulps of theta, or of 1/width when theta
+    # is smaller: theta enters only through theta*(l - x), whose spread
+    # is the hull width
+    floor = sys.float_info.epsilon / (hi - lo)
+    step = last = b - a
+    for _ in range(NEWTON_CAP):
+        if f > 0:
+            b = theta
+        elif f < 0:
+            a = theta
+        else:
+            break
+        tol = 4 * max(math.ulp(theta), floor)
+        newton = -f / var if var > 0 else math.inf
+        if abs(newton) <= tol:
+            break
+        # bisect when Newton leaves the bracket or does not halve the
+        # step before last
+        if a < theta + newton < b and abs(newton) <= 0.5 * abs(last):
+            last, step = step, newton
+            theta += newton
+        else:
+            mid = 0.5 * (a + b)
+            if b - a <= tol or mid in (a, b):
+                break
+            last, step = step, mid - theta
+            theta = mid
+        g, f, var = _tilted(obs, theta, x)
+        evaluations += 1
+    else:
+        raise CapExceededError(
+            f"root of Gamma'(theta) = x for x={x} not settled within "
+            f"NEWTON_CAP={NEWTON_CAP} steps")
+    return theta, evaluations, abs(f), -g
 
 
 def legendre(obs: DiscreteObservable, x: float) -> float:
@@ -94,51 +187,7 @@ def legendre(obs: DiscreteObservable, x: float) -> float:
     Defined for x strictly inside the outcome hull; boundary or outside
     points have an infinite (or boundary-limit) rate and are rejected.
     """
-    lo, hi = obs.support
-    if not lo < x < hi:
-        raise ValidationError(
-            f"x={x} outside the open outcome hull ({lo}, {hi}); "
-            "rate is infinite or a boundary limit")
-    a, b = -1.0, 1.0
-    for _ in range(BRACKET_CAP):
-        if not cgf_prime(obs, a) > x:
-            break
-        a *= 2.0
-    else:
-        raise CapExceededError(
-            f"no lower theta bracket for x={x} within BRACKET_CAP="
-            f"{BRACKET_CAP} doublings")
-    for _ in range(BRACKET_CAP):
-        if not cgf_prime(obs, b) < x:
-            break
-        b *= 2.0
-    else:
-        raise CapExceededError(
-            f"no upper theta bracket for x={x} within BRACKET_CAP="
-            f"{BRACKET_CAP} doublings")
-    for _ in range(BISECTION_CAP):
-        mid = 0.5 * (a + b)
-        # stop at the tolerance, or when no float lies strictly between
-        if b - a <= THETA_TOL or mid in (a, b):
-            break
-        if cgf_prime(obs, mid) < x:
-            a = mid
-        else:
-            b = mid
-    else:
-        raise CapExceededError(
-            f"bisection for x={x} did not settle within BISECTION_CAP="
-            f"{BISECTION_CAP} steps")
-    theta = 0.5 * (a + b)
-    for _ in range(4):
-        m1, var = _tilted_moments(obs, theta)
-        if var <= 0:
-            break
-        step = (m1 - x) / var
-        if abs(step) > 1.0:
-            step = math.copysign(1.0, step)
-        theta -= step
-    return theta * x - cgf(obs, theta)
+    return _conjugate_root(obs, x)[3]
 
 
 def cramer(obs: DiscreteObservable, x: float) -> float:
@@ -159,10 +208,6 @@ def binary_entropy(x: float) -> float:
 class RateProfile:
     """An observable bundled with its CGF, conjugate and Cramer function."""
     observable: DiscreteObservable
-
-    @property
-    def mean_value(self) -> float:
-        return self.observable.mean
 
     def cgf(self, theta: float) -> float:
         return cgf(self.observable, theta)

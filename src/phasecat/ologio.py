@@ -70,10 +70,11 @@ def export_olog(category: FiniteCategory,
         aid = arrow_id[m] = f"m{len(arrows)}"
         arrows.append({"id": aid, "src": f"o{mor.src}",
                        "dst": f"o{mor.dst}", "label": mor.label})
+    table = category.compose_table
     compositions = []
-    for (m2, m1), r in sorted(category.compose_table.items()):
-        if m1 in identities or m2 in identities:
-            continue
+    for m2, m1 in sorted(pair for pair in table
+                         if pair[0] in arrow_id and pair[1] in arrow_id):
+        r = table[m2, m1]
         rid = (f"id:o{category.morphisms[r].src}"
                if r in identities else arrow_id[r])
         compositions.append({"left": arrow_id[m2], "right": arrow_id[m1],

@@ -3,6 +3,7 @@ library implementations they check."""
 
 import itertools
 import json
+import math
 from fractions import Fraction
 
 
@@ -327,3 +328,40 @@ def bf_leads(rows, key):
                 row[e] = row.get(e, Fraction(0)) - f * c
             row = {e: c for e, c in row.items() if c != 0}
     return set(echelon)
+
+
+# -- large deviations ---------------------------------------------------------
+
+def _bf_moments(outcomes, theta):
+    shift = max(theta * v for v, _ in outcomes)
+    z = [(v, p * math.exp(theta * v - shift)) for v, p in outcomes]
+    total = sum(w for _, w in z)
+    m1 = sum(v * w for v, w in z) / total
+    m2 = sum(v * v * w for v, w in z) / total
+    return shift + math.log(total), m1, m2 - m1 * m1
+
+
+def bf_legendre(outcomes, x):
+    """Gamma*(x) for (value, probability) outcomes: a doubling bracket,
+    bisection to 1e-12 in theta (or to adjacent floats), then four Newton
+    steps of length at most 1, and theta*x - Gamma(theta)."""
+    a, b = -1.0, 1.0
+    while _bf_moments(outcomes, a)[1] > x:
+        a *= 2.0
+    while _bf_moments(outcomes, b)[1] < x:
+        b *= 2.0
+    while True:
+        mid = 0.5 * (a + b)
+        if b - a <= 1e-12 or mid in (a, b):
+            break
+        if _bf_moments(outcomes, mid)[1] < x:
+            a = mid
+        else:
+            b = mid
+    theta = 0.5 * (a + b)
+    for _ in range(4):
+        _, m1, var = _bf_moments(outcomes, theta)
+        if var <= 0:
+            break
+        theta -= max(-1.0, min(1.0, (m1 - x) / var))
+    return theta * x - _bf_moments(outcomes, theta)[0]

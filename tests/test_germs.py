@@ -126,6 +126,20 @@ class TestIntegerPowers:
                 f"*{m}" for m in rng.sample(monomials, rng.randint(1, 4)))
             self.check(base, rng.randint(1, 12))
 
+    @pytest.mark.parametrize("count", [1, 2, 5, 6, 7])
+    def test_seeded_bases_by_term_count(self, count):
+        # a power peels one term t off its base: a 1-term base leaves no
+        # rest, a 2-term base a single-term rest, and in a dense base the
+        # terms of t^(n-k) * R^k collide across k
+        rng = random.Random(f"germ-peeling:{count}")
+        monomials = ["x", "y", "z", "x*y", "y^2", "x*z", "y*z^2", "x^2",
+                     "z^3"]
+        for _ in range(6):
+            base = " ".join(
+                f"{rng.choice('+-')} {rng.randint(1, 9)}/{rng.randint(1, 9)}"
+                f"*{m}" for m in rng.sample(monomials, count))
+            self.check(base, rng.randint(1, 8))
+
 
 class TestPolyGerm:
     def test_rejects_constant(self):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -6,6 +7,8 @@ from phasecat import (DiscreteObservable, RateProfile, ValidationError,
                       bernoulli, binary_entropy, cgf, cgf_prime, cramer,
                       largedev, legendre)
 from phasecat.errors import CapExceededError
+
+from oracles import bf_legendre
 
 BERNOULLI_PS = (0.1, 0.3, 0.5, 0.7)
 
@@ -144,17 +147,26 @@ class TestLegendre:
                 legendre(obs, x), rel=1e-9)
 
     def test_bracket_cap(self, monkeypatch):
-        # the narrow-hull root needs 23 doublings of the lower end
-        monkeypatch.setattr(largedev, "BRACKET_CAP", 10)
+        # the first probe, Newton's step from 0, lands at |theta| ~ 2e6,
+        # and the narrow-hull root at ~ 7e6 lies past its second doubling
+        monkeypatch.setattr(largedev, "BRACKET_CAP", 2)
         obs = DiscreteObservable(((0, .5), (1e-6, .5)))
-        with pytest.raises(CapExceededError, match="BRACKET_CAP=10"):
+        with pytest.raises(CapExceededError, match="BRACKET_CAP=2"):
             legendre(obs, 1e-9)
-        with pytest.raises(CapExceededError, match="BRACKET_CAP=10"):
+        with pytest.raises(CapExceededError, match="BRACKET_CAP=2"):
             legendre(obs, 1e-6 - 1e-9)
 
-    def test_bisection_cap(self, monkeypatch):
-        monkeypatch.setattr(largedev, "BISECTION_CAP", 20)
-        with pytest.raises(CapExceededError, match="BISECTION_CAP=20"):
+    def test_bracket_overflow(self):
+        # the root, theta ~ log(1e9) / 1e-307, is past the largest float
+        obs = DiscreteObservable(((0.0, 0.5), (1e-307, 0.5)))
+        with pytest.raises(CapExceededError, match="finite theta"):
+            legendre(obs, 1e-307 * (1 - 1e-9))
+
+    def test_newton_cap(self, monkeypatch):
+        # the root at theta = log 3.5 takes four Newton steps after the
+        # first probe
+        monkeypatch.setattr(largedev, "NEWTON_CAP", 2)
+        with pytest.raises(CapExceededError, match="NEWTON_CAP=2"):
             legendre(bernoulli(0.3), 0.6)
 
     def test_fenchel_inequality(self):
@@ -178,6 +190,88 @@ class TestLegendre:
         for k in range(1, 30):
             x = 3.0 * k / 30.0
             assert legendre(obs, x) >= -1e-12
+
+
+def seeded_laws(seed, count):
+    """(outcomes, xs): k = 2-6 outcomes with weights down to 1e-3 on hulls
+    1e-6 to 1e6 wide, offset by up to a width from 0, with adjacent values
+    at least half a width over k - 1 apart; the xs reach within 1e-6 of a
+    width of both ends."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        k = rng.randint(2, 6)
+        width = 10.0 ** rng.uniform(-6, 6)
+        offset = width * rng.uniform(-1, 1)
+        fracs = ([0.0] + [(i + rng.uniform(-0.25, 0.25)) / (k - 1)
+                          for i in range(1, k - 1)] + [1.0])
+        weights = [10.0 ** rng.uniform(-3, 0) for _ in fracs]
+        total = sum(weights)
+        outcomes = tuple((offset + width * u, w / total)
+                         for u, w in zip(fracs, weights))
+        lo, hi = outcomes[0][0], outcomes[-1][0]
+        near = [10.0 ** -rng.uniform(1, 6) for _ in range(3)]
+        xs = ([lo + (hi - lo) * t for t in near]
+              + [hi - (hi - lo) * t for t in near]
+              + [lo + (hi - lo) * rng.random() for _ in range(4)])
+        out.append((outcomes, [x for x in xs if lo < x < hi]))
+    return out
+
+
+def bench_shaped_laws():
+    """The distribution shapes of the benchmark's rate rung: the fixture
+    Bernoullis, 3-5 values on a quarter grid of [-2, 3] with integer
+    weights 1-9 and their affine images, and two three-point laws."""
+    laws = [((0.0, 1.0 - p), (1.0, p)) for p in BERNOULLI_PS]
+    rng = random.Random("rate-rung")
+    grid = [-2.0 + 0.25 * i for i in range(21)]
+    for _ in range(12):
+        k = rng.randint(3, 5)
+        values = sorted(rng.sample(grid, k))
+        weights = [rng.randint(1, 9) for _ in range(k)]
+        base = tuple((v, w / sum(weights)) for v, w in zip(values, weights))
+        a, b = rng.choice((0.5, 0.75, 1.5, 2.0)), rng.choice((-1.0, 0.5, 1.0))
+        laws += [base, tuple((a * v + b, p) for v, p in base)]
+    laws += [((-5.0, 0.01), (0.0, 0.98), (7.0, 0.01)),
+             ((-1.0, 0.2), (0.5, 0.5), (2.0, 0.3))]
+    return [DiscreteObservable(law) for law in laws]
+
+
+class TestConjugateRoot:
+    def test_matches_bisection_oracle(self):
+        # the oracle forms theta*x - Gamma(theta), which loses about
+        # |theta*x| ulps; the value gaps keep |theta*x| below ~1e3
+        for outcomes, xs in seeded_laws("legendre-oracle", 150):
+            obs = DiscreteObservable(outcomes)
+            for x in xs:
+                assert abs(legendre(obs, x)
+                           - bf_legendre(obs.outcomes, x)) <= 1e-12, \
+                    (outcomes, x)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_residual_and_evaluations_on_bench_laws(self, scale):
+        # Newton stops once its step is a few ulps of theta (or of
+        # 1/width), so |Gamma'(theta) - x| <= var * step stays at rounding
+        # level relative to the hull width; the first probe, Newton's step
+        # from 0, makes the count independent of the hull's scale
+        for law in bench_shaped_laws():
+            obs = DiscreteObservable(tuple((scale * v, p)
+                                           for v, p in law.outcomes))
+            lo, hi = obs.support
+            for k in range(1, 100):
+                x = lo + (hi - lo) * k / 100
+                theta, evaluations, residual, value = \
+                    largedev._conjugate_root(obs, x)
+                assert residual <= 1e-12 * (hi - lo), (obs, x)
+                assert evaluations <= 16, (obs, x)
+                assert value == legendre(obs, x)
+                assert abs(cgf_prime(obs, theta) - x) <= 1e-12 * (hi - lo)
+
+    def test_exact_root_at_the_mean(self):
+        # Gamma'(0) - x is exactly 0, so theta stays at 0
+        obs = DiscreteObservable(((0.0, 0.5), (2.0, 0.5)))
+        theta, _, residual, value = largedev._conjugate_root(obs, 1.0)
+        assert (theta, residual, value) == (0.0, 0.0, 0.0)
 
 
 class TestCramer:
@@ -225,7 +319,7 @@ class TestBinaryEntropy:
 class TestRateProfile:
     def test_bundles_everything(self):
         rp = RateProfile(bernoulli(0.3))
-        assert rp.mean_value == pytest.approx(0.3)
+        assert rp.observable.mean == pytest.approx(0.3)
         assert rp.cgf(0.0) == pytest.approx(0.0, abs=1e-15)
         assert rp.conjugate(0.3) == pytest.approx(0.0, abs=1e-12)
         assert rp.cramer(0.5) == -rp.conjugate(0.5)
