@@ -4,35 +4,37 @@ Subcommands: group, orbitcat, phase, strata, quiver, sing, ldp.  Exit code
 0 on success, 1 on validation errors, 2 on usage errors (argparse's own
 convention); diagnostics go to stderr, results to stdout or to -o files
 (written atomically).
+
+Each subcommand imports the library modules it uses when it runs, so a
+process compiles only those.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import fixtures
 from .errors import CapExceededError, PhasecatError, ValidationError
-from .germs import parse_germ
-from .largedev import DiscreteObservable, bernoulli, legendre
-from .linrep import degeneracy_quiver
-from .ologio import atomic_write, export_dot, export_olog, olog_json
-from .orbitcat import build_orbit_category
-# parse_cycles is re-exported: phasecat.cli.parse_cycles is public
-from .permgroup import (all_subgroups, conjugacy_classes_of_subgroups,
-                        parse_cycles)
-from .phase import build_phase_diagram, strata_category
-from .singularity import (NonIsolated, QuasihomogeneousGerm, milnor_number,
-                          spectrum_grading, stabilize)
+
+if TYPE_CHECKING:
+    from .largedev import DiscreteObservable
 
 #: Most x values one ``ldp --grid`` may ask for.
 GRID_CAP = 10_000
 
 
+def __getattr__(name: str):
+    # phasecat.cli.parse_cycles is public; permgroup loads on first use
+    if name == "parse_cycles":
+        from .permgroup import parse_cycles
+        return parse_cycles
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def read_spec(path: str):
+    import json
     with open(path) as fh:
         return json.load(fh)
 
@@ -40,11 +42,12 @@ def read_spec(path: str):
 def load_inputs(*inputs):
     """Build each ``(path, from_spec)`` input; later builders also get the
     first result, the group.  With two files, an error names its file."""
+    from json import JSONDecodeError
     built = []
     for path, from_spec in inputs:
         try:
             built.append(from_spec(read_spec(path), *built[:1]))
-        except (ValidationError, json.JSONDecodeError) as exc:
+        except (ValidationError, JSONDecodeError) as exc:
             if len(inputs) == 1:
                 raise
             raise ValidationError(f"{path}: {exc}") from exc
@@ -53,12 +56,14 @@ def load_inputs(*inputs):
 
 def emit(text: str, out: str | None):
     if out:
+        from .ologio import atomic_write
         atomic_write(out, text)
     else:
         sys.stdout.write(text)
 
 
 def emit_category(category, phase, out: str | None, fmt: str | None):
+    from .ologio import export_dot, export_olog, olog_json
     if fmt is None:
         fmt = "dot" if out and out.endswith(".dot") else "json"
     if fmt == "dot":
@@ -68,7 +73,9 @@ def emit_category(category, phase, out: str | None, fmt: str | None):
 
 
 def cmd_group(args) -> int:
-    G, = load_inputs((args.input, fixtures.group_from_spec))
+    from .fixtures import group_from_spec
+    from .permgroup import all_subgroups, conjugacy_classes_of_subgroups
+    G, = load_inputs((args.input, group_from_spec))
     if args.action == "info":
         subs = all_subgroups(G)
         classes = conjugacy_classes_of_subgroups(G, subs)
@@ -80,30 +87,39 @@ def cmd_group(args) -> int:
 
 
 def cmd_orbitcat(args) -> int:
-    G, = load_inputs((args.input, fixtures.group_from_spec))
+    from .fixtures import group_from_spec
+    from .orbitcat import build_orbit_category
+    G, = load_inputs((args.input, group_from_spec))
     orbit = build_orbit_category(G)
     emit_category(orbit.category, None, args.output, args.format)
     return 0
 
 
 def cmd_phase(args) -> int:
-    G, X = load_inputs((args.group, fixtures.group_from_spec),
-                       (args.complex, fixtures.complex_from_spec))
+    from .fixtures import complex_from_spec, group_from_spec
+    from .phase import build_phase_diagram
+    G, X = load_inputs((args.group, group_from_spec),
+                       (args.complex, complex_from_spec))
     phase = build_phase_diagram(G, X)
     emit_category(phase.category, phase, args.output, args.format)
     return 0
 
 
 def cmd_strata(args) -> int:
-    strat, = load_inputs((args.input, fixtures.strata_from_spec))
+    from .fixtures import strata_from_spec
+    from .phase import strata_category
+    strat, = load_inputs((args.input, strata_from_spec))
     cat = strata_category(strat)
     emit_category(cat, None, args.output, args.format)
     return 0
 
 
 def cmd_quiver(args) -> int:
-    _, action = load_inputs((args.group, fixtures.group_from_spec),
-                            (args.rep, fixtures.rep_from_spec))
+    from .fixtures import group_from_spec, rep_from_spec
+    from .linrep import degeneracy_quiver
+    from .ologio import olog_json
+    _, action = load_inputs((args.group, group_from_spec),
+                            (args.rep, rep_from_spec))
     quiver = degeneracy_quiver(action)
     payload = {
         "nodes": [{
@@ -126,6 +142,11 @@ def cmd_quiver(args) -> int:
 
 
 def cmd_sing(args) -> int:
+    from fractions import Fraction
+
+    from .germs import parse_germ
+    from .singularity import (NonIsolated, QuasihomogeneousGerm,
+                              milnor_number, spectrum_grading, stabilize)
     germ = parse_germ(args.germ)
     if args.action == "mu":
         try:
@@ -148,6 +169,7 @@ def cmd_sing(args) -> int:
 
 
 def _parse_dist(text: str) -> DiscreteObservable:
+    from .largedev import DiscreteObservable
     outcomes = []
     for chunk in text.split(","):
         value, _, prob = chunk.partition(":")
@@ -180,6 +202,7 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def cmd_ldp(args) -> int:
+    from .largedev import bernoulli, legendre
     if (args.dist is None) == (args.bernoulli is None):
         raise ValidationError("provide exactly one of --dist / --bernoulli")
     obs = (bernoulli(args.bernoulli) if args.bernoulli is not None
@@ -252,7 +275,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.seed_fixtures:
-        written = fixtures.write_fixtures(args.seed_fixtures)
+        from .fixtures import write_fixtures
+        written = write_fixtures(args.seed_fixtures)
         for path in written:
             print(path)
         if not args.command:

@@ -4,19 +4,22 @@ The one place that turns a spec (a JSON object from a CLI input file, or a
 bundled dict below) into an object: each ``*_from_spec`` checks the spec's
 shape, naming the bad field, before building.  Unknown keys are ignored.
 ``load_*`` build the bundled fixtures through the same functions, and
-``write_fixtures`` writes them out as files."""
+``write_fixtures`` writes them out as files.  Each builder imports the
+module of the object it builds, so reading a group loads no complex,
+representation or stratification code."""
 
 from __future__ import annotations
 
 import os
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import ValidationError
-from .gspace import GComplex
-from .linrep import LinearAction
-from .ologio import olog_json
 from .permgroup import FiniteGroup, check_perm, closure, parse_cycles
-from .phase import StratifiedComplex
+
+if TYPE_CHECKING:
+    from .gspace import GComplex
+    from .linrep import LinearAction
+    from .phase import StratifiedComplex
 
 GROUPS: dict[str, dict] = {
     "trivial": {"degree": 1, "generators": []},
@@ -97,6 +100,7 @@ def _is_int(x) -> bool:
 
 def _is_entry(x) -> bool:
     """An integer or a rational string such as "-1/2"."""
+    from fractions import Fraction
     try:
         return _is_int(x) or isinstance(x, str) and Fraction(x) is not None
     except (ValueError, ZeroDivisionError):
@@ -151,6 +155,7 @@ def group_from_spec(spec) -> FiniteGroup:
 
 def complex_from_spec(spec, group: FiniteGroup) -> GComplex:
     """A G-complex, with one vertex image list per generator of group."""
+    from .gspace import GComplex
     return GComplex(group, _field(spec, "vertices", 0, "an integer"),
                     _field(spec, "simplices", 2, "a list of integer lists"),
                     _field(spec, "action", 2, "a list of integer lists",
@@ -159,6 +164,7 @@ def complex_from_spec(spec, group: FiniteGroup) -> GComplex:
 
 def rep_from_spec(spec, group: FiniteGroup) -> LinearAction:
     """A linear action, with one matrix per generator of group."""
+    from .linrep import LinearAction
     return LinearAction(group, _field(spec, "dim", 0, "an integer"),
                         _field(spec, "generators", 3, "a list of matrices "
                                "of integers or rational strings", _is_entry))
@@ -166,6 +172,7 @@ def rep_from_spec(spec, group: FiniteGroup) -> LinearAction:
 
 def strata_from_spec(spec) -> StratifiedComplex:
     """A stratified complex; ``codim`` is optional."""
+    from .phase import StratifiedComplex
     vertices = _field(spec, "vertices", 0, "an integer")
     codim = _field(spec, "codim", 0, "an object or a list of integers",
                    _is_codim, default={})
@@ -203,6 +210,7 @@ def load_stratified(name: str) -> StratifiedComplex:
 
 def write_fixtures(directory: str) -> list[str]:
     """Materialize every bundled fixture as a JSON file; returns paths."""
+    from .ologio import olog_json
     os.makedirs(directory, exist_ok=True)
     written = []
 

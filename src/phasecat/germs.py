@@ -35,13 +35,16 @@ class PolyGerm:
                 f"variable count must be 1..{MAX_VARIABLES}")
         canon = {}
         for exps, coeff in self.terms:
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(int, exps))
             if len(exps) != self.variable_count:
                 raise ValidationError("exponent tuple length mismatch")
-            if any(e < 0 for e in exps):
+            if min(exps) < 0:
                 raise ValidationError("negative exponent")
-            canon[exps] = canon.get(exps, Fraction(0)) + Fraction(coeff)
-        canon = {e: c for e, c in sorted(canon.items()) if c != 0}
+            # a Fraction is kept as it is; sums only on a repeated exponent
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
+            canon[exps] = canon[exps] + coeff if exps in canon else coeff
+        canon = {e: canon[e] for e in sorted(canon) if canon[e]}
         zero = (0,) * self.variable_count
         if zero in canon:
             raise ValidationError("nonzero constant term: not a germ "
@@ -50,10 +53,9 @@ class PolyGerm:
 
     @property
     def term_dict(self) -> dict[tuple[int, ...], Fraction]:
+        """The terms as an {exponents: coefficient} dict, the form
+        ``derivative`` and ``singularity.euler_apply`` return."""
         return dict(self.terms)
-
-    def max_degree(self) -> int:
-        return max((sum(e) for e, _ in self.terms), default=0)
 
     def derivative(self, var: int) -> dict[tuple[int, ...], Fraction]:
         out: dict[tuple[int, ...], Fraction] = {}

@@ -215,11 +215,6 @@ class FixPresheaf:
                 source_class, X.element_maps[ginv][v]))
         return out
 
-    def weyl_component_action(self, class_index: int, n: int) -> list[int]:
-        """Permutation of Fix(H) components induced by x |-> n^-1 x for a
-        normalizer element n."""
-        return self.induced_map(class_index, class_index, n)
-
 
 def pi0_fix_presheaf(X: GComplex,
                      classes: list[SubgroupClass]) -> FixPresheaf:

@@ -78,13 +78,16 @@ def cgf(obs: DiscreteObservable, theta: float) -> float:
     return _tilted(obs, theta, 0.0)[0]
 
 
-def _tilted(obs: DiscreteObservable, theta: float, center: float):
-    """(Gamma(theta) - theta*center, Gamma'(theta) - center, Gamma''(theta))
-    in one max-shifted pass over the outcomes.
+def _tilted(obs: DiscreteObservable, theta: float, center: float,
+            unit: float = 1.0):
+    """(Gamma(theta) - theta*center, (Gamma'(theta) - center)/unit,
+    Gamma''(theta)/unit**2) in one max-shifted pass over the outcomes.
 
-    The tilted mean and variance are taken of l - center: centred at the
-    target x, the variance near the root and the residual Gamma' - x
-    come out without cancellation.
+    The tilted mean and variance are taken of (l - center)/unit: centred
+    at the target x, the variance near the root and the residual
+    Gamma' - x come out without cancellation, and with ``unit`` a power of
+    two on the scale of the hull width the squares neither overflow nor
+    underflow, whatever that width.
     """
     shift = max(theta * (v - center) for v, _ in obs.outcomes)
     total = s1 = s2 = 0.0
@@ -92,6 +95,7 @@ def _tilted(obs: DiscreteObservable, theta: float, center: float):
         d = v - center
         w = p * math.exp(theta * d - shift)
         total += w
+        d /= unit
         s1 += d * w
         s2 += d * d * w
     m1 = s1 / total
@@ -117,19 +121,24 @@ def _conjugate_root(obs: DiscreteObservable, x: float):
         raise ValidationError(
             f"x={x} outside the open outcome hull ({lo}, {hi}); "
             "rate is infinite or a boundary limit")
+    # moments in units of a power of two at most twice the hull width,
+    # which scales them exactly (f = (Gamma' - x)/unit, var = Gamma''/unit**2)
+    # and keeps the squares of l - x finite and normal; a step in theta
+    # is then -f/var/unit
+    unit = math.ldexp(1.0, math.frexp(0.5 * hi - 0.5 * lo)[1] + 1)
     theta = 0.0
-    state = g, f, var = _tilted(obs, theta, x)
+    state = g, f, var = _tilted(obs, theta, x, unit)
     evaluations = 1
     # The first probe is Newton's step from 0, which puts theta on the
     # scale of the root whatever the hull width (or +-1 when that step
     # is 0 or not finite); it doubles until Gamma' - x changes sign, and
     # Newton goes on from the end of that bracket nearer the root.
     side = math.copysign(1.0, f)
-    end = -f / var if var > 0 else math.inf
+    end = -f / var / unit if var > 0 else math.inf
     if not 0 < abs(end) < math.inf:
         end = -side
     for _ in range(BRACKET_CAP):
-        at_end = _tilted(obs, end, x)
+        at_end = _tilted(obs, end, x, unit)
         evaluations += 1
         if not at_end[1] * side > 0:
             break
@@ -158,7 +167,7 @@ def _conjugate_root(obs: DiscreteObservable, x: float):
         else:
             break
         tol = 4 * max(math.ulp(theta), floor)
-        newton = -f / var if var > 0 else math.inf
+        newton = -f / var / unit if var > 0 else math.inf
         if abs(newton) <= tol:
             break
         # bisect when Newton leaves the bracket or does not halve the
@@ -172,13 +181,13 @@ def _conjugate_root(obs: DiscreteObservable, x: float):
                 break
             last, step = step, mid - theta
             theta = mid
-        g, f, var = _tilted(obs, theta, x)
+        g, f, var = _tilted(obs, theta, x, unit)
         evaluations += 1
     else:
         raise CapExceededError(
             f"root of Gamma'(theta) = x for x={x} not settled within "
             f"NEWTON_CAP={NEWTON_CAP} steps")
-    return theta, evaluations, abs(f), -g
+    return theta, evaluations, abs(f) * unit, -g
 
 
 def legendre(obs: DiscreteObservable, x: float) -> float:

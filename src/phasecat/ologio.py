@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from json.encoder import encode_basestring_ascii as _encode_str
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
-from .category import FiniteCategory, Morphism, keyed_category
 from .errors import ValidationError
-from .phase import PhaseCategory
+
+if TYPE_CHECKING:
+    from .category import FiniteCategory
+    from .phase import PhaseCategory
 
 
 def _object_meta(category, phase: PhaseCategory | None):
@@ -110,6 +112,7 @@ def import_olog(data: dict) -> FiniteCategory:
     endpoints, unknown ids and inconsistent composition triples are
     rejected with the offending field or ids.
     """
+    from .category import Morphism, keyed_category
     records = _records(data, "objects", ("id",))
     arrows = _records(data, "arrows", ("id", "src", "dst"))
     compositions = _records(data, "compositions", ("left", "right", "result"))
@@ -236,6 +239,7 @@ def _records_text(records: list[dict], pad: str) -> str | None:
 
 def atomic_write(path: str, text: str):
     """Write-temp-then-rename so partial output is never observed."""
+    import tempfile
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".phasecat-")
     try:

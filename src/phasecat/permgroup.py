@@ -276,10 +276,12 @@ def _generated(G: FiniteGroup, seed) -> set[int]:
 
 
 def trivial_subgroup(G: FiniteGroup) -> Subgroup:
+    """{e}, the bottom of the lattice: its fixed set is the whole space."""
     return Subgroup(G, (G.identity_index,))
 
 
 def full_subgroup(G: FiniteGroup) -> Subgroup:
+    """G itself, the top of the lattice."""
     return Subgroup(G, tuple(range(G.order)))
 
 

@@ -62,11 +62,6 @@ class PhaseCategory:
                 f"no phase object (H{subgroup_class},c{component_id})")
         return self.category.morphisms[m].src
 
-    def fiber(self, class_index: int) -> list[int]:
-        """Phase objects lying over a given orbit-category object."""
-        return [i for i, o in enumerate(self.objects)
-                if o.subgroup_class == class_index]
-
 
 def _build_phase(orbit: OrbitCategory, presheaf: FixPresheaf):
     objects = [PhaseObject(c, comp_id)

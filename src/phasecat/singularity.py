@@ -22,10 +22,8 @@ rationals agree with the complex ones for the linear algebra performed.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from math import gcd, lcm
 
 from .errors import CapExceededError, PhasecatError, ValidationError
@@ -255,6 +253,8 @@ class AdjacencyCorpus:
 
 def corpus_adjacency() -> AdjacencyCorpus:
     """Load the bundled simple-singularity corpus (A_k, D_k, E6, E7, E8)."""
+    import json
+    from importlib import resources
     raw = json.loads(resources.files("phasecat.data")
                      .joinpath("ade_corpus.json").read_text())
     entries = {}

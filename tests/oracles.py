@@ -273,7 +273,42 @@ def bf_relative_normal(action, H0, H1, witness):
     return basis, restricted
 
 
+# -- fixed-point data and phase diagrams --------------------------------------
+
+def weyl_component_action(presheaf, class_index, n):
+    """The permutation of the components of Fix(H) induced by x |-> n^-1 x
+    for a normalizer element n."""
+    return presheaf.induced_map(class_index, class_index, n)
+
+
+def phase_fiber(phase, class_index):
+    """The phase objects lying over one orbit-category object."""
+    return [i for i, o in enumerate(phase.objects)
+            if o.subgroup_class == class_index]
+
+
 # -- polynomials --------------------------------------------------------------
+
+def bf_germ_terms(variable_count, terms):
+    """PolyGerm's canonical terms as first written: every coefficient
+    rebuilt as Fraction(0) + Fraction(c), zeros dropped, sorted by
+    exponents.  Raises ValueError where PolyGerm must raise."""
+    canon = {}
+    for exps, coeff in terms:
+        exps = tuple(int(e) for e in exps)
+        if len(exps) != variable_count or any(e < 0 for e in exps):
+            raise ValueError(exps)
+        canon[exps] = canon.get(exps, Fraction(0)) + Fraction(coeff)
+    canon = {e: c for e, c in sorted(canon.items()) if c != 0}
+    if (0,) * variable_count in canon:
+        raise ValueError("constant term")
+    return tuple(canon.items())
+
+
+def max_degree(germ):
+    """Largest total degree among a germ's terms, 0 for the zero germ."""
+    return max((sum(e) for e, _ in germ.terms), default=0)
+
 
 def bf_poly_power(terms, k):
     """k-fold product of an {exponents: Fraction} dict, one Fraction

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -420,3 +421,89 @@ class TestLoaderEquivalence:
         spec = dict(fx.STRATIFIED["segment_midpoint"], codim=[1, 0])
         assert fx.strata_from_spec(spec).codim == \
             fx.load_stratified("segment_midpoint").codim
+
+
+# A child process runs the CLI in-process and prints the phasecat modules
+# it loaded, so each test sees a fresh interpreter's sys.modules.
+LOADED = ("import contextlib, io, sys\n"
+          "{setup}\n"
+          "print(' '.join(sorted(m.removeprefix('phasecat.')\n"
+          "                      for m in sys.modules\n"
+          "                      if m.startswith('phasecat.'))))\n")
+RUN_CLI = ("from phasecat.cli import main\n"
+           "with contextlib.redirect_stdout(io.StringIO()):\n"
+           "    assert main(sys.argv[1:]) == 0\n")
+GROUP_READ = {"errors", "fixtures", "permgroup"}
+OLOG_OUT = {"errors", "ologio"}
+COMPLEX_OUT = (GROUP_READ | OLOG_OUT
+               | {"category", "gspace", "orbitcat", "phase"})
+SINGULARITY = {"errors", "germs", "singularity"}
+# argv -> the most phasecat modules the subcommand may load (cli aside)
+LOADS = {
+    "seed-fixtures": (["--seed-fixtures", "{tmp}"], GROUP_READ | OLOG_OUT),
+    "group": (["group", "info", "-i", "{fx}/group_s3.json"], GROUP_READ),
+    "orbitcat": (["orbitcat", "-i", "{fx}/group_s3.json", "--format", "dot"],
+                 GROUP_READ | OLOG_OUT | {"category", "orbitcat"}),
+    "phase": (["phase", "-g", "{fx}/group_c2.json",
+               "-x", "{fx}/complex_square_reflection.json"], COMPLEX_OUT),
+    "strata": (["strata", "-i", "{fx}/strata_segment_midpoint.json"],
+               COMPLEX_OUT),
+    "quiver": (["quiver", "-g", "{fx}/group_c2.json",
+                "-r", "{fx}/rep_c2_plane.json", "-o", "{tmp}/q.json"],
+               GROUP_READ | OLOG_OUT | {"linrep", "ratmat"}),
+    "sing-mu": (["sing", "mu", "--germ", "x^3 + y^4"], SINGULARITY),
+    "sing-spectrum": (["sing", "spectrum", "--germ", "x^3 + y^4",
+                       "--weights", "1/3,1/4"], SINGULARITY),
+    "sing-stabilize": (["sing", "stabilize", "--germ", "x^2"], SINGULARITY),
+    "ldp": (["ldp", "--bernoulli", "0.3"], {"errors", "largedev"}),
+    "ldp-output": (["ldp", "--bernoulli", "0.3", "-o", "{tmp}/rate.tsv"],
+                   {"errors", "largedev", "ologio"}),
+}
+
+
+def loaded_modules(setup: str, argv=()) -> set[str]:
+    src = os.path.dirname(os.path.dirname(phasecat.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED.format(setup=setup), *argv],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+class TestImportDiscipline:
+    def test_bare_import_loads_no_submodule(self):
+        assert loaded_modules("import phasecat") == set()
+
+    @pytest.mark.parametrize("command", sorted(LOADS))
+    def test_subcommand_loads_only_its_modules(self, command, inputs,
+                                               tmp_path):
+        argv, allowed = LOADS[command]
+        loaded = loaded_modules(RUN_CLI, [a.format(fx=inputs, tmp=tmp_path)
+                                          for a in argv])
+        assert loaded - {"cli"} <= allowed
+
+    def test_parse_cycles_stays_lazy(self):
+        loaded = loaded_modules("import phasecat.cli")
+        assert loaded == {"cli", "errors"}
+        assert loaded_modules("from phasecat.cli import parse_cycles") \
+            == {"cli", "errors", "permgroup"}
+
+    def test_public_names_are_their_modules_objects(self):
+        for name in phasecat.__all__:
+            module = importlib.import_module(
+                f"phasecat.{phasecat._MODULE_OF[name]}")
+            assert getattr(phasecat, name) is getattr(module, name), name
+        assert len(set(phasecat.__all__)) == len(phasecat.__all__)
+
+    def test_submodules_resolve_and_are_listed(self):
+        for name in ("permgroup", "ratmat", "fixtures", "cli"):
+            assert getattr(phasecat, name) \
+                is importlib.import_module(f"phasecat.{name}")
+        assert set(phasecat.__all__) <= set(dir(phasecat))
+        assert {"permgroup", "cli", "__version__"} <= set(dir(phasecat))
+
+    @pytest.mark.parametrize("module", [phasecat, phasecat.cli])
+    def test_unknown_attribute_names_itself(self, module):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name

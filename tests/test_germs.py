@@ -7,7 +7,7 @@ from phasecat import ParseError, PolyGerm, ValidationError, parse_germ
 from phasecat.errors import CapExceededError
 from phasecat.germs import DEGREE_CAP
 
-from oracles import bf_poly_power
+from oracles import bf_germ_terms, bf_poly_power, max_degree
 
 F = Fraction
 
@@ -94,7 +94,7 @@ class TestParseErrors:
         (f"(x*y)^{DEGREE_CAP // 2}", DEGREE_CAP),
         (f"x + 2^{DEGREE_CAP}*y", 1)])
     def test_power_at_cap(self, text, degree):
-        assert parse_germ(text).max_degree() == degree
+        assert max_degree(parse_germ(text)) == degree
 
     @pytest.mark.parametrize("text", [
         f"x^{DEGREE_CAP + 1}", f"(x*y)^{DEGREE_CAP // 2 + 1}",
@@ -159,8 +159,36 @@ class TestPolyGerm:
         assert g.term_dict == {(2,): F(3)}
 
     def test_max_degree(self):
-        assert parse_germ("x^3 + y^4").max_degree() == 4
-        assert parse_germ("x").max_degree() == 1
+        assert max_degree(parse_germ("x^3 + y^4")) == 4
+        assert max_degree(parse_germ("x")) == 1
+
+    def test_seeded_terms_match_rebuilt_construction(self):
+        # Fraction, int, str and float coefficients, repeated exponents
+        # (some cancelling), zeros, and the shapes PolyGerm rejects
+        rng = random.Random("polygerm-terms")
+        coeffs = [lambda: F(rng.randint(-9, 9), rng.randint(1, 9)),
+                  lambda: rng.randint(-3, 3), lambda: "-3/4",
+                  lambda: 0.5, lambda: F(0)]
+        for _ in range(400):
+            n = rng.randint(1, 3)
+            terms = []
+            for _ in range(rng.randint(0, 8)):
+                exps = tuple(rng.randint(-1 if rng.random() < 0.02 else 0, 3)
+                             for _ in range(n + (rng.random() < 0.02)))
+                terms.append((exps, rng.choice(coeffs)()))
+                if terms and rng.random() < 0.3:
+                    exps, c = rng.choice(terms)
+                    terms.append((exps, -F(c) if rng.random() < 0.5
+                                  else rng.choice(coeffs)()))
+            try:
+                want = bf_germ_terms(n, terms)
+            except ValueError:
+                with pytest.raises(ValidationError):
+                    PolyGerm(n, tuple(terms))
+                continue
+            got = PolyGerm(n, tuple(terms)).terms
+            assert got == want, terms
+            assert all(type(c) is F for _, c in got)
 
     def test_derivative(self):
         g = parse_germ("x^3 + x*y^2")

@@ -244,8 +244,9 @@ class TestFixPresheaf:
         refl = next(c.class_index for c in classes if c.order == 2)
         for n in range(c2.order):
             for h in range(2):
-                assert pre.weyl_component_action(refl, n) \
-                    == pre.weyl_component_action(refl, c2.mul(h, n))
+                assert oracles.weyl_component_action(pre, refl, n) \
+                    == oracles.weyl_component_action(pre, refl,
+                                                     c2.mul(h, n))
 
 
 class TestSubdivide:

@@ -192,16 +192,16 @@ class TestLegendre:
             assert legendre(obs, x) >= -1e-12
 
 
-def seeded_laws(seed, count):
+def seeded_laws(seed, count, decades=6):
     """(outcomes, xs): k = 2-6 outcomes with weights down to 1e-3 on hulls
-    1e-6 to 1e6 wide, offset by up to a width from 0, with adjacent values
-    at least half a width over k - 1 apart; the xs reach within 1e-6 of a
-    width of both ends."""
+    10^-decades to 10^decades wide, offset by up to a width from 0, with
+    adjacent values at least half a width over k - 1 apart; the xs reach
+    within 1e-6 of a width of both ends."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
         k = rng.randint(2, 6)
-        width = 10.0 ** rng.uniform(-6, 6)
+        width = 10.0 ** rng.uniform(-decades, decades)
         offset = width * rng.uniform(-1, 1)
         fracs = ([0.0] + [(i + rng.uniform(-0.25, 0.25)) / (k - 1)
                           for i in range(1, k - 1)] + [1.0])
@@ -266,6 +266,37 @@ class TestConjugateRoot:
                 assert evaluations <= 16, (obs, x)
                 assert value == legendre(obs, x)
                 assert abs(cgf_prime(obs, theta) - x) <= 1e-12 * (hi - lo)
+
+    def test_extreme_hull_widths(self):
+        # the moments are taken of (l - x) over a power of two near the
+        # width, so squares of l - x neither overflow (|l - x| > ~1e154)
+        # nor underflow (< ~1e-154) into a variance that forces bisection
+        for outcomes, xs in seeded_laws("legendre-extreme", 300, 300):
+            obs = DiscreteObservable(outcomes)
+            lo, hi = obs.support
+            for x in xs:
+                _, evaluations, residual, _ = largedev._conjugate_root(obs, x)
+                assert evaluations <= 20, (outcomes, x)
+                assert residual <= 1e-12 * (hi - lo), (outcomes, x)
+
+    def test_power_of_two_scaling_is_exact(self):
+        # scaling a law and x by 2^k scales every step by 2^-k exactly:
+        # theta scales by 2^-k, the residual by 2^k, and the evaluation
+        # count and the value stay the same, out to hulls 1e+-280 wide
+        rng = random.Random("legendre-scaling")
+        for outcomes, xs in seeded_laws("legendre-scaled", 60):
+            lo, hi = outcomes[0][0], outcomes[-1][0]
+            k = round(rng.uniform(-280, 280) * math.log2(10)
+                      - math.log2(hi - lo))
+            obs = DiscreteObservable(outcomes)
+            moved = DiscreteObservable(tuple((math.ldexp(v, k), p)
+                                             for v, p in outcomes))
+            for x in xs:
+                theta, evaluations, residual, value = \
+                    largedev._conjugate_root(obs, x)
+                assert largedev._conjugate_root(moved, math.ldexp(x, k)) \
+                    == (math.ldexp(theta, -k), evaluations,
+                        math.ldexp(residual, k), value), (outcomes, x, k)
 
     def test_exact_root_at_the_mean(self):
         # Gamma'(0) - x is exactly 0, so theta stays at 0
