@@ -62,25 +62,25 @@ def export_dot(category: FiniteCategory,
 def export_olog(category: FiniteCategory,
                 phase: PhaseCategory | None = None) -> dict:
     """Olog schema: objects, non-identity arrows, and all composition
-    triples over composable non-identity pairs."""
+    triples over composable non-identity pairs.
+
+    Each morphism gets one name, its arrow id or ``id:o<k>`` for the
+    identity of object k, and the triples are written from the names."""
     identities = set(category.identity)
-    arrow_id = {}
+    name = []
     arrows = []
     for m, mor in enumerate(category.morphisms):
         if m in identities:
+            name.append(f"id:o{mor.src}")
             continue
-        aid = arrow_id[m] = f"m{len(arrows)}"
-        arrows.append({"id": aid, "src": f"o{mor.src}",
+        name.append(f"m{len(arrows)}")
+        arrows.append({"id": name[m], "src": f"o{mor.src}",
                        "dst": f"o{mor.dst}", "label": mor.label})
     table = category.compose_table
-    compositions = []
-    for m2, m1 in sorted(pair for pair in table
-                         if pair[0] in arrow_id and pair[1] in arrow_id):
-        r = table[m2, m1]
-        rid = (f"id:o{category.morphisms[r].src}"
-               if r in identities else arrow_id[r])
-        compositions.append({"left": arrow_id[m2], "right": arrow_id[m1],
-                             "result": rid})
+    pairs = sorted([pair for pair in table if pair[0] not in identities
+                    and pair[1] not in identities])
+    compositions = [{"left": name[m2], "right": name[m1],
+                     "result": name[table[m2, m1]]} for m2, m1 in pairs]
     return {"objects": _object_meta(category, phase),
             "arrows": arrows,
             "compositions": compositions}
@@ -111,8 +111,11 @@ def import_olog(data: dict) -> FiniteCategory:
     ``find`` returns it.  A record without its string ids, dangling arrow
     endpoints, unknown ids and inconsistent composition triples are
     rejected with the offending field or ids.
+
+    The table is filled from one dict of id pairs: the listed triples,
+    then the unit laws, which decide every pair with an identity.
     """
-    from .category import Morphism, keyed_category
+    from .category import keyed_category
     records = _records(data, "objects", ("id",))
     arrows = _records(data, "arrows", ("id", "src", "dst"))
     compositions = _records(data, "compositions", ("left", "right", "result"))
@@ -120,50 +123,47 @@ def import_olog(data: dict) -> FiniteCategory:
     if len(objects) != len(records):
         raise ValidationError("duplicate object ids")
     identity_keys = [f"id:{oid}" for oid in objects]
-    morphisms = {key: Morphism(oid, oid, key, key)
-                 for oid, key in zip(objects, identity_keys)}
+    # (src, dst, label, data): the identities in object order, then the arrows
+    morphisms = [(oid, oid, key, key)
+                 for oid, key in zip(objects, identity_keys)]
+    ends = {key: (oid, oid) for oid, key in zip(objects, identity_keys)}
     for a in arrows:
         if a["src"] not in objects or a["dst"] not in objects:
             raise ValidationError(
                 f"arrow {a['id']} has dangling endpoint "
                 f"{a['src']}->{a['dst']}")
-        if a["id"] in morphisms:
+        if a["id"] in ends:
             raise ValidationError(f"duplicate arrow id {a['id']}")
-        morphisms[a["id"]] = Morphism(a["src"], a["dst"],
-                                      a.get("label", a["id"]), a["id"])
+        ends[a["id"]] = a["src"], a["dst"]
+        morphisms.append((a["src"], a["dst"], a.get("label", a["id"]),
+                          a["id"]))
 
-    table: dict[tuple[str, str], str] = {}
+    composite: dict[tuple[str, str], str] = {}
     for c in compositions:
         left, right, result = c["left"], c["right"], c["result"]
         try:
-            b, a, res = morphisms[left], morphisms[right], morphisms[result]
+            (b0, b1), (a0, a1), res = ends[left], ends[right], ends[result]
         except KeyError as exc:
             mid = exc.args[0]
             raise ValidationError(
                 f"identity of unknown object {mid[3:]}"
                 if mid.startswith("id:")
                 else f"composition names unknown arrow {mid}") from None
-        if a.dst != b.src or res.src != a.src or res.dst != b.dst:
+        if a1 != b0 or res != (a0, b1):
             raise ValidationError(f"inconsistent composition triple "
                                   f"({left},{right})->{result}")
-        if table.setdefault((left, right), result) != result:
+        if composite.setdefault((left, right), result) != result:
             raise ValidationError(
                 f"conflicting composition triple for ({left},{right})")
-    units = set(identity_keys)
-
-    def compose(d2: str, d1: str) -> str:
-        if d1 in units:
-            return d2
-        if d2 in units:
-            return d1
-        try:
-            return table[(d2, d1)]
-        except KeyError:
-            raise ValidationError(
-                f"missing composition ({d2},{d1})") from None
-
-    cat = keyed_category(objects, list(morphisms.values()), identity_keys,
-                         compose)
+    # the unit laws override a listed triple with an identity in it
+    composite.update(((mid, "id:" + s), mid) for mid, (s, _) in ends.items())
+    composite.update((("id:" + d, mid), mid) for mid, (_, d) in ends.items())
+    try:
+        cat = keyed_category(objects, morphisms, identity_keys,
+                             composite.__getitem__)
+    except KeyError as exc:  # ids and results are known: a pair unlisted
+        d2, d1 = exc.args[0]
+        raise ValidationError(f"missing composition ({d2},{d1})") from None
     cat.check_category_laws()
     return cat
 

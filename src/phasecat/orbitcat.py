@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .category import Morphism, keyed_category
+from .category import keyed_category
 from .errors import ValidationError
 from .permgroup import (FiniteGroup, Subgroup, SubgroupClass,
                         conjugacy_classes_of_subgroups, transporter)
@@ -69,20 +69,19 @@ class OrbitCategory:
 def _build(G: FiniteGroup, classes: list[SubgroupClass]):
     objects = {c: f"H{cls.class_index}|{cls.order}"
                for c, cls in enumerate(classes)}
-    morphisms: list[Morphism] = []
+    morphisms = []
     for c0 in range(len(classes)):
         for c1 in range(len(classes)):
             reps = transporter_coset_reps(G, classes[c0].representative,
                                           classes[c1].representative)
             for g in reps:
-                morphisms.append(Morphism(c0, c1, f"g{g}:{c0}->{c1}",
-                                          OrbitMorphism(c0, c1, g)))
+                morphisms.append((c0, c1, f"g{g}:{c0}->{c1}",
+                                  OrbitMorphism(c0, c1, g)))
     canon = [cls.representative.right_coset_min for cls in classes]
     table = G.table
 
-    def compose(om2: OrbitMorphism, om1: OrbitMorphism) -> tuple:
-        c0, _, g1 = om1
-        _, c2, g2 = om2
+    def compose(pair: tuple[OrbitMorphism, OrbitMorphism]) -> tuple:
+        (_, c2, g2), (c0, _, g1) = pair
         return (c0, c2, canon[c2][table[g2][g1]])
 
     return keyed_category(

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .category import FiniteCategory, Morphism, keyed_category
+from .category import FiniteCategory, keyed_category
 from .errors import ValidationError
 from .gspace import (FixPresheaf, GComplex, close_under_faces,
                      component_index, components, isotropy, pi0_fix_presheaf)
@@ -67,12 +67,12 @@ def _build_phase(orbit: OrbitCategory, presheaf: FixPresheaf):
     objects = [PhaseObject(c, comp_id)
                for c, comps in enumerate(presheaf.comps)
                for comp_id in range(len(comps))]
-    morphisms: list[Morphism] = []
+    morphisms = []
     for m, om in enumerate(orbit.orbit_morphisms):
         induced = presheaf.induced_map(om.source_class, om.target_class,
                                        om.coset_rep)
         for c1, c0 in enumerate(induced):
-            morphisms.append(Morphism(
+            morphisms.append((
                 PhaseObject(om.source_class, c0),
                 PhaseObject(om.target_class, c1),
                 f"{orbit.category.morphisms[m].label}@c{c1}", (m, c1)))
@@ -80,8 +80,9 @@ def _build_phase(orbit: OrbitCategory, presheaf: FixPresheaf):
     base = orbit.category
     base_table = base.compose_table
 
-    def compose(d2: tuple, d1: tuple) -> tuple:
-        return (base_table[(d2[0], d1[0])], d2[1])
+    def compose(pair: tuple) -> tuple:
+        (m2, c2), (m1, _) = pair
+        return (base_table[(m2, m1)], c2)
 
     cat = keyed_category(
         {o: o.label for o in objects}, morphisms,
@@ -273,15 +274,15 @@ def strata_category(strat: StratifiedComplex) -> FiniteCategory:
 
     # the frontier condition puts closure(i) inside closure(j) for i <= j
     component_of = {i: component_index(comps[i]) for i in strat.strata}
-    morphisms: list[Morphism] = []
+    morphisms = []
     for (i, j) in sorted(strat.leq):
         for c, comp in enumerate(comps[i]):
             cj = component_of[j][comp[0]]
-            morphisms.append(Morphism((i, c), (j, cj), f"{i}.c{c}<={j}",
-                                      (i, c, j)))
+            morphisms.append(((i, c), (j, cj), f"{i}.c{c}<={j}", (i, c, j)))
 
-    def compose(d2: tuple, d1: tuple) -> tuple:
-        return (d1[0], d1[1], d2[2])
+    def compose(pair: tuple) -> tuple:
+        (_, _, k), (i, c, _) = pair
+        return (i, c, k)
 
     return keyed_category(objects, morphisms,
                           [(i, c, i) for (i, c) in objects], compose)

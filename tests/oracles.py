@@ -163,6 +163,175 @@ def bf_olog_json(data):
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
+# -- category laws and olog I/O ---------------------------------------------
+
+def bf_first_associativity_failure(cat):
+    """The first (m3, m2, m1) that breaks associativity, scanning m1, then
+    m2, then m3 in index order over the composable triples."""
+    mors, table = cat.morphisms, cat.compose_table
+    out = {}
+    for m, mor in enumerate(mors):
+        out.setdefault(mor.src, []).append(m)
+    for m1, a in enumerate(mors):
+        for m2 in out.get(a.dst, []):
+            x = table[(m2, m1)]
+            for m3 in out.get(mors[m2].dst, []):
+                if table[(m3, x)] != table[(table[(m3, m2)], m1)]:
+                    return (m3, m2, m1)
+    return None
+
+
+def bf_check_category_laws(cat,
+                           first_failure=bf_first_associativity_failure):
+    """Every composable pair, unit and triple, scanned in index order;
+    a failure raises ``ValidationError`` with the library's message.
+    ``first_failure`` names the first failing triple, or None."""
+    from phasecat import ValidationError
+    mors, table = cat.morphisms, cat.compose_table
+    for m1, a in enumerate(mors):
+        for m2, b in enumerate(mors):
+            if a.dst == b.src and (m2, m1) not in table:
+                raise ValidationError(f"missing composition ({m2},{m1})")
+    for m, mor in enumerate(mors):
+        if table[(m, cat.identity[mor.src])] != m:
+            raise ValidationError(f"right unit fails at {m}")
+        if table[(cat.identity[mor.dst], m)] != m:
+            raise ValidationError(f"left unit fails at {m}")
+    first = first_failure(cat)
+    if first is not None:
+        raise ValidationError("associativity fails on (%d,%d,%d)" % first)
+    return True
+
+
+def bf_composition_closure(cat, seeds):
+    """The morphisms reached from ``seeds`` by composing any two reached
+    ones, until nothing new appears."""
+    reached = set(seeds)
+    while True:
+        new = {cat.compose_table[(x, y)] for x in reached for y in reached
+               if (x, y) in cat.compose_table} - reached
+        if not new:
+            return reached
+        reached |= new
+
+
+def bf_export_olog(category, phase=None):
+    """Olog export record by record: arrow ids in morphism order, every
+    table entry sorted and the identity pairs dropped afterwards."""
+    objects = []
+    for o in range(len(category.objects)):
+        entry = {"id": f"o{o}", "label": category.objects[o],
+                 "autOrder": category.aut_order(o)}
+        if phase is not None:
+            entry["subgroupClass"] = phase.objects[o].subgroup_class
+            entry["componentId"] = phase.objects[o].component_id
+        objects.append(entry)
+    identities = set(category.identity)
+    arrow_id = {}
+    arrows = []
+    for m, mor in enumerate(category.morphisms):
+        if m in identities:
+            continue
+        aid = arrow_id[m] = f"m{len(arrows)}"
+        arrows.append({"id": aid, "src": f"o{mor.src}",
+                       "dst": f"o{mor.dst}", "label": mor.label})
+    table = category.compose_table
+    compositions = []
+    for m2, m1 in sorted(pair for pair in table
+                         if pair[0] in arrow_id and pair[1] in arrow_id):
+        r = table[m2, m1]
+        rid = (f"id:o{category.morphisms[r].src}"
+               if r in identities else arrow_id[r])
+        compositions.append({"left": arrow_id[m2], "right": arrow_id[m1],
+                             "result": rid})
+    return {"objects": objects, "arrows": arrows,
+            "compositions": compositions}
+
+
+def _bf_records(data, key, fields):
+    from phasecat import ValidationError
+    if not isinstance(data, dict):
+        raise ValidationError("olog: expected a JSON object at top level")
+    records = data.get(key, [])
+    if not isinstance(records, list):
+        raise ValidationError(f"{key}: expected a list of objects")
+    for i, record in enumerate(records):
+        for field in fields:
+            if not (isinstance(record, dict)
+                    and isinstance(record.get(field), str)):
+                raise ValidationError(
+                    f"{key}[{i}]: expected an object with a string {field!r}")
+    return records
+
+
+def bf_import_olog(data):
+    """Olog import record by record: each record and triple is checked on
+    its own, the table is filled by a unit-first composition over every
+    composable pair, and the laws are checked by brute force."""
+    from phasecat import ValidationError
+    from phasecat.category import FiniteCategory, Morphism
+    records = _bf_records(data, "objects", ("id",))
+    arrows = _bf_records(data, "arrows", ("id", "src", "dst"))
+    compositions = _bf_records(data, "compositions",
+                               ("left", "right", "result"))
+    objects = {o["id"]: o.get("label", o["id"]) for o in records}
+    if len(objects) != len(records):
+        raise ValidationError("duplicate object ids")
+    identity_keys = [f"id:{oid}" for oid in objects]
+    morphisms = {key: Morphism(oid, oid, key, key)
+                 for oid, key in zip(objects, identity_keys)}
+    for a in arrows:
+        if a["src"] not in objects or a["dst"] not in objects:
+            raise ValidationError(
+                f"arrow {a['id']} has dangling endpoint "
+                f"{a['src']}->{a['dst']}")
+        if a["id"] in morphisms:
+            raise ValidationError(f"duplicate arrow id {a['id']}")
+        morphisms[a["id"]] = Morphism(a["src"], a["dst"],
+                                      a.get("label", a["id"]), a["id"])
+    table = {}
+    for c in compositions:
+        left, right, result = c["left"], c["right"], c["result"]
+        try:
+            b, a, res = morphisms[left], morphisms[right], morphisms[result]
+        except KeyError as exc:
+            mid = exc.args[0]
+            raise ValidationError(
+                f"identity of unknown object {mid[3:]}"
+                if mid.startswith("id:")
+                else f"composition names unknown arrow {mid}") from None
+        if a.dst != b.src or res.src != a.src or res.dst != b.dst:
+            raise ValidationError(f"inconsistent composition triple "
+                                  f"({left},{right})->{result}")
+        if table.setdefault((left, right), result) != result:
+            raise ValidationError(
+                f"conflicting composition triple for ({left},{right})")
+    units = set(identity_keys)
+
+    def compose(d2, d1):
+        if d1 in units:
+            return d2
+        if d2 in units:
+            return d1
+        try:
+            return table[(d2, d1)]
+        except KeyError:
+            raise ValidationError(
+                f"missing composition ({d2},{d1})") from None
+
+    position = {key: o for o, key in enumerate(objects)}
+    mors = [Morphism(position[m.src], position[m.dst], m.label, m.data)
+            for m in morphisms.values()]
+    index = {m.data: i for i, m in enumerate(mors)}
+    int_table = {(m2, m1): index[compose(b.data, a.data)]
+                 for m2, b in enumerate(mors)
+                 for m1, a in enumerate(mors) if a.dst == b.src}
+    cat = FiniteCategory(list(objects.values()), mors,
+                         [index[k] for k in identity_keys], int_table)
+    bf_check_category_laws(cat)
+    return cat
+
+
 # -- exact linear algebra over Fraction -------------------------------------
 
 def bf_rref(A):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oracles import bf_olog_json
+from oracles import bf_export_olog, bf_import_olog, bf_olog_json
 from phasecat import (ValidationError, atomic_write, build_orbit_category,
                       build_phase_diagram, category_isomorphic, export_dot,
                       export_olog, import_olog, olog_json, strata_category,
@@ -387,6 +387,155 @@ class TestImportErrors:
                     {"left": "b", "right": "b", "result": "id:o0"}]}
         with pytest.raises(ValidationError, match="associativity fails"):
             import_olog(data)
+
+
+def _copied(data, key, j=None):
+    """``data`` with its ``key`` list, and record ``j`` of it, copied, so a
+    mutation leaves the source olog as it was."""
+    data = dict(data)
+    records = data[key] = list(data[key])
+    if j is not None:
+        records[j] = dict(records[j])
+    return data, records
+
+
+def _drop_triple(rng, data):
+    data, comps = _copied(data, "compositions")
+    del comps[rng.randrange(len(comps))]
+    return data
+
+
+def _duplicate_triple(rng, data):
+    data, comps = _copied(data, "compositions")
+    comps.insert(rng.randrange(len(comps) + 1), rng.choice(comps))
+    return data
+
+
+def _conflicting_triple(rng, data):
+    """Another triple for a listed pair, with a result of the same
+    endpoints (a conflict) or any result."""
+    data, comps = _copied(data, "compositions")
+    c = rng.choice(comps)
+    ends = _olog_ends(data)
+    parallel = [m for m, e in ends.items() if e == ends[c["result"]]]
+    result = rng.choice(parallel if rng.random() < 0.5 else list(ends))
+    comps.insert(rng.randrange(len(comps) + 1), dict(c, result=result))
+    return data
+
+
+def _identity_triple(rng, data):
+    """A triple with an identity on one side and a result parallel to the
+    arrow on the other: the unit laws, not the triple, decide it."""
+    data, comps = _copied(data, "compositions")
+    a = rng.choice(data["arrows"])
+    ends = _olog_ends(data)
+    result = rng.choice([m for m, e in ends.items() if e == ends[a["id"]]])
+    left, right = ((f"id:{a['dst']}", a["id"]) if rng.random() < 0.5
+                   else (a["id"], f"id:{a['src']}"))
+    comps.insert(rng.randrange(len(comps) + 1),
+                 {"left": left, "right": right, "result": result})
+    return data
+
+
+def _changed_result(rng, data):
+    j = rng.randrange(len(data["compositions"]))
+    data, comps = _copied(data, "compositions", j)
+    comps[j]["result"] = rng.choice(list(_olog_ends(data)))
+    return data
+
+
+def _unknown_id(rng, data):
+    j = rng.randrange(len(data["compositions"]))
+    data, comps = _copied(data, "compositions", j)
+    comps[j][rng.choice(["left", "right", "result"])] = rng.choice(
+        ["m99999", "id:o999", "o0", ""])
+    return data
+
+
+def _bad_arrow(rng, data):
+    """A dangling endpoint, or an id another arrow or an identity has."""
+    j = rng.randrange(len(data["arrows"]))
+    data, arrows = _copied(data, "arrows", j)
+    field = rng.choice(["src", "dst", "id"])
+    arrows[j][field] = ("o999" if field != "id"
+                        else rng.choice(list(_olog_ends(data))))
+    return data
+
+
+def _non_string_field(rng, data):
+    key, fields = rng.choice([("objects", ["id", "label"]),
+                              ("arrows", ["id", "src", "dst", "label"]),
+                              ("compositions", ["left", "right", "result"])])
+    j = rng.randrange(len(data[key]))
+    data, records = _copied(data, key, j)
+    records[j][rng.choice(fields)] = rng.choice([7, 1.5, None, True, ["m0"],
+                                                 {"id": "m0"}])
+    return data
+
+
+def _non_dict_record(rng, data):
+    key = rng.choice(["objects", "arrows", "compositions"])
+    data, records = _copied(data, key)
+    records[rng.randrange(len(records))] = rng.choice([7, "m0", None,
+                                                       ["m0"]])
+    return data
+
+
+def _olog_ends(data):
+    """Each olog id, identities included, with its endpoints."""
+    ends = {f"id:{o['id']}": (o["id"], o["id"]) for o in data["objects"]}
+    ends.update((a["id"], (a["src"], a["dst"])) for a in data["arrows"])
+    return ends
+
+
+MUTATIONS = [_drop_triple, _duplicate_triple, _conflicting_triple,
+             _identity_triple, _changed_result, _unknown_id, _bad_arrow,
+             _non_string_field, _non_dict_record]
+
+
+class TestImportOracle:
+    """import_olog and export_olog against the record-by-record oracles:
+    a mutated olog gives the same message, or re-exports the same bytes."""
+
+    @pytest.fixture(scope="class")
+    def sources(self, groups, tetrahedron):
+        tetra = build_phase_diagram(groups["s4"], subdivide(tetrahedron))
+        return {"orbit_s3": (build_orbit_category(groups["s3"]).category,
+                             None),
+                "orbit_d4": (build_orbit_category(groups["d4"]).category,
+                             None),
+                "tetra_phase": (tetra.category, tetra)}
+
+    @staticmethod
+    def outcome(import_, export, data):
+        try:
+            return olog_json(export(import_(data)))
+        except ValidationError as exc:
+            return f"error: {exc}"
+
+    def test_exports_equal_the_oracle(self, sources):
+        for name, (cat, phase) in sources.items():
+            assert export_olog(cat, phase) == bf_export_olog(cat, phase), \
+                name
+
+    def test_mutated_ologs(self, sources):
+        ologs = {name: export_olog(cat, phase)
+                 for name, (cat, phase) in sources.items()}
+        rng = random.Random("mutated ologs")
+        seen = []
+        for i in range(270):
+            name = rng.choice(sorted(ologs))
+            mutate = MUTATIONS[i % len(MUTATIONS)]
+            data = mutate(rng, ologs[name])
+            want = self.outcome(bf_import_olog, bf_export_olog, data)
+            got = self.outcome(import_olog, export_olog, data)
+            assert got == want, (i, name, mutate.__name__)
+            seen.append(want.split(" ")[1] if want.startswith("error")
+                        else "imported")
+        # every kind of outcome shows up
+        assert {"imported", "missing", "conflicting", "inconsistent",
+                "associativity", "composition", "identity", "arrow",
+                "duplicate"} <= set(seen)
 
 
 class TestAtomicWrite:

@@ -1,9 +1,14 @@
+import itertools
+import random
+
 import pytest
 
 import oracles
 from phasecat import (ValidationError, build_orbit_category,
-                      conjugacy_classes_of_subgroups, weyl_group)
-from phasecat.category import FiniteCategory
+                      build_phase_diagram, conjugacy_classes_of_subgroups,
+                      strata_category, subdivide, weyl_group)
+from phasecat import fixtures as fx
+from phasecat.category import FiniteCategory, Morphism, _LawColumns
 
 GROUP_NAMES = ["trivial", "c2", "c4", "s3", "d4", "a4", "s4"]
 
@@ -112,7 +117,7 @@ def _brute_force_law_violation(cat):
         if (table[(m, cat.identity[mor.src])] != m
                 or table[(cat.identity[mor.dst], m)] != m):
             return True
-    return _first_associativity_failure(cat) is not None
+    return oracles.bf_first_associativity_failure(cat) is not None
 
 
 class TestLawCheckRejects:
@@ -173,7 +178,7 @@ class TestLawCheckRejects:
                 table = dict(cat.compose_table)
                 table[key] = other
                 bad = _with_table(cat, table)
-                first = _first_associativity_failure(bad)
+                first = oracles.bf_first_associativity_failure(bad)
                 if first is None:
                     continue
                 named += 1
@@ -183,22 +188,6 @@ class TestLawCheckRejects:
                         % first):
                     bad.check_category_laws()
         assert named > 0
-
-
-def _first_associativity_failure(cat):
-    """The first (m3, m2, m1) that breaks associativity, scanning m1, then
-    m2, then m3 in index order."""
-    mors, table = cat.morphisms, cat.compose_table
-    for m1 in range(len(mors)):
-        for m2 in range(len(mors)):
-            if mors[m2].src != mors[m1].dst:
-                continue
-            for m3 in range(len(mors)):
-                if mors[m3].src == mors[m2].dst and \
-                        table[(m3, table[(m2, m1)])] \
-                        != table[(table[(m3, m2)], m1)]:
-                    return (m3, m2, m1)
-    return None
 
 
 def _element_order(oc, a, auts):
@@ -218,6 +207,179 @@ def _perm_order(w, i):
         cur = w.mul(i, cur)
         k += 1
     return k
+
+
+def _outcome(check, cat):
+    """True, or the message of the ValidationError that ``check`` raises."""
+    try:
+        return check(cat)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _first_failure_near(cat, key):
+    """The triple ``oracles.bf_first_associativity_failure`` names, for a
+    table that differs from an associative one only at ``key`` = (b, a).
+
+    A triple (m3, m2, m1) reads entry (b, a) only when m1 == a or
+    m3 == b, so every other triple holds as in the associative table.
+    Only the triples with m1 == a or m3 == b are scanned, in the same
+    order."""
+    b, a = key
+    mors, table = cat.morphisms, cat.compose_table
+    out = {}
+    for m, mor in enumerate(mors):
+        out.setdefault(mor.src, []).append(m)
+    for m1, mor in enumerate(mors):
+        for m2 in out.get(mor.dst, []):
+            x = table[(m2, m1)]
+            if m1 == a:
+                m3s = out.get(mors[m2].dst, [])
+            else:
+                m3s = [b] if mors[b].src == mors[m2].dst else []
+            for m3 in m3s:
+                if table[(m3, x)] != table[(table[(m3, m2)], m1)]:
+                    return (m3, m2, m1)
+    return None
+
+
+def _concrete_category(rng, sizes, generators):
+    """Objects are sets of the given sizes and morphisms the functions
+    that the identities and ``generators`` random functions give under
+    composition, in a shuffled order; associative by construction."""
+    ids = [(o, o, tuple(range(n))) for o, n in enumerate(sizes)]
+    reached = set(ids)
+    for _ in range(generators):
+        s, d = rng.randrange(len(sizes)), rng.randrange(len(sizes))
+        reached.add((s, d, tuple(rng.randrange(sizes[d])
+                                 for _ in range(sizes[s]))))
+    while True:
+        new = {(s1, d2, tuple(f2[i] for i in f1))
+               for s1, d1, f1 in reached for s2, d2, f2 in reached
+               if d1 == s2} - reached
+        if not new:
+            break
+        reached |= new
+    mors = sorted(reached)
+    rng.shuffle(mors)
+    index = {m: i for i, m in enumerate(mors)}
+    table = {(index[g], index[f]): index[(f[0], g[1],
+                                          tuple(g[2][i] for i in f[2]))]
+             for f in mors for g in mors if f[1] == g[0]}
+    return FiniteCategory([f"X{o}" for o in range(len(sizes))],
+                          [Morphism(s, d, str(f)) for s, d, f in mors],
+                          [index[e] for e in ids], table)
+
+
+def _randomized(rng, cat, mode):
+    """``cat`` as it is (mode 0), with one entry replaced by another
+    morphism of the same hom-set (mode 1), or with every entry that
+    involves no identity drawn at random from its hom-set (mode 2)."""
+    table = dict(cat.compose_table)
+    keys = list(table)
+    if mode == 2:
+        keys = [k for k in keys
+                if not (cat.is_identity(k[0]) or cat.is_identity(k[1]))]
+    elif mode == 1:
+        keys = [rng.choice(keys)]
+    else:
+        keys = []
+    for m2, m1 in keys:
+        table[(m2, m1)] = rng.choice(cat.hom(cat.morphisms[m1].src,
+                                             cat.morphisms[m2].dst))
+    return FiniteCategory(cat.objects, cat.morphisms, cat.identity, table)
+
+
+@pytest.fixture(scope="module")
+def tetra_phase(groups, tetrahedron):
+    return build_phase_diagram(groups["s4"], subdivide(tetrahedron))
+
+
+class TestLawCheckOracle:
+    """The law check gathers associativity only for generator middles
+    (Light's test); brute force over every pair and triple must agree on
+    pass or fail and on the first failing triple."""
+
+    def test_every_unital_table_on_three_elements(self):
+        morphisms = [Morphism(0, 0, "e"), Morphism(0, 0, "a"),
+                     Morphism(0, 0, "b")]
+        units = {**{(m, 0): m for m in range(3)},
+                 **{(0, m): m for m in range(3)}}
+        passed = 0
+        for values in itertools.product(range(3), repeat=4):
+            table = dict(units)
+            table.update(zip([(1, 1), (1, 2), (2, 1), (2, 2)], values))
+            cat = FiniteCategory(["pt"], morphisms, [0], table)
+            want = _outcome(oracles.bf_check_category_laws, cat)
+            assert _outcome(FiniteCategory.check_category_laws, cat) == want
+            passed += want is True
+        assert 0 < passed < 81
+
+    def test_seeded_small_tables(self):
+        rng = random.Random("law check tables")
+        passed = 0
+        for i in range(300):
+            if i % 2:
+                # one object with four morphisms, found by rejection
+                cat = _concrete_category(rng, [3], rng.randint(1, 3))
+                while len(cat.morphisms) != 4:
+                    cat = _concrete_category(rng, [3], rng.randint(1, 3))
+            else:
+                cat = _concrete_category(rng, [2, 2], rng.randint(2, 4))
+            cat = _randomized(rng, cat, i // 2 % 3)
+            want = _outcome(oracles.bf_check_category_laws, cat)
+            assert _outcome(FiniteCategory.check_category_laws, cat) \
+                == want, i
+            passed += want is True
+        assert 0 < passed < 300
+
+    @pytest.mark.parametrize("name,sample", [
+        ("d4", None), ("a4", None), ("tetra_phase", 300)])
+    def test_every_single_entry_substitution(self, name, sample, orbit_cats,
+                                             tetra_phase):
+        """Every entry replaced by every other morphism of its hom-set; on
+        tetra_phase, ``sample`` of its 29,888 such variants, drawn with a
+        fixed seed."""
+        cat = (tetra_phase.category if name == "tetra_phase"
+               else orbit_cats[name].category)
+        assert oracles.bf_first_associativity_failure(cat) is None
+        variants = [(key, other) for key, r in cat.compose_table.items()
+                    for other in cat.hom(cat.morphisms[key[1]].src,
+                                         cat.morphisms[key[0]].dst)
+                    if other != r]
+        if sample:
+            variants = random.Random(name).sample(variants, sample)
+        for i, (key, other) in enumerate(variants):
+            table = dict(cat.compose_table)
+            table[key] = other
+            bad = FiniteCategory(cat.objects, cat.morphisms, cat.identity,
+                                 table)
+            want = _outcome(lambda c: oracles.bf_check_category_laws(
+                c, lambda c: _first_failure_near(c, key)), bad)
+            if i % 50 == 0:  # the pruned scan against the full one
+                assert _outcome(oracles.bf_check_category_laws, bad) == want
+            assert _outcome(FiniteCategory.check_category_laws, bad) \
+                == want, (key, other)
+        assert len(variants) > 0
+
+    def test_generators_reach_every_morphism(self, orbit_cats, tetra_phase):
+        """Each picked generator lies outside the closure of the identities
+        and the generators before it; every other morphism lies inside."""
+        cats = {name: oc.category for name, oc in orbit_cats.items()}
+        cats["tetra_phase"] = tetra_phase.category
+        for name in sorted(fx.STRATIFIED):
+            cats[name] = strata_category(fx.load_stratified(name))
+        for name, cat in cats.items():
+            generators = _LawColumns(cat).generators()
+            reached = oracles.bf_composition_closure(cat, cat.identity)
+            for m in range(len(cat.morphisms)):
+                assert (m in generators) == (m not in reached), (name, m)
+                if m in generators:
+                    reached = oracles.bf_composition_closure(
+                        cat, reached | {m})
+            assert reached == set(range(len(cat.morphisms))), name
+            assert len(generators) < len(cat.morphisms) or \
+                len(cat.morphisms) == len(cat.objects), name
 
 
 class TestObjects:

@@ -427,7 +427,7 @@ class TestKeyedLookup:
                     assert mors[r].data == (i, c, k), name
 
     def test_duplicate_data_rejected(self):
-        from phasecat.category import Morphism, keyed_category
-        mors = [Morphism(0, 0, "id", "k"), Morphism(0, 0, "s", "k")]
+        from phasecat.category import keyed_category
+        mors = [(0, 0, "id", "k"), (0, 0, "s", "k")]
         with pytest.raises(ValidationError, match="distinct"):
-            keyed_category({0: "pt"}, mors, ["k"], lambda d2, d1: d1)
+            keyed_category({0: "pt"}, mors, ["k"], lambda pair: pair[1])
