@@ -1,22 +1,22 @@
-"""Finite categories with explicit hom-sets and composition tables.
+"""Finite categories whose composition table is stored as columns.
 
 This is the shared output shape for the orbit category, the phase diagram,
 stratified-set diagrams and imported ologs, each built by ``keyed_category``
-from records named by keys: objects by an ordered key -> label mapping, and
-morphisms by distinct ``data``, with ``src`` and ``dst`` given as object
-keys and stored as object positions (``FiniteCategory.find`` maps data back
-to a position).  The law check is exact on every table: totality and the
-units are checked entry by entry, and associativity only for middles drawn
-from a generating set (Light's test), which implies it for every middle.
-Every walk over composable pairs goes through a per-object index of
-morphisms by source or target, so its cost is the number of pairs, not M^2."""
+from objects named by key and morphisms named by their distinct ``data``
+(``FiniteCategory.find`` maps data back to a position).  The table is the
+data, in one form: ``columns[m2]`` holds m2 o m1 for each m1 into the
+source of m2, ascending, so every walk over composable pairs costs the
+number of pairs, not M^2.  The constructor checks each entry's place and
+endpoints; the law check then tests the units entry by entry, and
+associativity only for middles drawn from a generating set (Light's test),
+which implies it for every middle."""
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count
+from itertools import compress, count, repeat
 from operator import itemgetter
 from typing import Any
 
@@ -34,34 +34,27 @@ class Morphism:
     data: Any = None
 
 
-def by_endpoint(morphisms: list[Morphism], n_objects: int,
-                end: str) -> list[list[int]]:
-    """Morphism indices grouped by their ``end`` ("src" or "dst") object,
-    each list ascending."""
-    out: list[list[int]] = [[] for _ in range(n_objects)]
-    for i, m in enumerate(morphisms):
-        out[getattr(m, end)].append(i)
-    return out
-
-
 class FiniteCategory:
-    """Objects, morphisms, identities and a total composition table.
-
-    ``compose_table[(m2, m1)]`` is the index of m2 after m1, defined exactly
-    when ``morphisms[m1].dst == morphisms[m2].src``.
-    """
+    """Objects, morphisms, identities and a total composition table:
+    ``columns[m2][k]`` is m2 o ``into[src m2][k]``, and
+    ``position[m1]`` is m1's place in ``into[dst m1]``."""
 
     def __init__(self, objects: list[str], morphisms: list[Morphism],
-                 identity: list[int],
-                 compose_table: dict[tuple[int, int], int]):
+                 identity: list[int], columns: Iterable[Iterable[int]]):
         self.objects = list(objects)
         self.morphisms = list(morphisms)
         self.identity = list(identity)
-        self.compose_table = dict(compose_table)
-        self._hom: dict[tuple[int, int], list[int]] = {}
-        for i, m in enumerate(self.morphisms):
-            self._hom.setdefault((m.src, m.dst), []).append(i)
+        self.columns = list(map(tuple, columns))
+        self.into: list[list[int]] = [[] for _ in self.objects]
+        self.outgoing: list[list[int]] = [[] for _ in self.objects]
+        self.position = []
+        for m, mor in enumerate(self.morphisms):
+            self.position.append(len(self.into[mor.dst]))
+            self.into[mor.dst].append(m)
+            self.outgoing[mor.src].append(m)
         self._validate()
+        #: the columns read as a mapping ``(m2, m1) -> m2 o m1``
+        self.compose_table: Mapping[tuple[int, int], int] = _ColumnTable(self)
 
     @cached_property
     def _by_data(self) -> dict:
@@ -77,41 +70,54 @@ class FiniteCategory:
             if m.src != o or m.dst != o:
                 raise ValidationError(f"identity of object {o} has "
                                       f"endpoints ({m.src},{m.dst})")
+        columns = self.columns
         src = [m.src for m in self.morphisms]
         dst = [m.dst for m in self.morphisms]
-        for (m2, m1), r in self.compose_table.items():
-            if dst[m1] != src[m2] or src[r] != src[m1] or dst[r] != dst[m2]:
-                raise ValidationError(
-                    f"composition table entry ({m2},{m1})->{r} mismatched")
+        if len(columns) != len(src) or any(
+                len(c) > len(self.into[x]) for c, x in zip(columns, src)):
+            raise ValidationError("one composition column required per "
+                                  "morphism, no longer than its pairs")
+        # over m1, then m2: the brute-force law check's order
+        for m1, k in enumerate(self.position):
+            for m2 in self.outgoing[dst[m1]]:
+                r = columns[m2][k] if k < len(columns[m2]) else None
+                if r is None:
+                    raise ValidationError(f"missing composition ({m2},{m1})")
+                if not (type(r) is int and 0 <= r < len(src)
+                        and src[r] == src[m1] and dst[r] == dst[m2]):
+                    raise ValidationError(f"composition table entry "
+                                          f"({m2},{m1})->{r!r} mismatched")
 
     def find(self, data) -> int | None:
         """The index of the morphism carrying ``data``, or None."""
         return self._by_data.get(data)
 
     def hom(self, src: int, dst: int) -> list[int]:
-        return list(self._hom.get((src, dst), []))
+        return [m for m in self.outgoing[src] if self.morphisms[m].dst == dst]
 
     def compose(self, m2: int, m1: int) -> int:
-        if self.morphisms[m1].dst != self.morphisms[m2].src:
+        # a negative index would wrap around to the last morphism
+        if (m2 < 0 or m1 < 0
+                or self.morphisms[m1].dst != self.morphisms[m2].src):
             raise ValidationError(f"morphisms {m2} and {m1} not composable")
-        return self.compose_table[(m2, m1)]
+        return self.columns[m2][self.position[m1]]
 
     def is_identity(self, m: int) -> bool:
         return self.identity[self.morphisms[m].src] == m
 
     def aut_order(self, obj: int) -> int:
-        return len(self._hom.get((obj, obj), []))
+        return len(self.hom(obj, obj))
 
     def check_category_laws(self):
-        """Verify totality, units and associativity, exactly.
+        """Verify the units and associativity of the total table, exactly.
 
-        Each morphism m: x -> y gets its left-composition column, the
+        Each morphism m: x -> y has its left-composition column, the
         composites m o m1 over every m1 into x, and associativity for a
         middle m2 over all its m1 and m3 is one gather over the columns
-        (``_LawColumns.failures``).  The gathers run only for m2 in a
-        generating set (Light's associativity test; Clifford & Preston,
-        *The Algebraic Theory of Semigroups* I, 1.2).  That is exact once
-        the table is total with valid endpoints and the units hold.
+        (``_failures``).  The gathers run only for m2 in a generating set
+        (Light's associativity test; Clifford & Preston, *The Algebraic
+        Theory of Semigroups* I, 1.2).  That is exact once the table is
+        total with valid endpoints and the units hold.
 
         Call b *good* when (c o b) o a = c o (b o a) for every a into the
         source of b and every c out of its target.  An identity is good,
@@ -129,61 +135,28 @@ class FiniteCategory:
         every morphism.  Only when a generator fails do the gathers run
         over every middle, to name the first failing triple.
         """
-        laws = _LawColumns(self)
         for m, mor in enumerate(self.morphisms):
             if self.compose(m, self.identity[mor.src]) != m:
                 raise ValidationError(f"right unit fails at {m}")
             if self.compose(self.identity[mor.dst], m) != m:
                 raise ValidationError(f"left unit fails at {m}")
-        if next(laws.failures(laws.generators()), None) is not None:
+        if next(self._failures(self._generators()), None) is not None:
             # the least (m1, m2, m3) is the first in a scan over m1, then
             # m2, then m3 in index order
-            m1, m2, m3 = min(laws.failures(range(len(self.morphisms))))
+            m1, m2, m3 = min(self._failures(range(len(self.morphisms))))
             raise ValidationError(f"associativity fails on ({m3},{m2},{m1})")
         return True
 
-
-class _LawColumns:
-    """A category's composition table read by columns.
-
-    ``into[x]`` and ``outgoing[x]`` list the morphisms into and out of
-    object x, ascending; ``column[m]`` holds m o m1 for the m1 of
-    ``into[src m]`` in order, and ``position[m1]`` is m1's place in
-    ``into[dst m1]``.  Each entry is scattered to its place, which is
-    exact because the table was checked composable when the category was
-    built; a missing entry is named in (m1, m2) order."""
-
-    def __init__(self, cat: FiniteCategory):
-        self.cat = cat
-        n = len(cat.objects)
-        self.into = into = by_endpoint(cat.morphisms, n, "dst")
-        self.outgoing = by_endpoint(cat.morphisms, n, "src")
-        self.position = position = [0] * len(cat.morphisms)
-        for ms in into:
-            for k, m in enumerate(ms):
-                position[m] = k
-        table = cat.compose_table
-        column = [[None] * len(into[mor.src]) for mor in cat.morphisms]
-        for (m2, m1), r in table.items():
-            column[m2][position[m1]] = r
-        if len(table) != sum(map(len, column)):
-            for m1, a in enumerate(cat.morphisms):
-                for m2 in self.outgoing[a.dst]:
-                    if (m2, m1) not in table:
-                        raise ValidationError(
-                            f"missing composition ({m2},{m1})")
-        self.column = list(map(tuple, column))
-
-    def generators(self) -> list[int]:
+    def _generators(self) -> list[int]:
         """The morphisms, in index order, that the composition closure of
         the identities and the ones picked before does not reach.
 
         The closure is every word g o ... o g' o identity, grown by a
         search that composes each newly reached morphism after the
         picked generators out of its target, read from their columns."""
-        morphisms, column = self.cat.morphisms, self.column
+        morphisms, columns = self.morphisms, self.columns
         reached = [False] * len(morphisms)
-        for e in self.cat.identity:
+        for e in self.identity:
             reached[e] = True
         # the columns of the generators picked so far, by source
         picked_from: list[list[tuple]] = [[] for _ in self.into]
@@ -192,10 +165,10 @@ class _LawColumns:
             if reached[g]:
                 continue
             generators.append(g)
-            picked_from[mor.src].append(column[g])
+            picked_from[mor.src].append(columns[g])
             # g after every morphism reached so far, g itself included
-            stack = list(compress(column[g], map(reached.__getitem__,
-                                                 self.into[mor.src])))
+            stack = list(compress(columns[g], map(reached.__getitem__,
+                                                  self.into[mor.src])))
             while stack:
                 y = stack.pop()
                 if not reached[y]:
@@ -204,24 +177,24 @@ class _LawColumns:
                                      picked_from[morphisms[y].dst]))
         return generators
 
-    def failures(self, middles):
+    def _failures(self, middles):
         """For each m2 of ``middles`` and each m3 out of its target, the
         least m1 into its source with (m3 o m2) o m1 != m3 o (m2 o m1),
         as (m1, m2, m3).
 
         For one m2 all its triples are one gather: m3's column read at
         the positions of m2's column must equal the column of m3 o m2."""
-        column, position = self.column, self.position
+        columns, position = self.columns, self.position
         for m2 in middles:
-            at = [position[r] for r in column[m2]]
+            at = [position[r] for r in columns[m2]]
             # itemgetter of one index returns an item, not a 1-tuple
             gather = (itemgetter(*at) if len(at) > 1
                       else lambda col, k=at[0]: (col[k],))
-            b = self.cat.morphisms[m2]
+            b = self.morphisms[m2]
             m3s = self.outgoing[b.dst]
-            cols3 = list(map(column.__getitem__, m3s))
+            cols3 = list(map(columns.__getitem__, m3s))
             left = list(map(gather, cols3))
-            right = list(map(column.__getitem__,
+            right = list(map(columns.__getitem__,
                              map(itemgetter(position[m2]), cols3)))
             if left == right:
                 continue
@@ -231,6 +204,30 @@ class _LawColumns:
                     k = next(k for k, pair in enumerate(zip(got, want))
                              if pair[0] != pair[1])
                     yield m1s[k], m2, m3
+
+
+class _ColumnTable(Mapping):
+    """``compose_table``: the columns read as a mapping, iterated in
+    ascending (m2, m1); it stores nothing but the entry count."""
+
+    def __init__(self, cat: FiniteCategory):
+        self._cat = cat
+        self._len = sum(map(len, cat.columns))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, pair: tuple[int, int]) -> int:
+        (m2, m1), mors = pair, self._cat.morphisms
+        if (0 <= min(pair) <= max(pair) < len(mors)
+                and mors[m1].dst == mors[m2].src):
+            return self._cat.columns[m2][self._cat.position[m1]]
+        raise KeyError(pair)
+
+    def __iter__(self):
+        cat = self._cat
+        return ((m2, m1) for m2, b in enumerate(cat.morphisms)
+                for m1 in cat.into[b.src])
 
 
 def keyed_category(objects: Mapping[Hashable, str],
@@ -246,16 +243,17 @@ def keyed_category(objects: Mapping[Hashable, str],
     position = {key: o for o, key in enumerate(objects)}
     morphisms = [Morphism(position[s], position[d], label, data)
                  for s, d, label, data in morphisms]
-    data = [m.data for m in morphisms]
-    index = dict(zip(data, count()))
+    index = dict(zip((m.data for m in morphisms), count()))
     if len(index) != len(morphisms):
         raise ValidationError("morphism data must be distinct")
-    into = by_endpoint(morphisms, len(objects), "dst")
-    # filled in ascending (m2, m1), the order export_olog sorts it into
-    table = {(m2, m1): index[compose_on_data((b.data, data[m1]))]
-             for m2, b in enumerate(morphisms) for m1 in into[b.src]}
+    data_into: list[list] = [[] for _ in position]
+    for m in morphisms:
+        data_into[m.dst].append(m.data)
+    columns = [tuple(map(index.__getitem__, map(
+        compose_on_data, zip(repeat(b.data), data_into[b.src]))))
+        for b in morphisms]
     cat = FiniteCategory(list(objects.values()), morphisms,
-                         [index[k] for k in identity_keys], table)
+                         [index[k] for k in identity_keys], columns)
     cat._by_data = index
     return cat
 
@@ -334,11 +332,10 @@ def _find_morphism_map(A: FiniteCategory, B: FiniteCategory,
     nm = len(A.morphisms)
     mmap = [-1] * nm
     used = [False] * nm
-    # target candidates by (src, dst) under the object bijection
-    comp_a: dict[int, list[tuple[int, int]]] = {m: [] for m in range(nm)}
-    for (m2, m1), r in A.compose_table.items():
-        comp_a[m2].append((m2, m1))
-        comp_a[m1].append((m2, m1))
+    # the composable pairs (m2, m1) each morphism of A takes part in
+    comp_a = [[(m, m1) for m1 in A.into[a.src]]
+              + [(m2, m) for m2 in A.outgoing[a.dst]]
+              for m, a in enumerate(A.morphisms)]
 
     def assign(m: int, target: int, trail: list[int]) -> bool:
         """Set mmap[m] = target and propagate forced compositions."""
@@ -355,11 +352,9 @@ def _find_morphism_map(A: FiniteCategory, B: FiniteCategory,
         for (m2, m1) in comp_a[m]:
             if mmap[m2] < 0 or mmap[m1] < 0:
                 continue
-            r = A.compose_table[(m2, m1)]
-            rb = B.compose_table.get((mmap[m2], mmap[m1]))
-            if rb is None:
-                return False
-            if not assign(r, rb, trail):
+            # mmap keeps endpoints, so mmap[m2] o mmap[m1] is defined
+            if not assign(A.compose(m2, m1),
+                          B.compose(mmap[m2], mmap[m1]), trail):
                 return False
         return True
 

@@ -41,19 +41,17 @@ def export_dot(category: FiniteCategory,
 
     One node per object annotated with its automorphism count; one edge
     per non-identity, non-automorphism arrow.  Output is sorted and
-    byte-deterministic.
+    byte-deterministic, and labels are escaped.
     """
+    escapes = str.maketrans({"\\": "\\\\", '"': '\\"'})
     nodes = []
     for o in range(len(category.objects)):
         label = f"{category.objects[o]} |Aut|={category.aut_order(o)}"
-        nodes.append(f'  "o{o}" [label="{label}"];')
-    edges = []
-    for m, mor in enumerate(category.morphisms):
-        if mor.src == mor.dst:
-            continue
-        edges.append((mor.src, mor.dst, mor.label))
+        nodes.append(f'  "o{o}" [label="{label.translate(escapes)}"];')
+    edges = sorted((mor.src, mor.dst, mor.label.translate(escapes))
+                   for mor in category.morphisms if mor.src != mor.dst)
     edge_lines = [f'  "o{s}" -> "o{d}" [label="{lab}"];'
-                  for s, d, lab in sorted(edges)]
+                  for s, d, lab in edges]
     if not nodes:
         return "digraph phi0 { }\n"
     return "digraph phi0 {\n" + "\n".join(nodes + edge_lines) + "\n}\n"
@@ -65,7 +63,8 @@ def export_olog(category: FiniteCategory,
     triples over composable non-identity pairs.
 
     Each morphism gets one name, its arrow id or ``id:o<k>`` for the
-    identity of object k, and the triples are written from the names."""
+    identity of object k; a walk over the columns writes the triples in
+    ascending (m2, m1)."""
     identities = set(category.identity)
     name = []
     arrows = []
@@ -76,11 +75,11 @@ def export_olog(category: FiniteCategory,
         name.append(f"m{len(arrows)}")
         arrows.append({"id": name[m], "src": f"o{mor.src}",
                        "dst": f"o{mor.dst}", "label": mor.label})
-    table = category.compose_table
-    pairs = sorted([pair for pair in table if pair[0] not in identities
-                    and pair[1] not in identities])
-    compositions = [{"left": name[m2], "right": name[m1],
-                     "result": name[table[m2, m1]]} for m2, m1 in pairs]
+    compositions = [{"left": name[m2], "right": name[m1], "result": name[r]}
+                    for m2, column in enumerate(category.columns)
+                    if m2 not in identities for m1, r in zip(
+                        category.into[category.morphisms[m2].src], column)
+                    if m1 not in identities]
     return {"objects": _object_meta(category, phase),
             "arrows": arrows,
             "compositions": compositions}
@@ -112,7 +111,7 @@ def import_olog(data: dict) -> FiniteCategory:
     endpoints, unknown ids and inconsistent composition triples are
     rejected with the offending field or ids.
 
-    The table is filled from one dict of id pairs: the listed triples,
+    The columns are filled from one dict of id pairs: the listed triples,
     then the unit laws, which decide every pair with an identity.
     """
     from .category import keyed_category

@@ -78,11 +78,11 @@ def _build_phase(orbit: OrbitCategory, presheaf: FixPresheaf):
                 f"{orbit.category.morphisms[m].label}@c{c1}", (m, c1)))
 
     base = orbit.category
-    base_table = base.compose_table
+    columns, position = base.columns, base.position
 
     def compose(pair: tuple) -> tuple:
         (m2, c2), (m1, _) = pair
-        return (base_table[(m2, m1)], c2)
+        return (columns[m2][position[m1]], c2)
 
     cat = keyed_category(
         {o: o.label for o in objects}, morphisms,

@@ -165,6 +165,44 @@ def bf_olog_json(data):
 
 # -- category laws and olog I/O ---------------------------------------------
 
+def table_category(objects, morphisms, identity, table):
+    """The ``FiniteCategory`` whose composition columns are read from a
+    dict ``table`` of ``(m2, m1) -> m2 o m1``; a composable pair absent
+    from it becomes a ``None`` entry, which the constructor names."""
+    from phasecat.category import FiniteCategory
+    into = {}
+    for m, mor in enumerate(morphisms):
+        into.setdefault(mor.dst, []).append(m)
+    columns = [[table.get((m2, m1)) for m1 in into.get(b.src, [])]
+               for m2, b in enumerate(morphisms)]
+    return FiniteCategory(objects, morphisms, identity, columns)
+
+
+def gaussian_binomial_2(n, r):
+    """[n, r]_2: the number of r-dimensional subspaces of F_2^n."""
+    num = den = 1
+    for i in range(r):
+        num *= 2 ** (n - i) - 1
+        den *= 2 ** (i + 1) - 1
+    return num // den
+
+
+def c2k_orbit_sizes(k):
+    """(morphisms, composable pairs) of the orbit category of C2^k, in
+    closed form.  Its objects are the subgroups, [k, e]_2 of dimension e;
+    Hom(G/H, G/K) has |G/K| = 2^(k - dim K) elements when H <= K and none
+    otherwise.  So an object of dimension e has in(e) = 2^(k-e) sum_d
+    [e, d]_2 morphisms into it and out(e) = sum_f [k-e, f-e]_2 2^(k-f)
+    out of it, and the pairs number sum_y in(y) out(y)."""
+    g = gaussian_binomial_2
+    into = [2 ** (k - e) * sum(g(e, d) for d in range(e + 1))
+            for e in range(k + 1)]
+    out = [sum(g(k - e, f - e) * 2 ** (k - f) for f in range(e, k + 1))
+           for e in range(k + 1)]
+    return (sum(g(k, e) * into[e] for e in range(k + 1)),
+            sum(g(k, e) * into[e] * out[e] for e in range(k + 1)))
+
+
 def bf_first_associativity_failure(cat):
     """The first (m3, m2, m1) that breaks associativity, scanning m1, then
     m2, then m3 in index order over the composable triples."""
@@ -269,7 +307,7 @@ def bf_import_olog(data):
     its own, the table is filled by a unit-first composition over every
     composable pair, and the laws are checked by brute force."""
     from phasecat import ValidationError
-    from phasecat.category import FiniteCategory, Morphism
+    from phasecat.category import Morphism
     records = _bf_records(data, "objects", ("id",))
     arrows = _bf_records(data, "arrows", ("id", "src", "dst"))
     compositions = _bf_records(data, "compositions",
@@ -326,7 +364,7 @@ def bf_import_olog(data):
     int_table = {(m2, m1): index[compose(b.data, a.data)]
                  for m2, b in enumerate(mors)
                  for m1, a in enumerate(mors) if a.dst == b.src}
-    cat = FiniteCategory(list(objects.values()), mors,
+    cat = table_category(list(objects.values()), mors,
                          [index[k] for k in identity_keys], int_table)
     bf_check_category_laws(cat)
     return cat

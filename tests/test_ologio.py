@@ -1,16 +1,18 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
-from oracles import bf_export_olog, bf_import_olog, bf_olog_json
+from oracles import (bf_export_olog, bf_import_olog, bf_olog_json,
+                     table_category)
 from phasecat import (ValidationError, atomic_write, build_orbit_category,
                       build_phase_diagram, category_isomorphic, export_dot,
                       export_olog, import_olog, olog_json, strata_category,
                       subdivide)
 from phasecat import fixtures as fx
-from phasecat.category import FiniteCategory, Morphism
+from phasecat.category import Morphism
 from phasecat.cli import main
 
 
@@ -18,7 +20,7 @@ def one_object_monoid():
     """Single object with one non-identity involution."""
     morphisms = [Morphism(0, 0, "id"), Morphism(0, 0, "s")]
     table = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
-    return FiniteCategory(["pt"], morphisms, [0], table)
+    return table_category(["pt"], morphisms, [0], table)
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +30,7 @@ def reflection_phase(c2, square_reflection):
 
 class TestExportDot:
     def test_empty_category(self):
-        empty = FiniteCategory([], [], [], {})
+        empty = table_category([], [], [], {})
         assert export_dot(empty) == "digraph phi0 { }\n"
 
     def test_byte_determinism(self, s3, reflection_phase):
@@ -62,6 +64,22 @@ class TestExportDot:
         dot = export_dot(build_orbit_category(s3).category)
         edge_lines = [l for l in dot.splitlines() if "->" in l]
         assert edge_lines == sorted(edge_lines)
+
+    def test_labels_escaped(self):
+        """Each ``label="..."`` read back (a backslash escapes the next
+        character) is the category's label."""
+        cat = import_olog({
+            "objects": [{"id": "o0", "label": 'x"y'},
+                        {"id": "o1", "label": "back\\slash\\"}],
+            "arrows": [{"id": "m0", "src": "o0", "dst": "o1",
+                        "label": 'a"; b'},
+                       {"id": "m1", "src": "o0", "dst": "o1",
+                        "label": '\\"];'}],
+            "compositions": []})
+        dot = export_dot(cat)
+        quoted = re.findall(r'label="((?:[^"\\]|\\.)*)"\];$', dot, re.M)
+        assert [re.sub(r"\\(.)", r"\1", q) for q in quoted] == [
+            'x"y |Aut|=1', "back\\slash\\ |Aut|=1", '\\"];', 'a"; b']
 
 
 class TestExportOlog:

@@ -6,9 +6,11 @@ import pytest
 import oracles
 from phasecat import (ValidationError, build_orbit_category,
                       build_phase_diagram, conjugacy_classes_of_subgroups,
-                      strata_category, subdivide, weyl_group)
+                      export_olog, import_olog, strata_category, subdivide,
+                      weyl_group)
 from phasecat import fixtures as fx
-from phasecat.category import FiniteCategory, Morphism, _LawColumns
+from phasecat.category import FiniteCategory, Morphism
+from phasecat.permgroup import closure
 
 GROUP_NAMES = ["trivial", "c2", "c4", "s3", "d4", "a4", "s4"]
 
@@ -106,7 +108,8 @@ class TestComposition:
 
 
 def _with_table(cat, table):
-    return FiniteCategory(cat.objects, cat.morphisms, cat.identity, table)
+    return oracles.table_category(cat.objects, cat.morphisms, cat.identity,
+                                  table)
 
 
 def _brute_force_law_violation(cat):
@@ -266,9 +269,10 @@ def _concrete_category(rng, sizes, generators):
     table = {(index[g], index[f]): index[(f[0], g[1],
                                           tuple(g[2][i] for i in f[2]))]
              for f in mors for g in mors if f[1] == g[0]}
-    return FiniteCategory([f"X{o}" for o in range(len(sizes))],
-                          [Morphism(s, d, str(f)) for s, d, f in mors],
-                          [index[e] for e in ids], table)
+    return oracles.table_category(
+        [f"X{o}" for o in range(len(sizes))],
+        [Morphism(s, d, str(f)) for s, d, f in mors],
+        [index[e] for e in ids], table)
 
 
 def _randomized(rng, cat, mode):
@@ -287,7 +291,7 @@ def _randomized(rng, cat, mode):
     for m2, m1 in keys:
         table[(m2, m1)] = rng.choice(cat.hom(cat.morphisms[m1].src,
                                              cat.morphisms[m2].dst))
-    return FiniteCategory(cat.objects, cat.morphisms, cat.identity, table)
+    return _with_table(cat, table)
 
 
 @pytest.fixture(scope="module")
@@ -309,7 +313,7 @@ class TestLawCheckOracle:
         for values in itertools.product(range(3), repeat=4):
             table = dict(units)
             table.update(zip([(1, 1), (1, 2), (2, 1), (2, 2)], values))
-            cat = FiniteCategory(["pt"], morphisms, [0], table)
+            cat = oracles.table_category(["pt"], morphisms, [0], table)
             want = _outcome(oracles.bf_check_category_laws, cat)
             assert _outcome(FiniteCategory.check_category_laws, cat) == want
             passed += want is True
@@ -352,8 +356,7 @@ class TestLawCheckOracle:
         for i, (key, other) in enumerate(variants):
             table = dict(cat.compose_table)
             table[key] = other
-            bad = FiniteCategory(cat.objects, cat.morphisms, cat.identity,
-                                 table)
+            bad = _with_table(cat, table)
             want = _outcome(lambda c: oracles.bf_check_category_laws(
                 c, lambda c: _first_failure_near(c, key)), bad)
             if i % 50 == 0:  # the pruned scan against the full one
@@ -370,7 +373,7 @@ class TestLawCheckOracle:
         for name in sorted(fx.STRATIFIED):
             cats[name] = strata_category(fx.load_stratified(name))
         for name, cat in cats.items():
-            generators = _LawColumns(cat).generators()
+            generators = cat._generators()
             reached = oracles.bf_composition_closure(cat, cat.identity)
             for m in range(len(cat.morphisms)):
                 assert (m in generators) == (m not in reached), (name, m)
@@ -400,3 +403,154 @@ class TestObjects:
 
     def test_s3_has_four_objects(self, orbit_cats):
         assert len(orbit_cats["s3"].category.objects) == 4
+
+
+def _c2k(k):
+    """C2^k acting on 2k points, one swap of (2i, 2i+1) per factor."""
+    return closure(2 * k, [[j ^ 1 if j // 2 == i else j
+                            for j in range(2 * k)] for i in range(k)])
+
+
+class TestSizeOracle:
+    """The orbit category of C2^k against Gaussian binomials."""
+
+    @pytest.mark.parametrize("k,want", [
+        (1, (4, 8)), (2, (21, 85)), (3, (150, 1250)), (4, (1503, 26359))])
+    def test_elementary_abelian(self, k, want):
+        assert oracles.c2k_orbit_sizes(k) == want
+        cat = build_orbit_category(_c2k(k)).category
+        assert (len(cat.morphisms), len(cat.compose_table)) == want
+
+    def test_unbuilt_sizes(self):
+        assert oracles.c2k_orbit_sizes(5)[1] == 821_132
+        assert oracles.c2k_orbit_sizes(6)[1] == 38_729_665
+
+
+def _every_category(orbit_cats, tetra_phase):
+    """Every bundled orbit category, tetra_phase, the strata categories
+    and an imported olog."""
+    cats = {name: oc.category for name, oc in orbit_cats.items()}
+    cats["tetra_phase"] = tetra_phase.category
+    for name in sorted(fx.STRATIFIED):
+        cats[name] = strata_category(fx.load_stratified(name))
+    cats["imported_d4"] = import_olog(export_olog(orbit_cats["d4"].category))
+    return cats
+
+
+class TestColumnTable:
+    """``compose_table`` reads the columns as a mapping, and the
+    constructor names the first bad entry."""
+
+    def test_view_is_the_brute_force_table(self, orbit_cats, tetra_phase):
+        for name, cat in _every_category(orbit_cats, tetra_phase).items():
+            mors = cat.morphisms
+            want = {(m2, m1): cat.compose(m2, m1)
+                    for m1, a in enumerate(mors)
+                    for m2, b in enumerate(mors) if a.dst == b.src}
+            table = cat.compose_table
+            assert dict(table) == want == dict(table.items()), name
+            assert list(table) == sorted(want), name
+            inn = [sum(m.dst == y for m in mors)
+                   for y in range(len(cat.objects))]
+            out = [sum(m.src == y for m in mors)
+                   for y in range(len(cat.objects))]
+            assert len(table) == sum(map(int.__mul__, inn, out)), name
+
+    def test_view_refuses_other_pairs(self, orbit_cats):
+        cat = orbit_cats["s3"].category
+        table, n = cat.compose_table, len(cat.morphisms)
+        pairs = [(m2, m1) for m2 in range(-1, n + 1)
+                 for m1 in range(-1, n + 1)]
+        for pair in pairs:
+            defined = (0 <= min(pair) and max(pair) < n
+                       and cat.morphisms[pair[1]].dst
+                       == cat.morphisms[pair[0]].src)
+            assert (pair in table) == defined, pair
+            if not defined:
+                with pytest.raises(KeyError):
+                    table[pair]
+                if max(pair) < n:
+                    with pytest.raises(ValidationError,
+                                       match="not composable"):
+                        cat.compose(*pair)
+
+    shape_error = ("one composition column required per morphism, "
+                   "no longer than its pairs")
+
+    @staticmethod
+    def columns_of(cat):
+        return [list(column) for column in cat.columns]
+
+    def rebuilt(self, cat, columns):
+        return FiniteCategory(cat.objects, cat.morphisms, cat.identity,
+                              columns)
+
+    def test_rebuilt_from_its_columns(self, orbit_cats, tetra_phase):
+        for name, cat in _every_category(orbit_cats, tetra_phase).items():
+            again = self.rebuilt(cat, cat.columns)
+            assert again.compose_table == cat.compose_table, name
+            assert again.check_category_laws()
+
+    def raises(self, cat, columns) -> str:
+        with pytest.raises(ValidationError) as exc:
+            self.rebuilt(cat, columns)
+        return str(exc.value)
+
+    def test_bad_entries_named(self, orbit_cats):
+        cat = orbit_cats["s3"].category
+        n = len(cat.morphisms)
+        ends = [(m.src, m.dst) for m in cat.morphisms]
+        checked = 0
+        for m2, column in enumerate(cat.columns):
+            for k, r in enumerate(column):
+                m1 = cat.into[ends[m2][0]][k]
+                wrong = next(o for o in range(n) if ends[o] != ends[r])
+                entry = f"composition table entry ({m2},{m1})"
+                for value, message in (
+                        (None, f"missing composition ({m2},{m1})"),
+                        (-1, f"{entry}->-1 mismatched"),
+                        (n, f"{entry}->{n} mismatched"),
+                        ("0", f"{entry}->'0' mismatched"),
+                        (wrong, f"{entry}->{wrong} mismatched")):
+                    columns = self.columns_of(cat)
+                    columns[m2][k] = value
+                    assert self.raises(cat, columns) == message
+                    checked += 1
+        assert checked == 5 * len(cat.compose_table)
+
+    def test_short_and_long_columns(self, orbit_cats):
+        cat = orbit_cats["s3"].category
+        for m2, column in enumerate(cat.columns):
+            m1 = cat.into[cat.morphisms[m2].src][-1]
+            columns = self.columns_of(cat)
+            columns[m2].pop()
+            assert self.raises(cat, columns) \
+                == f"missing composition ({m2},{m1})"
+            columns[m2] += [column[-1], column[-1]]
+            assert self.raises(cat, columns) == self.shape_error
+
+    def test_missing_pairs_named_in_scan_order(self, orbit_cats):
+        """Of several absent pairs, the one the brute-force law check
+        names first."""
+        from types import SimpleNamespace
+        rng = random.Random("missing pairs")
+        for name in ("s3", "d4", "a4"):
+            cat = orbit_cats[name].category
+            keys = list(cat.compose_table)
+            for _ in range(40):
+                table = dict(cat.compose_table)
+                for key in rng.sample(keys, rng.randint(2, 5)):
+                    del table[key]
+                with pytest.raises(ValidationError) as want:
+                    oracles.bf_check_category_laws(SimpleNamespace(
+                        morphisms=cat.morphisms, identity=cat.identity,
+                        compose_table=table))
+                with pytest.raises(ValidationError) as got:
+                    oracles.table_category(cat.objects, cat.morphisms,
+                                           cat.identity, table)
+                assert str(got.value) == str(want.value)
+
+    def test_one_column_per_morphism(self, orbit_cats):
+        cat = orbit_cats["s3"].category
+        assert self.raises(cat, cat.columns[:-1]) == self.shape_error
+        assert self.raises(cat, cat.columns + [()]) == self.shape_error

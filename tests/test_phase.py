@@ -366,13 +366,14 @@ class TestCategoryIsomorphic:
                 == w.morphism_map[r]
 
     def test_size_guard(self):
-        from phasecat.category import FiniteCategory, Morphism
+        from oracles import table_category
+        from phasecat.category import Morphism
         n = 65
         objs = [f"o{i}" for i in range(n)]
         mors = [Morphism(i, i, f"id{i}") for i in range(n)]
         table = {(i, i): i for i in range(n)}
-        cat = FiniteCategory(objs, mors, list(range(n)), table)
-        small = FiniteCategory(objs[:1], mors[:1], [0], {(0, 0): 0})
+        cat = table_category(objs, mors, list(range(n)), table)
+        small = table_category(objs[:1], mors[:1], [0], {(0, 0): 0})
         for a, b in ((cat, cat), (small, cat), (cat, small)):
             with pytest.raises(CapExceededError,
                                match=r"over 65 objects exceeds "
