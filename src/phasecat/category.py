@@ -14,24 +14,26 @@ which implies it for every middle."""
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Mapping
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count, repeat
 from operator import itemgetter
 from typing import Any
 
-from .errors import CapExceededError, ValidationError
+from .errors import CapExceededError, Frozen, ValidationError
 
 #: categoryIsomorphic refuses categories bigger than this.
 ISO_OBJECT_GUARD = 64
 
 
-@dataclass(frozen=True)
-class Morphism:
-    src: Hashable
-    dst: Hashable
-    label: str
-    data: Any = None
+class Morphism(Frozen):
+    __slots__ = _fields = ("src", "dst", "label", "data")
+
+    def __init__(self, src: Hashable, dst: Hashable, label: str,
+                 data: Any = None):
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "data", data)
 
 
 class FiniteCategory:
@@ -258,11 +260,13 @@ def keyed_category(objects: Mapping[Hashable, str],
     return cat
 
 
-@dataclass
 class IsoWitness:
     """A category isomorphism: bijections on objects and on morphisms."""
-    object_map: list[int]
-    morphism_map: list[int]
+    __slots__ = ("object_map", "morphism_map")
+
+    def __init__(self, object_map: list[int], morphism_map: list[int]):
+        self.object_map = object_map
+        self.morphism_map = morphism_map
 
 
 def category_isomorphic(A: FiniteCategory,

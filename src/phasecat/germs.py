@@ -10,11 +10,10 @@ rationals written p/q.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import CapExceededError, ValidationError
+from .errors import CapExceededError, Frozen, ValidationError
 
 MAX_VARIABLES = 3
 #: Largest exponent times base degree a power may have (a constant base
@@ -24,19 +23,18 @@ DEGREE_CAP = 200
 VAR_NAMES = ("x", "y", "z")
 
 
-@dataclass(frozen=True)
-class PolyGerm:
-    variable_count: int
-    terms: tuple[tuple[tuple[int, ...], Fraction], ...]
+class PolyGerm(Frozen):
+    __slots__ = _fields = ("variable_count", "terms")
 
-    def __post_init__(self):
-        if not 1 <= self.variable_count <= MAX_VARIABLES:
+    def __init__(self, variable_count: int,
+                 terms: tuple[tuple[tuple[int, ...], Fraction], ...]):
+        if not 1 <= variable_count <= MAX_VARIABLES:
             raise ValidationError(
                 f"variable count must be 1..{MAX_VARIABLES}")
         canon = {}
-        for exps, coeff in self.terms:
+        for exps, coeff in terms:
             exps = tuple(map(int, exps))
-            if len(exps) != self.variable_count:
+            if len(exps) != variable_count:
                 raise ValidationError("exponent tuple length mismatch")
             if min(exps) < 0:
                 raise ValidationError("negative exponent")
@@ -45,10 +43,11 @@ class PolyGerm:
                 coeff = Fraction(coeff)
             canon[exps] = canon[exps] + coeff if exps in canon else coeff
         canon = {e: canon[e] for e in sorted(canon) if canon[e]}
-        zero = (0,) * self.variable_count
+        zero = (0,) * variable_count
         if zero in canon:
             raise ValidationError("nonzero constant term: not a germ "
                                   "vanishing at 0")
+        object.__setattr__(self, "variable_count", variable_count)
         object.__setattr__(self, "terms", tuple(canon.items()))
 
     @property

@@ -18,7 +18,6 @@ agree.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import ValidationError
@@ -175,7 +174,6 @@ def orbit_of(X: GComplex, vertex: int) -> frozenset[int]:
                      for g in range(X.group.order))
 
 
-@dataclass
 class FixPresheaf:
     """pi_0 of the fixed-point functor over the subgroup classes.
 
@@ -183,13 +181,16 @@ class FixPresheaf:
     representative H_c; component ids are positions in that list, and
     ``vertex_component[c]`` maps each vertex of Fix(H_c) to its id.
     """
-    X: GComplex
-    classes: list[SubgroupClass]
-    fixed: list[frozenset[Simplex]]
-    comps: list[list[tuple[int, ...]]]
+    __slots__ = ("X", "classes", "fixed", "comps", "vertex_component")
 
-    def __post_init__(self):
-        self.vertex_component = [component_index(c) for c in self.comps]
+    def __init__(self, X: GComplex, classes: list[SubgroupClass],
+                 fixed: list[frozenset[Simplex]],
+                 comps: list[list[tuple[int, ...]]]):
+        self.X = X
+        self.classes = classes
+        self.fixed = fixed
+        self.comps = comps
+        self.vertex_component = [component_index(c) for c in comps]
 
     def component_of_vertex(self, class_index: int, vertex: int) -> int:
         try:

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
-from .errors import CapExceededError, ValidationError
+from .errors import CapExceededError, Frozen, ValidationError
 
 PROB_TOL = 1e-12
 # doubling a positive float overflows within 2098 steps (2^-1074 to
@@ -32,13 +31,12 @@ BRACKET_CAP = 2100
 NEWTON_CAP = 4400
 
 
-@dataclass(frozen=True)
-class DiscreteObservable:
+class DiscreteObservable(Frozen):
     """A finite distribution of (value, probability) outcomes."""
-    outcomes: tuple[tuple[float, float], ...]
+    __slots__ = _fields = ("outcomes",)
 
-    def __post_init__(self):
-        outcomes = tuple((float(v), float(p)) for v, p in self.outcomes)
+    def __init__(self, outcomes: tuple[tuple[float, float], ...]):
+        outcomes = tuple((float(v), float(p)) for v, p in outcomes)
         object.__setattr__(self, "outcomes", outcomes)
         # NaN passes every comparison below, so check finiteness first
         if not all(math.isfinite(v) and math.isfinite(p)
@@ -213,10 +211,12 @@ def binary_entropy(x: float) -> float:
     return -x * math.log(x) - (1.0 - x) * math.log(1.0 - x)
 
 
-@dataclass
 class RateProfile:
     """An observable bundled with its CGF, conjugate and Cramer function."""
-    observable: DiscreteObservable
+    __slots__ = ("observable",)
+
+    def __init__(self, observable: DiscreteObservable):
+        self.observable = observable
 
     def cgf(self, theta: float) -> float:
         return cgf(self.observable, theta)

@@ -10,7 +10,6 @@ subconjugacy covering relation with the dimension lost along it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratmat
@@ -73,7 +72,6 @@ def fix_subspace(action: LinearAction, H: Subgroup) -> list[Vec]:
                         action.dimension)
 
 
-@dataclass
 class RelativeNormal:
     """Complement of the higher fixed subspace inside the lower one.
 
@@ -82,9 +80,13 @@ class RelativeNormal:
     K meeting the normalizer of H0 (the part of the gained symmetry that
     acts on Fix(H0)) to its matrix in ``basis`` coordinates.
     """
-    basis: list[Vec]
-    acting_subgroup: Subgroup
-    restricted: dict[int, Mat]
+    __slots__ = ("basis", "acting_subgroup", "restricted")
+
+    def __init__(self, basis: list[Vec], acting_subgroup: Subgroup,
+                 restricted: dict[int, Mat]):
+        self.basis = basis
+        self.acting_subgroup = acting_subgroup
+        self.restricted = restricted
 
     @property
     def dimension(self) -> int:
@@ -141,25 +143,33 @@ def _relative_normal(action: LinearAction, fix0: list[Vec], H0: Subgroup,
     return RelativeNormal(basis, acting, restricted)
 
 
-@dataclass
 class QuiverNode:
-    subgroup_class: SubgroupClass
-    fix_dimension: int
-    fix_basis: list[Vec]
+    __slots__ = ("subgroup_class", "fix_dimension", "fix_basis")
+
+    def __init__(self, subgroup_class: SubgroupClass, fix_dimension: int,
+                 fix_basis: list[Vec]):
+        self.subgroup_class = subgroup_class
+        self.fix_dimension = fix_dimension
+        self.fix_basis = fix_basis
 
 
-@dataclass
 class QuiverArrow:
-    source: int
-    target: int
-    witness: int
-    normal: RelativeNormal
+    __slots__ = ("source", "target", "witness", "normal")
+
+    def __init__(self, source: int, target: int, witness: int,
+                 normal: RelativeNormal):
+        self.source = source
+        self.target = target
+        self.witness = witness
+        self.normal = normal
 
 
-@dataclass
 class DegeneracyQuiver:
-    nodes: list[QuiverNode]
-    arrows: list[QuiverArrow]
+    __slots__ = ("nodes", "arrows")
+
+    def __init__(self, nodes: list[QuiverNode], arrows: list[QuiverArrow]):
+        self.nodes = nodes
+        self.arrows = arrows
 
 
 def subconjugacy_covers(G: FiniteGroup,

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import CapExceededError, ValidationError
+from .errors import CapExceededError, Frozen, ValidationError
 
 Perm = tuple[int, ...]
 
@@ -26,6 +25,9 @@ Perm = tuple[int, ...]
 ORDER_CAP = 1024
 #: Orders above this trigger a runtime warning but still run.
 ORDER_WARN = 200
+#: Hard cap on the number of points acted on, checked before a permutation
+#: of that length is built; a Weyl group acts on up to ORDER_CAP cosets.
+DEGREE_CAP = 4 * ORDER_CAP
 
 
 def identity_perm(degree: int) -> Perm:
@@ -49,8 +51,17 @@ def check_perm(images, degree: int) -> Perm:
     return images
 
 
+def _check_degree(degree: int) -> None:
+    if degree <= 0:
+        raise ValidationError("degree must be positive")
+    if degree > DEGREE_CAP:
+        raise CapExceededError(
+            f"degree {degree} exceeds DEGREE_CAP={DEGREE_CAP}")
+
+
 def parse_cycles(text: str, degree: int) -> list[int]:
     """Convert cycle notation like "(0 1)(2 3)" to an image array."""
+    _check_degree(degree)
     if not re.fullmatch(r"[\s,]*(\([\d\s,]*\)[\s,]*)*", text):
         raise ValidationError(f"malformed cycle notation: {text!r}")
     images = list(range(degree))
@@ -74,8 +85,7 @@ class FiniteGroup:
     """
 
     def __init__(self, degree: int, generators, _elements=None):
-        if degree <= 0:
-            raise ValidationError("degree must be positive")
+        _check_degree(degree)
         self.degree = degree
         self.generators: tuple[Perm, ...] = tuple(
             check_perm(g, degree) for g in generators)
@@ -206,14 +216,13 @@ def extend_generators(G: FiniteGroup, images, mul, one) -> tuple:
     return tuple(out[i] for i in range(G.order))
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Frozen):
     """A subgroup of ``parent``, stored as a sorted element-index tuple."""
-    parent: FiniteGroup
-    members: tuple[int, ...]
+    _fields = ("parent", "members")
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(sorted(self.members)))
+    def __init__(self, parent: FiniteGroup, members: tuple[int, ...]):
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "members", tuple(sorted(members)))
 
     @property
     def order(self) -> int:
@@ -324,12 +333,16 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     return subs
 
 
-@dataclass(frozen=True)
-class SubgroupClass:
+class SubgroupClass(Frozen):
     """A conjugacy class of subgroups with a canonical representative."""
-    representative: Subgroup
-    orbit_of_subgroups: tuple[Subgroup, ...]
-    class_index: int
+    __slots__ = _fields = ("representative", "orbit_of_subgroups",
+                           "class_index")
+
+    def __init__(self, representative: Subgroup,
+                 orbit_of_subgroups: tuple[Subgroup, ...], class_index: int):
+        object.__setattr__(self, "representative", representative)
+        object.__setattr__(self, "orbit_of_subgroups", orbit_of_subgroups)
+        object.__setattr__(self, "class_index", class_index)
 
     @property
     def order(self) -> int:

@@ -12,7 +12,6 @@ symmetry-breaking reading of degenerations.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .category import FiniteCategory, keyed_category
@@ -102,7 +101,6 @@ def build_phase_diagram(G: FiniteGroup, X: GComplex,
     return PhaseCategory(orbit, presheaf)
 
 
-@dataclass
 class QuotientFunctor:
     """The functor [X/G] -> Phi_0[X/G] generalizing X -> pi_0 X.
 
@@ -110,9 +108,13 @@ class QuotientFunctor:
     ``arrow_image(g, v)`` is the phase morphism that the groupoid arrow
     g: v -> gv maps to.
     """
-    phase: PhaseCategory
-    vertex_object: list[int]
-    _conjugator: list[int]
+    __slots__ = ("phase", "vertex_object", "_conjugator")
+
+    def __init__(self, phase: PhaseCategory, vertex_object: list[int],
+                 _conjugator: list[int]):
+        self.phase = phase
+        self.vertex_object = vertex_object
+        self._conjugator = _conjugator
 
     def arrow_image(self, g: int, v: int) -> int:
         X = self.phase.presheaf.X
@@ -162,12 +164,15 @@ def quotient_functor(phase: PhaseCategory) -> QuotientFunctor:
     return QuotientFunctor(phase, vertex_object, conjugator)
 
 
-@dataclass
 class ForgetfulFunctor:
     """Phi_0[X/G] -> O_0(G): strips the component coordinate."""
-    phase: PhaseCategory
-    object_map: list[int]
-    morphism_map: list[int]
+    __slots__ = ("phase", "object_map", "morphism_map")
+
+    def __init__(self, phase: PhaseCategory, object_map: list[int],
+                 morphism_map: list[int]):
+        self.phase = phase
+        self.object_map = object_map
+        self.morphism_map = morphism_map
 
 
 def forgetful_functor(phase: PhaseCategory) -> ForgetfulFunctor:

@@ -22,11 +22,11 @@ rationals agree with the complex ones for the linear algebra performed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import CapExceededError, PhasecatError, ValidationError
+from .errors import (CapExceededError, Frozen, PhasecatError,
+                     ValidationError)
 from .germs import VAR_NAMES, PolyGerm, parse_germ
 
 TRUNCATION_CAP = 40
@@ -36,14 +36,13 @@ class NonIsolated(PhasecatError):
     """The critical locus of the germ has positive dimension at 0."""
 
 
-@dataclass(frozen=True)
-class QuasihomogeneousGerm:
+class QuasihomogeneousGerm(Frozen):
     """A germ together with rational weights giving every term degree 1."""
-    germ: PolyGerm
-    weights: tuple[Fraction, ...]
+    __slots__ = _fields = ("germ", "weights")
 
-    def __post_init__(self):
-        weights = tuple(Fraction(w) for w in self.weights)
+    def __init__(self, germ: PolyGerm, weights: tuple[Fraction, ...]):
+        weights = tuple(Fraction(w) for w in weights)
+        object.__setattr__(self, "germ", germ)
         object.__setattr__(self, "weights", weights)
         if len(weights) != self.germ.variable_count:
             raise ValidationError("one weight per variable required")
@@ -57,11 +56,14 @@ class QuasihomogeneousGerm:
         return sum(w * e for w, e in zip(self.weights, exps))
 
 
-@dataclass
 class LocalAlgebra:
     """Monomial basis of the Jacobian quotient and its dimension mu."""
-    germ: PolyGerm
-    monomial_basis: list[tuple[int, ...]]
+    __slots__ = ("germ", "monomial_basis")
+
+    def __init__(self, germ: PolyGerm,
+                 monomial_basis: list[tuple[int, ...]]):
+        self.germ = germ
+        self.monomial_basis = monomial_basis
 
     @property
     def dimension(self) -> int:
@@ -224,13 +226,16 @@ def stabilize(f: PolyGerm) -> PolyGerm:
     return PolyGerm(n + 1, tuple(terms.items()))
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    name: str
-    normal_form: str
-    weights: tuple[Fraction, ...]
-    mu: int
-    codim: int
+class CorpusEntry(Frozen):
+    __slots__ = _fields = ("name", "normal_form", "weights", "mu", "codim")
+
+    def __init__(self, name: str, normal_form: str,
+                 weights: tuple[Fraction, ...], mu: int, codim: int):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "normal_form", normal_form)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "codim", codim)
 
     @property
     def germ(self) -> PolyGerm:
@@ -241,11 +246,14 @@ class CorpusEntry:
         return QuasihomogeneousGerm(self.germ, self.weights)
 
 
-@dataclass
 class AdjacencyCorpus:
     """The bundled ADE entries with their degeneration arrows."""
-    entries: dict[str, CorpusEntry]
-    arrows: list[tuple[str, str]]
+    __slots__ = ("entries", "arrows")
+
+    def __init__(self, entries: dict[str, CorpusEntry],
+                 arrows: list[tuple[str, str]]):
+        self.entries = entries
+        self.arrows = arrows
 
     def has_arrow(self, src: str, dst: str) -> bool:
         return (src, dst) in set(self.arrows)
@@ -267,10 +275,12 @@ def corpus_adjacency() -> AdjacencyCorpus:
     return AdjacencyCorpus(entries, arrows)
 
 
-@dataclass
 class RelativeCokernel:
-    dimension: int
-    top_weight: Fraction | None
+    __slots__ = ("dimension", "top_weight")
+
+    def __init__(self, dimension: int, top_weight: Fraction | None):
+        self.dimension = dimension
+        self.top_weight = top_weight
 
 
 def relative_cokernel(corpus: AdjacencyCorpus, src: str,

@@ -206,7 +206,7 @@ def c2k_orbit_sizes(k):
 def bf_first_associativity_failure(cat):
     """The first (m3, m2, m1) that breaks associativity, scanning m1, then
     m2, then m3 in index order over the composable triples."""
-    mors, table = cat.morphisms, cat.compose_table
+    mors, table = cat.morphisms, dict(cat.compose_table)
     out = {}
     for m, mor in enumerate(mors):
         out.setdefault(mor.src, []).append(m)
@@ -225,7 +225,7 @@ def bf_check_category_laws(cat,
     a failure raises ``ValidationError`` with the library's message.
     ``first_failure`` names the first failing triple, or None."""
     from phasecat import ValidationError
-    mors, table = cat.morphisms, cat.compose_table
+    mors, table = cat.morphisms, dict(cat.compose_table)
     for m1, a in enumerate(mors):
         for m2, b in enumerate(mors):
             if a.dst == b.src and (m2, m1) not in table:
@@ -244,10 +244,10 @@ def bf_check_category_laws(cat,
 def bf_composition_closure(cat, seeds):
     """The morphisms reached from ``seeds`` by composing any two reached
     ones, until nothing new appears."""
-    reached = set(seeds)
+    reached, table = set(seeds), dict(cat.compose_table)
     while True:
-        new = {cat.compose_table[(x, y)] for x in reached for y in reached
-               if (x, y) in cat.compose_table} - reached
+        new = {table[(x, y)] for x in reached for y in reached
+               if (x, y) in table} - reached
         if not new:
             return reached
         reached |= new
@@ -273,7 +273,7 @@ def bf_export_olog(category, phase=None):
         aid = arrow_id[m] = f"m{len(arrows)}"
         arrows.append({"id": aid, "src": f"o{mor.src}",
                        "dst": f"o{mor.dst}", "label": mor.label})
-    table = category.compose_table
+    table = dict(category.compose_table)
     compositions = []
     for m2, m1 in sorted(pair for pair in table
                          if pair[0] in arrow_id and pair[1] in arrow_id):

@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ from phasecat import (build_orbit_category, category_isomorphic,
 from phasecat import fixtures as fx
 from phasecat.cli import main, parse_cycles, read_spec
 from phasecat.errors import ValidationError
-from phasecat.permgroup import closure
+from phasecat.permgroup import DEGREE_CAP
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +92,27 @@ class TestGroupCommand:
         assert code == 1
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("generators", [[], ["(0 1)"]])
+    def test_huge_degree_hits_the_cap(self, tmp_path, generators):
+        # one permutation of 10^8 points takes gigabytes, so the child gets
+        # 256 MiB of address space: a late check fails fast, not the host
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"degree": 10**8,
+                                    "generators": generators}))
+        limit = 256 * 2**20
+        proc = subprocess.run(
+            [sys.executable, "-m", "phasecat.cli", "group", "info",
+             "-i", str(path)],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=os.path.dirname(
+                os.path.dirname(phasecat.__file__))),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (limit, limit)))
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.endswith(
+            f"degree 100000000 exceeds DEGREE_CAP={DEGREE_CAP}\n")
 
     def test_missing_degree(self, capsys, tmp_path):
         path = tmp_path / "g.json"
@@ -424,12 +446,15 @@ class TestLoaderEquivalence:
 
 
 # A child process runs the CLI in-process and prints the phasecat modules
-# it loaded, so each test sees a fresh interpreter's sys.modules.
+# it loaded, so each test sees a fresh interpreter's sys.modules.  It also
+# prints dataclasses and inspect if they were loaded: no library class
+# needs them, and together they cost a child about 7 ms.
 LOADED = ("import contextlib, io, sys\n"
           "{setup}\n"
           "print(' '.join(sorted(m.removeprefix('phasecat.')\n"
           "                      for m in sys.modules\n"
-          "                      if m.startswith('phasecat.'))))\n")
+          "                      if m.startswith('phasecat.')\n"
+          "                      or m in ('dataclasses', 'inspect'))))\n")
 RUN_CLI = ("from phasecat.cli import main\n"
            "with contextlib.redirect_stdout(io.StringIO()):\n"
            "    assert main(sys.argv[1:]) == 0\n")

@@ -347,14 +347,15 @@ class TestLawCheckOracle:
         cat = (tetra_phase.category if name == "tetra_phase"
                else orbit_cats[name].category)
         assert oracles.bf_first_associativity_failure(cat) is None
-        variants = [(key, other) for key, r in cat.compose_table.items()
+        entries = dict(cat.compose_table)
+        variants = [(key, other) for key, r in entries.items()
                     for other in cat.hom(cat.morphisms[key[1]].src,
                                          cat.morphisms[key[0]].dst)
                     if other != r]
         if sample:
             variants = random.Random(name).sample(variants, sample)
         for i, (key, other) in enumerate(variants):
-            table = dict(cat.compose_table)
+            table = dict(entries)
             table[key] = other
             bad = _with_table(cat, table)
             want = _outcome(lambda c: oracles.bf_check_category_laws(

@@ -9,9 +9,9 @@ from phasecat import (CapExceededError, ValidationError, all_subgroups,
                       transporter, weyl_group)
 from phasecat import fixtures as fx
 from phasecat import permgroup
-from phasecat.permgroup import (ORDER_CAP, Subgroup, extend_generators,
-                                left_cosets, perm_mul, subgroup_closure,
-                                trivial_subgroup)
+from phasecat.permgroup import (DEGREE_CAP, ORDER_CAP, Subgroup,
+                                extend_generators, left_cosets, parse_cycles,
+                                perm_mul, subgroup_closure, trivial_subgroup)
 
 
 def naive_subgroup_closure(G, seed):
@@ -69,6 +69,16 @@ class TestClosure:
                            match=r"closure passed ORDER_CAP=1024: "
                                  r"1025 elements"):
             closure(7, gens)
+
+    def test_degree_cap_comes_before_any_permutation(self):
+        # a Weyl group acts on up to ORDER_CAP cosets
+        assert DEGREE_CAP >= ORDER_CAP
+        assert closure(DEGREE_CAP, []).order == 1
+        message = f"degree {DEGREE_CAP + 1} exceeds DEGREE_CAP={DEGREE_CAP}"
+        with pytest.raises(CapExceededError, match=message):
+            closure(DEGREE_CAP + 1, [])
+        with pytest.raises(CapExceededError, match=message):
+            parse_cycles("(0 1)", DEGREE_CAP + 1)
 
     def test_all_subgroups_cap_names_order(self, groups, monkeypatch):
         monkeypatch.setattr(permgroup, "ORDER_CAP", 20)
