@@ -10,27 +10,36 @@ subconjugacy covering relation with the dimension lost along it.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import ratmat
-from .errors import ValidationError
+from .errors import CapExceededError, ValidationError
 from .permgroup import (FiniteGroup, Subgroup, SubgroupClass,
                         conjugacy_classes_of_subgroups, extend_generators,
                         subgroup_closure, transporter)
-from .ratmat import Mat, Vec
+from .ratmat import Form, Mat, Vec
+
+#: Hard cap on the dimension of a representation, checked before any
+#: matrix is built.  At the cap, the matrices of all 1024 elements of
+#: C2^10 (ten generators, so ten products per element) build in about
+#: 16 s at under 40 MiB; time grows as the cube of the dimension.
+DIMENSION_CAP = 32
 
 
 class LinearAction:
     """A rational matrix representation of a FiniteGroup.
 
-    One invertible matrix per generator; matrices for all elements are
-    derived along the closure and checked against the group's relations.
+    One invertible matrix per generator; the canonical integer form
+    (``ratmat.Form``) of every element is derived along the closure and
+    checked against the group's relations.  An element's Fraction matrix
+    is built on first use.
     """
 
     def __init__(self, group: FiniteGroup, dimension: int,
                  generator_matrices):
         if dimension <= 0:
             raise ValidationError("dimension must be positive")
+        if dimension > DIMENSION_CAP:
+            raise CapExceededError(f"dimension {dimension} exceeds "
+                                   f"DIMENSION_CAP={DIMENSION_CAP}")
         self.group = group
         self.dimension = dimension
         mats = tuple(ratmat.as_mat(m) for m in generator_matrices)
@@ -41,34 +50,41 @@ class LinearAction:
             if not ratmat.is_invertible(m):
                 raise ValidationError(f"generator matrix {k} is singular")
         self.generator_matrices = mats
-        self.element_matrices = extend_generators(
-            group, mats, ratmat.mat_mul, ratmat.eye(dimension))
+        self.forms: tuple[Form, ...] = extend_generators(
+            group, [ratmat.form(m) for m in mats], ratmat.form_mul,
+            ratmat.form(ratmat.eye(dimension)))
+        self._matrices: list[Mat | None] = [None] * group.order
 
     def matrix(self, g: int) -> Mat:
-        return self.element_matrices[g]
+        m = self._matrices[g]
+        if m is None:
+            m = self._matrices[g] = ratmat.to_mat(*self.forms[g])
+        return m
+
+    @property
+    def element_matrices(self) -> tuple[Mat, ...]:
+        return tuple(map(self.matrix, range(self.group.order)))
 
 
 def averaging_projector(action: LinearAction, H: Subgroup) -> Mat:
     """P = (1/|H|) sum over h of rho(h); idempotent with image Fix(H)."""
-    d = action.dimension
-    total = ratmat.zeros(d, d)
-    for h in H.members:
-        total = ratmat.mat_add(total, action.matrix(h))
-    return ratmat.mat_scale(Fraction(1, H.order), total)
+    rows, den = ratmat.form_sum([action.forms[h] for h in H.members])
+    return ratmat.to_mat(rows, den * H.order)
 
 
-def _fixed_space(mats, dimension: int) -> list[Vec]:
-    """Canonical basis of the vectors every matrix in ``mats`` fixes: the
-    kernel of the stacked M - I, or of one zero row when there is none."""
-    eye = ratmat.eye(dimension)
-    stacked = tuple(row for M in mats for row in ratmat.mat_sub(M, eye))
-    return ratmat.kernel_basis(stacked or ratmat.zeros(1, dimension))
+def _fixed_space(forms, dimension: int) -> list[Vec]:
+    """Canonical basis of the vectors every N / den in ``forms`` fixes:
+    the kernel of the stacked N - den I, or of one zero row when there is
+    none."""
+    stacked = [[x - den if i == j else x for j, x in enumerate(row)]
+               for rows, den in forms for i, row in enumerate(rows)]
+    return ratmat.int_kernel_basis(stacked or [[0] * dimension])
 
 
 def fix_subspace(action: LinearAction, H: Subgroup) -> list[Vec]:
     """Canonical basis of {v | rho(h) v = v for all h in H}, cut out by
     the generators of H alone."""
-    return _fixed_space([action.matrix(s) for s in H.generator_indices],
+    return _fixed_space([action.forms[s] for s in H.generator_indices],
                         action.dimension)
 
 
@@ -120,8 +136,9 @@ def _relative_normal(action: LinearAction, fix0: list[Vec], H0: Subgroup,
     d = action.dimension
     # K is generated by the conjugates of H1's generators
     gens = [G.conj(G.inv(witness), h) for h in H1.generator_indices]
-    annihilator = _fixed_space(
-        [ratmat.transpose(action.matrix(s)) for s in gens], d)
+    transposes = [(ratmat.transpose(N), den)
+                  for N, den in (action.forms[s] for s in gens)]
+    annihilator = _fixed_space(transposes, d)
     basis = ratmat.intersect(fix0, tuple(annihilator))
 
     acting_members = tuple(sorted(
@@ -133,13 +150,18 @@ def _relative_normal(action: LinearAction, fix0: list[Vec], H0: Subgroup,
     # the basis is independent, so the first len(basis) rows of the
     # reduced [cols | I] read [I | left] with left * cols = I
     R, _ = ratmat.rref(tuple(c + e for c, e in zip(cols, ratmat.eye(d))))
-    left = tuple(row[len(basis):] for row in R[:len(basis)])
+    left, dl = ratmat.form(tuple(row[len(basis):] for row in R[:len(basis)]))
+    cols, dc = ratmat.form(cols)
     restricted: dict[int, Mat] = {}
     for k in acting.members:
-        image = ratmat.mat_mul(action.matrix(k), cols)
-        restricted[k] = ratmat.mat_mul(left, image)
-        if ratmat.mat_mul(cols, restricted[k]) != image:
+        N, den = action.forms[k]
+        # rho(k) cols = image / (den dc), restricted[k] = r / (dl den dc)
+        image = ratmat.int_mul(N, cols)
+        r = ratmat.int_mul(left, image)
+        if ratmat.int_mul(cols, r) != [[dc * dl * x for x in row]
+                                       for row in image]:
             raise ValidationError("inconsistent linear system")
+        restricted[k] = ratmat.to_mat(r, dl * den * dc)
     return RelativeNormal(basis, acting, restricted)
 
 
@@ -225,9 +247,9 @@ def degeneracy_quiver(action: LinearAction,
     return DegeneracyQuiver(nodes, arrows)
 
 
-def _cyclotomic(n: int) -> list[Fraction]:
+def _cyclotomic(n: int) -> list[int]:
     """Coefficients (low degree first) of the n-th cyclotomic polynomial."""
-    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]  # x^n - 1
+    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d:
             continue
@@ -235,15 +257,15 @@ def _cyclotomic(n: int) -> list[Fraction]:
     return poly
 
 
-def _polydiv(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
+def _polydiv(num: list[int], den: list[int]) -> list[int]:
+    """num / den for a monic integer den that divides num exactly."""
     num = list(num)
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
+    out = [0] * (len(num) - len(den) + 1)
     for i in range(len(out) - 1, -1, -1):
-        coeff = num[i + len(den) - 1] / den[-1]
-        out[i] = coeff
+        coeff = out[i] = num[i + len(den) - 1]
         for j, d in enumerate(den):
             num[i + j] -= coeff * d
-    if any(x != 0 for x in num[:len(den) - 1]):
+    if any(num[:len(den) - 1]):
         raise ValidationError("inexact polynomial division")
     return out
 
@@ -254,6 +276,8 @@ def isotypic_decomposition(action: LinearAction,
 
     The absolute slice of a node: for cyclic H = <h> of order m, the space
     splits as the kernels of the cyclotomic factors Phi_d(rho(h)), d | m.
+    With rho(h) = N / den, Horner's rule on integer rows gives
+    den^deg(Phi_d) Phi_d(rho(h)), which has the same kernel.
     Only nontrivial pieces are returned.
     """
     gens = [h for h in H.members
@@ -261,20 +285,23 @@ def isotypic_decomposition(action: LinearAction,
     if not gens:
         raise ValidationError("isotypic decomposition needs a cyclic "
                               "subgroup")
-    M = action.matrix(min(gens))
+    N, den = action.forms[min(gens)]
     m = H.order
     out: dict[int, list[Vec]] = {}
     total = 0
     for d in range(1, m + 1):
         if m % d:
             continue
-        coeffs = _cyclotomic(d)
-        acc = ratmat.zeros(action.dimension, action.dimension)
-        power = ratmat.eye(action.dimension)
-        for c in coeffs:
-            acc = ratmat.mat_add(acc, ratmat.mat_scale(c, power))
-            power = ratmat.mat_mul(M, power)
-        basis = ratmat.kernel_basis(acc)
+        *coeffs, top = _cyclotomic(d)
+        acc = [[top if i == j else 0 for j in range(action.dimension)]
+               for i in range(action.dimension)]
+        scale = 1
+        for c in reversed(coeffs):
+            scale *= den
+            acc = ratmat.int_mul(acc, N)
+            for i, row in enumerate(acc):
+                row[i] += c * scale
+        basis = ratmat.int_kernel_basis(acc)
         if basis:
             out[d] = basis
             total += len(basis)

@@ -1,13 +1,16 @@
 """Small exact linear algebra over the rationals.
 
-Matrices are tuples of row tuples of Fraction; vectors are tuples.  Enough
-row reduction to get ranks, kernels and canonical subspace bases --
+A matrix comes in two forms.  ``Mat`` is a tuple of row tuples of
+Fraction (vectors are tuples): what callers pass in and get back.
+``Form`` is ``(rows, den)``, integer rows N over the smallest positive
+den with A = N / den; the smallest den makes the form canonical, so two
+forms are equal exactly when their matrices are.  Products, sums and
+eliminations run on integer rows, and each returned Fraction is built
+once at the end; the ``Mat`` functions are adapters over them.
+
+Row reduction gives ranks, kernels and canonical subspace bases --
 idempotence and dimension bookkeeping downstream are asserted as
 equalities, so no floating point is allowed here.
-
-Products and eliminations run on integer rows: a matrix is scaled by the
-common denominator of its entries once, and each returned entry is built
-as one Fraction at the end.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .errors import ValidationError
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
+Form = tuple[tuple[tuple[int, ...], ...], int]
 
 
 def as_mat(rows) -> Mat:
@@ -29,65 +33,53 @@ def as_mat(rows) -> Mat:
     return out
 
 
-def zeros(n: int, m: int) -> Mat:
-    return tuple(tuple(Fraction(0) for _ in range(m)) for _ in range(n))
-
-
 def eye(n: int) -> Mat:
     return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n))
                  for i in range(n))
 
 
-def _int_rows(A: Mat) -> tuple[list[list[int]], int]:
-    """Integer rows N and the common denominator den with A = N / den."""
-    ratios = [[x.as_integer_ratio() for x in row] for row in A]
-    den = lcm(*(d for row in ratios for _, d in row))
-    return [[n * (den // d) for n, d in row] for row in ratios], den
-
-
-def _combine(A: Mat, B: Mat, sign: int) -> Mat:
-    """A + sign * B on integer rows over the common denominator."""
-    a, da = _int_rows(A)
-    b, db = _int_rows(B)
-    den = lcm(da, db)
-    sa, sb = den // da, sign * (den // db)
-    return tuple(tuple(Fraction(sa * x + sb * y, den) for x, y in zip(ra, rb))
-                 for ra, rb in zip(a, b))
-
-
-def mat_add(A: Mat, B: Mat) -> Mat:
-    return _combine(A, B, 1)
-
-
-def mat_sub(A: Mat, B: Mat) -> Mat:
-    return _combine(A, B, -1)
-
-
-def mat_scale(c, A: Mat) -> Mat:
-    c = Fraction(c)
-    return tuple(tuple(c * a for a in row) for row in A)
-
-
-def mat_mul(A: Mat, B: Mat) -> Mat:
-    if A and B and len(A[0]) != len(B):
-        raise ValidationError("dimension mismatch in matrix product")
-    a, da = _int_rows(A)
-    b, db = _int_rows(B)
-    den = da * db
-    bt = tuple(zip(*b))
-    return tuple(tuple(Fraction(sum(map(mul, row, col)), den)
-                       for col in bt) for row in a)
-
-
-def mat_vec(A: Mat, v: Vec) -> Vec:
-    a, da = _int_rows(A)
-    (x,), dx = _int_rows((v,))
-    den = da * dx
-    return tuple(Fraction(sum(map(mul, row, x)), den) for row in a)
-
-
 def transpose(A: Mat) -> Mat:
     return tuple(zip(*A))
+
+
+# -- integer rows ------------------------------------------------------------
+
+def form(A: Mat) -> Form:
+    """The canonical form of A: den is the lcm of the entry denominators,
+    which no prime divides together with every entry of N."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in A]
+    den = lcm(*(d for row in ratios for _, d in row))
+    return tuple(tuple(n * (den // d) for n, d in row)
+                 for row in ratios), den
+
+
+def canonical(rows, den: int) -> Form:
+    """The form of rows / den, for integer rows and den > 0."""
+    g = gcd(den, *(x for row in rows for x in row))
+    return tuple(tuple(x // g for x in row) for row in rows), den // g
+
+
+def to_mat(rows, den: int) -> Mat:
+    """rows / den, one Fraction per entry."""
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+
+
+def int_mul(a, b) -> list[list[int]]:
+    """The product of two integer matrices."""
+    bt = tuple(zip(*b))
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+
+
+def form_mul(a: Form, b: Form) -> Form:
+    return canonical(int_mul(a[0], b[0]), a[1] * b[1])
+
+
+def form_sum(forms) -> Form:
+    """The form of the sum of the forms' matrices."""
+    den = lcm(*(d for _, d in forms))
+    scales = [den // d for _, d in forms]
+    return canonical([[sum(map(mul, scales, column)) for column in zip(*rows)]
+                      for rows in zip(*(r for r, _ in forms))], den)
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -95,14 +87,14 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def _reduce(A: Mat) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan on the integer rows of A.
+def reduce_rows(rows) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan on integer rows.
 
     Row i becomes p * row_i - q * row_r, divided by the gcd of its
     entries, so the integers stay small.  Returns the rows, row k a
     multiple of the k-th row of the reduced echelon form, and the pivots.
     """
-    rows = [_primitive(row) for row in _int_rows(A)[0]]
+    rows = [_primitive(row) for row in rows]
     nrows, ncols = len(rows), len(rows[0]) if rows else 0
     pivots: list[int] = []
     r = 0
@@ -125,10 +117,43 @@ def _reduce(A: Mat) -> tuple[list[list[int]], list[int]]:
     return rows, pivots
 
 
+def int_kernel_basis(rows) -> list[Vec]:
+    """Canonical basis of the null space of non-empty integer rows, from
+    the reduced echelon form; scaling a row leaves it unchanged."""
+    reduced, pivots = reduce_rows(rows)
+    ncols = len(reduced[0])
+    basis = []
+    free = [c for c in range(ncols) if c not in pivots]
+    for f in free:
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            v[p] = Fraction(-row[f], row[p])
+        basis.append(tuple(v))
+    return basis
+
+
+# -- Fraction adapters -------------------------------------------------------
+
+def mat_mul(A: Mat, B: Mat) -> Mat:
+    if A and B and len(A[0]) != len(B):
+        raise ValidationError("dimension mismatch in matrix product")
+    a, da = form(A)
+    b, db = form(B)
+    return to_mat(int_mul(a, b), da * db)
+
+
+def mat_vec(A: Mat, v: Vec) -> Vec:
+    a, da = form(A)
+    (x,), dx = form((v,))
+    den = da * dx
+    return tuple(Fraction(sum(map(mul, row, x)), den) for row in a)
+
+
 def rref(A: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form and pivot column indices; each pivot row
     is divided by its pivot once, and the rows past the rank are zero."""
-    rows, pivots = _reduce(A)
+    rows, pivots = reduce_rows(form(A)[0])
     out = [tuple(Fraction(x, row[c]) for x in row)
            for row, c in zip(rows, pivots)]
     out += [tuple(map(Fraction, row)) for row in rows[len(pivots):]]
@@ -136,24 +161,12 @@ def rref(A: Mat) -> tuple[Mat, list[int]]:
 
 
 def rank(A: Mat) -> int:
-    return len(_reduce(A)[1])
+    return len(reduce_rows(form(A)[0])[1])
 
 
 def kernel_basis(A: Mat) -> list[Vec]:
     """Canonical basis of the null space, from the reduced echelon form."""
-    if not A:
-        return []
-    rows, pivots = _reduce(A)
-    ncols = len(A[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for row, p in zip(rows, pivots):
-            v[p] = Fraction(-row[f], row[p])
-        basis.append(tuple(v))
-    return basis
+    return int_kernel_basis(form(A)[0]) if A else []
 
 
 def is_invertible(A: Mat) -> bool:

@@ -203,10 +203,11 @@ def c2k_orbit_sizes(k):
             sum(g(k, e) * into[e] * out[e] for e in range(k + 1)))
 
 
-def bf_first_associativity_failure(cat):
+def bf_first_associativity_failure(cat, table):
     """The first (m3, m2, m1) that breaks associativity, scanning m1, then
-    m2, then m3 in index order over the composable triples."""
-    mors, table = cat.morphisms, dict(cat.compose_table)
+    m2, then m3 in index order over the composable triples; ``table``
+    maps (m2, m1) to m2 o m1."""
+    mors = cat.morphisms
     out = {}
     for m, mor in enumerate(mors):
         out.setdefault(mor.src, []).append(m)
@@ -219,13 +220,15 @@ def bf_first_associativity_failure(cat):
     return None
 
 
-def bf_check_category_laws(cat,
+def bf_check_category_laws(cat, table,
                            first_failure=bf_first_associativity_failure):
-    """Every composable pair, unit and triple, scanned in index order;
-    a failure raises ``ValidationError`` with the library's message.
-    ``first_failure`` names the first failing triple, or None."""
+    """Every composable pair, unit and triple of ``cat``'s morphisms under
+    ``table``, a dict of (m2, m1) -> m2 o m1, scanned in index order; a
+    failure raises ``ValidationError`` with the library's message.
+    ``first_failure(cat, table)`` names the first failing triple, or
+    None."""
     from phasecat import ValidationError
-    mors, table = cat.morphisms, dict(cat.compose_table)
+    mors = cat.morphisms
     for m1, a in enumerate(mors):
         for m2, b in enumerate(mors):
             if a.dst == b.src and (m2, m1) not in table:
@@ -235,7 +238,7 @@ def bf_check_category_laws(cat,
             raise ValidationError(f"right unit fails at {m}")
         if table[(cat.identity[mor.dst], m)] != m:
             raise ValidationError(f"left unit fails at {m}")
-    first = first_failure(cat)
+    first = first_failure(cat, table)
     if first is not None:
         raise ValidationError("associativity fails on (%d,%d,%d)" % first)
     return True
@@ -366,7 +369,7 @@ def bf_import_olog(data):
                  for m1, a in enumerate(mors) if a.dst == b.src}
     cat = table_category(list(objects.values()), mors,
                          [index[k] for k in identity_keys], int_table)
-    bf_check_category_laws(cat)
+    bf_check_category_laws(cat, int_table)
     return cat
 
 
@@ -426,6 +429,11 @@ def bf_solve(A, b):
     return tuple(x)
 
 
+def zeros(n, m):
+    """The n x m zero matrix of Fractions."""
+    return tuple(tuple(Fraction(0) for _ in range(m)) for _ in range(n))
+
+
 def bf_mat_mul(A, B):
     return tuple(tuple(sum((a * b for a, b in zip(row, col)), Fraction(0))
                        for col in zip(*B)) for row in A)
@@ -478,6 +486,56 @@ def bf_relative_normal(action, H0, H1, witness):
                         for row in action.matrix(k)) for b in basis]
         restricted[k] = tuple(zip(*(bf_solve(cols, img) for img in images)))
     return basis, restricted
+
+
+def bf_cyclotomic(n):
+    """Coefficients (low degree first) of the n-th cyclotomic polynomial:
+    x^n - 1 divided by every Phi_d with d a proper divisor of n."""
+    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    for d in range(1, n):
+        if n % d:
+            continue
+        den = bf_cyclotomic(d)
+        out = [Fraction(0)] * (len(poly) - len(den) + 1)
+        for i in range(len(out) - 1, -1, -1):
+            out[i] = poly[i + len(den) - 1] / den[-1]
+            for j, c in enumerate(den):
+                poly[i + j] -= out[i] * c
+        assert not any(poly[:len(den) - 1])
+        poly = out
+    return poly
+
+
+def bf_isotypic_decomposition(action, H):
+    """{d: kernel of Phi_d(rho(h))} over the divisors d of |H| with a
+    non-zero kernel, h the first member of order |H|, Phi_d(rho(h)) the
+    Fraction sum of c_i rho(h)^i over plain matrix powers."""
+    G = action.group
+
+    def order(g):
+        k, power = 1, g
+        while power != G.identity_index:
+            k, power = k + 1, G.mul(g, power)
+        return k
+
+    h = next(g for g in H.members if order(g) == H.order)
+    d = action.dimension
+    identity = tuple(tuple(Fraction(int(i == j)) for j in range(d))
+                     for i in range(d))
+    out = {}
+    for n in range(1, H.order + 1):
+        if H.order % n:
+            continue
+        total, power = [[Fraction(0)] * d for _ in range(d)], identity
+        for c in bf_cyclotomic(n):
+            for i in range(d):
+                for j in range(d):
+                    total[i][j] += c * power[i][j]
+            power = bf_mat_mul(action.matrix(h), power)
+        basis = bf_kernel_basis(tuple(map(tuple, total)))
+        if basis:
+            out[n] = basis
+    return out
 
 
 # -- fixed-point data and phase diagrams --------------------------------------

@@ -13,6 +13,7 @@ from phasecat import (build_orbit_category, category_isomorphic,
 from phasecat import fixtures as fx
 from phasecat.cli import main, parse_cycles, read_spec
 from phasecat.errors import ValidationError
+from phasecat.linrep import DIMENSION_CAP
 from phasecat.permgroup import DEGREE_CAP
 
 
@@ -113,6 +114,27 @@ class TestGroupCommand:
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert proc.stderr.endswith(
             f"degree 100000000 exceeds DEGREE_CAP={DEGREE_CAP}\n")
+
+    @pytest.mark.parametrize("dim", [20000, 10**5])
+    def test_huge_dimension_hits_the_cap(self, tmp_path, dim):
+        # the identity matrix alone takes dim^2 Fractions, so the child
+        # gets 256 MiB of address space: a late check fails fast
+        group, rep = tmp_path / "g.json", tmp_path / "r.json"
+        group.write_text(json.dumps({"degree": 1, "generators": []}))
+        rep.write_text(json.dumps({"dim": dim, "generators": []}))
+        limit = 256 * 2**20
+        proc = subprocess.run(
+            [sys.executable, "-m", "phasecat.cli", "quiver",
+             "-g", str(group), "-r", str(rep)],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=os.path.dirname(
+                os.path.dirname(phasecat.__file__))),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (limit, limit)))
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.endswith(
+            f"dimension {dim} exceeds DIMENSION_CAP={DIMENSION_CAP}\n")
 
     def test_missing_degree(self, capsys, tmp_path):
         path = tmp_path / "g.json"

@@ -9,10 +9,15 @@ from phasecat import (LinearAction, ValidationError, averaging_projector,
                       fix_subspace, isotypic_decomposition, relative_normal)
 from phasecat import fixtures as fx
 from phasecat import ratmat
+from phasecat.errors import CapExceededError
+from phasecat.linrep import DIMENSION_CAP
 from phasecat.permgroup import (Subgroup, all_subgroups, closure,
-                                full_subgroup, transporter, trivial_subgroup)
+                                full_subgroup, subgroup_closure, transporter,
+                                trivial_subgroup)
 
-from oracles import bf_fix_subspace, bf_rref, bf_relative_normal
+from oracles import (bf_averaging_projector, bf_fix_subspace,
+                     bf_isotypic_decomposition, bf_rref, bf_relative_normal,
+                     zeros)
 
 F = Fraction
 
@@ -52,6 +57,63 @@ class TestLinearAction:
                     == ratmat.mat_mul(s3_standard.matrix(a),
                                       s3_standard.matrix(b))
 
+    def test_entries_written_differently_give_equal_matrices(self, c2, s3):
+        # an involution with den 2 entries, and S3's standard
+        # representation conjugated by diag(2, 1/3)
+        spellings = [
+            [[[0, 2], ["1/2", 0]]],
+            [[["0/7", "4/2"], ["2/4", "-0"]]],
+            [[[F(0), F(2)], [F(1, 2), F(0)]]],
+        ]
+        c2_actions = [LinearAction(c2, 2, gens) for gens in spellings]
+        s3_gens = fx.REPRESENTATIONS["s3_standard"]["generators"]
+        T, T_inv = ((F(2), F(0)), (F(0), F(1, 3))), \
+            ((F(1, 2), F(0)), (F(0), F(3)))
+        conj = [ratmat.mat_mul(ratmat.mat_mul(T, ratmat.as_mat(m)), T_inv)
+                for m in s3_gens]
+        s3_actions = [
+            LinearAction(s3, 2, conj),
+            LinearAction(s3, 2, [[[str(x) for x in row] for row in m]
+                                 for m in conj]),
+            LinearAction(s3, 2, [[[f"{3 * x.numerator}/{3 * x.denominator}"
+                                   for x in row] for row in m]
+                                 for m in conj])]
+        for actions in (c2_actions, s3_actions):
+            want = actions[0].element_matrices
+            assert any(x.denominator > 1 for m in want for row in m
+                       for x in row)
+            for action in actions[1:]:
+                assert repr(action.element_matrices) == repr(want)
+
+    def test_rational_relation_violation_keeps_its_message(self, c2, s3):
+        message = "generator images do not satisfy the group's relations"
+        # invertible, but its square is not the identity
+        with pytest.raises(ValidationError, match=message):
+            LinearAction(c2, 2, [[["1/2", 0], [0, 2]]])
+        # S3's generators conjugated by two different rational matrices
+        gens = [ratmat.as_mat(m)
+                for m in fx.REPRESENTATIONS["s3_standard"]["generators"]]
+        T, T_inv = ((F(1), F(1, 2)), (F(0), F(1))), \
+            ((F(1), F(-1, 2)), (F(0), F(1)))
+        moved = [ratmat.mat_mul(ratmat.mat_mul(T, gens[0]), T_inv), gens[1]]
+        with pytest.raises(ValidationError, match=message):
+            LinearAction(s3, 2, moved)
+
+    def test_dimension_cap_comes_before_any_matrix(self, c2):
+        # every bundled representation and every representation of the
+        # benchmark (at most 6) lies under the cap
+        assert DIMENSION_CAP >= max(
+            [spec["dim"] for spec in fx.REPRESENTATIONS.values()] + [6])
+        trivial = closure(1, [])
+        assert LinearAction(trivial, DIMENSION_CAP, []).matrix(0) \
+            == ratmat.eye(DIMENSION_CAP)
+        message = (f"dimension {DIMENSION_CAP + 1} exceeds "
+                   f"DIMENSION_CAP={DIMENSION_CAP}")
+        with pytest.raises(CapExceededError, match=message):
+            LinearAction(trivial, DIMENSION_CAP + 1, [])
+        with pytest.raises(CapExceededError, match="DIMENSION_CAP="):
+            LinearAction(c2, 10**9, [[[1]]])
+
 
 class TestAveragingProjector:
     @pytest.mark.parametrize("rep", ["c2_plane", "s3_standard"])
@@ -71,7 +133,7 @@ class TestAveragingProjector:
 
     def test_s3_full_group_projector_is_zero(self, s3_standard):
         P = averaging_projector(s3_standard, full_subgroup(s3_standard.group))
-        assert P == ratmat.zeros(2, 2)
+        assert P == zeros(2, 2)
 
 
 class TestFixSubspace:
@@ -341,3 +403,22 @@ class TestGeneratorKernelsMatchProjectors:
                                                        a.witness)
                 assert repr(a.normal.basis) == repr(basis), name
                 assert repr(a.normal.restricted) == repr(restricted), name
+
+    def test_averaging_projector_on_every_subgroup(self, oracle_reps):
+        for name, action in oracle_reps.items():
+            for H in all_subgroups(action.group):
+                assert repr(averaging_projector(action, H)) \
+                    == repr(bf_averaging_projector(action, H.members)), \
+                    (name, H)
+
+    def test_isotypic_decomposition_on_every_cyclic_subgroup(self,
+                                                            oracle_reps):
+        for name, action in oracle_reps.items():
+            G = action.group
+            cyclic = [H for H in all_subgroups(G)
+                      if any(subgroup_closure(G, (h,)) == H.member_set
+                             for h in H.members)]
+            assert len(cyclic) > 1
+            for H in cyclic:
+                assert repr(isotypic_decomposition(action, H)) \
+                    == repr(bf_isotypic_decomposition(action, H)), (name, H)

@@ -112,15 +112,14 @@ def _with_table(cat, table):
                                   table)
 
 
-def _brute_force_law_violation(cat):
-    """True if some unit or associativity law fails, by scanning every
-    morphism and every triple of morphisms."""
-    table = cat.compose_table
+def _brute_force_law_violation(cat, table):
+    """True if some unit or associativity law fails under the dict
+    ``table``, by scanning every morphism and every triple of morphisms."""
     for m, mor in enumerate(cat.morphisms):
         if (table[(m, cat.identity[mor.src])] != m
                 or table[(cat.identity[mor.dst], m)] != m):
             return True
-    return oracles.bf_first_associativity_failure(cat) is not None
+    return oracles.bf_first_associativity_failure(cat, table) is not None
 
 
 class TestLawCheckRejects:
@@ -140,7 +139,7 @@ class TestLawCheckRejects:
                 table[key] = other
                 bad = _with_table(cat, table)
                 variants += 1
-                if _brute_force_law_violation(bad):
+                if _brute_force_law_violation(bad, table):
                     broken += 1
                     with pytest.raises(ValidationError):
                         bad.check_category_laws()
@@ -181,7 +180,7 @@ class TestLawCheckRejects:
                 table = dict(cat.compose_table)
                 table[key] = other
                 bad = _with_table(cat, table)
-                first = oracles.bf_first_associativity_failure(bad)
+                first = oracles.bf_first_associativity_failure(bad, table)
                 if first is None:
                     continue
                 named += 1
@@ -212,24 +211,26 @@ def _perm_order(w, i):
     return k
 
 
-def _outcome(check, cat):
-    """True, or the message of the ValidationError that ``check`` raises."""
+def _outcome(check, cat, *args):
+    """True, or the message of the ValidationError that ``check(cat,
+    *args)`` raises."""
     try:
-        return check(cat)
+        return check(cat, *args)
     except ValidationError as exc:
         return str(exc)
 
 
-def _first_failure_near(cat, key):
+def _first_failure_near(cat, table, key):
     """The triple ``oracles.bf_first_associativity_failure`` names, for a
-    table that differs from an associative one only at ``key`` = (b, a).
+    dict ``table`` that differs from an associative one only at ``key`` =
+    (b, a).
 
     A triple (m3, m2, m1) reads entry (b, a) only when m1 == a or
     m3 == b, so every other triple holds as in the associative table.
     Only the triples with m1 == a or m3 == b are scanned, in the same
     order."""
     b, a = key
-    mors, table = cat.morphisms, cat.compose_table
+    mors = cat.morphisms
     out = {}
     for m, mor in enumerate(mors):
         out.setdefault(mor.src, []).append(m)
@@ -314,7 +315,7 @@ class TestLawCheckOracle:
             table = dict(units)
             table.update(zip([(1, 1), (1, 2), (2, 1), (2, 2)], values))
             cat = oracles.table_category(["pt"], morphisms, [0], table)
-            want = _outcome(oracles.bf_check_category_laws, cat)
+            want = _outcome(oracles.bf_check_category_laws, cat, table)
             assert _outcome(FiniteCategory.check_category_laws, cat) == want
             passed += want is True
         assert 0 < passed < 81
@@ -331,7 +332,8 @@ class TestLawCheckOracle:
             else:
                 cat = _concrete_category(rng, [2, 2], rng.randint(2, 4))
             cat = _randomized(rng, cat, i // 2 % 3)
-            want = _outcome(oracles.bf_check_category_laws, cat)
+            want = _outcome(oracles.bf_check_category_laws, cat,
+                            dict(cat.compose_table))
             assert _outcome(FiniteCategory.check_category_laws, cat) \
                 == want, i
             passed += want is True
@@ -346,8 +348,8 @@ class TestLawCheckOracle:
         fixed seed."""
         cat = (tetra_phase.category if name == "tetra_phase"
                else orbit_cats[name].category)
-        assert oracles.bf_first_associativity_failure(cat) is None
         entries = dict(cat.compose_table)
+        assert oracles.bf_first_associativity_failure(cat, entries) is None
         variants = [(key, other) for key, r in entries.items()
                     for other in cat.hom(cat.morphisms[key[1]].src,
                                          cat.morphisms[key[0]].dst)
@@ -358,10 +360,11 @@ class TestLawCheckOracle:
             table = dict(entries)
             table[key] = other
             bad = _with_table(cat, table)
-            want = _outcome(lambda c: oracles.bf_check_category_laws(
-                c, lambda c: _first_failure_near(c, key)), bad)
+            want = _outcome(oracles.bf_check_category_laws, bad, table,
+                            lambda c, t: _first_failure_near(c, t, key))
             if i % 50 == 0:  # the pruned scan against the full one
-                assert _outcome(oracles.bf_check_category_laws, bad) == want
+                assert _outcome(oracles.bf_check_category_laws, bad,
+                                table) == want
             assert _outcome(FiniteCategory.check_category_laws, bad) \
                 == want, (key, other)
         assert len(variants) > 0
@@ -533,7 +536,6 @@ class TestColumnTable:
     def test_missing_pairs_named_in_scan_order(self, orbit_cats):
         """Of several absent pairs, the one the brute-force law check
         names first."""
-        from types import SimpleNamespace
         rng = random.Random("missing pairs")
         for name in ("s3", "d4", "a4"):
             cat = orbit_cats[name].category
@@ -543,9 +545,7 @@ class TestColumnTable:
                 for key in rng.sample(keys, rng.randint(2, 5)):
                     del table[key]
                 with pytest.raises(ValidationError) as want:
-                    oracles.bf_check_category_laws(SimpleNamespace(
-                        morphisms=cat.morphisms, identity=cat.identity,
-                        compose_table=table))
+                    oracles.bf_check_category_laws(cat, table)
                 with pytest.raises(ValidationError) as got:
                     oracles.table_category(cat.objects, cat.morphisms,
                                            cat.identity, table)

@@ -1,6 +1,7 @@
-"""Integer-row kernels of ratmat against the Fraction oracles: a seeded
-corpus of random matrices, with zero rows and columns, 1 x n and n x 1
-shapes, rank-deficient products and large denominators."""
+"""Integer-row kernels of ratmat and their Fraction adapters against the
+Fraction oracles: a seeded corpus of random matrices, with zero rows and
+columns, 1 x n and n x 1 shapes, rank-deficient products and large
+denominators."""
 
 import random
 from fractions import Fraction
@@ -100,17 +101,36 @@ def test_sums_equal_fraction_sums(corpus):
     rng = random.Random("ratmat-sums")
     for A in corpus[:500]:
         B = _matrix(rng, len(A), len(A[0]), "large")
-        assert repr(ratmat.mat_add(A, B)) == repr(tuple(
-            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B)))
-        assert repr(ratmat.mat_sub(A, B)) == repr(tuple(
-            tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B)))
+        C = _matrix(rng, len(A), len(A[0]), "small")
+        for terms in ((A, B), (A, B, C)):
+            got = ratmat.to_mat(*ratmat.form_sum(
+                [ratmat.form(T) for T in terms]))
+            assert repr(got) == repr(tuple(
+                tuple(sum(entries, F(0)) for entries in zip(*rows))
+                for rows in zip(*terms)))
+
+
+def test_forms_are_canonical(corpus):
+    # den is the smallest: no prime divides it and every entry, so the
+    # forms of two matrices are equal exactly when the matrices are
+    rng = random.Random("ratmat-forms")
+    for A in corpus[:500]:
+        rows, den = ratmat.form(A)
+        assert den > 0 and gcd(den, *(x for row in rows for x in row)) == 1
+        assert repr(ratmat.to_mat(rows, den)) == repr(A)
+        k = rng.randint(2, 30)
+        assert ratmat.canonical([[k * x for x in row] for row in rows],
+                                k * den) == (rows, den)
+        B = _matrix(rng, len(A[0]), rng.randint(1, 5), "small")
+        assert ratmat.form_mul(ratmat.form(A), ratmat.form(B)) \
+            == ratmat.form(bf_mat_mul(A, B))
 
 
 def test_reduced_rows_stay_primitive(corpus):
     # the fraction-free rows are divided by their gcd, so no common
     # factor builds up; row k is a multiple of the k-th reduced row
     for A in corpus[:500]:
-        rows, pivots = ratmat._reduce(A)
+        rows, pivots = ratmat.reduce_rows(ratmat.form(A)[0])
         R, _ = bf_rref(A)
         for k, row in enumerate(rows):
             if not any(row):
