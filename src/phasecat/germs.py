@@ -208,6 +208,8 @@ class _Parser:
                 if den_tok is None or not den_tok.isdigit():
                     raise ParseError("expected denominator", self.here())
                 self.take()
+                if not int(den_tok):
+                    raise ParseError("zero denominator", pos)
                 return {(0, 0, 0): Fraction(num, int(den_tok))}
             return {(0, 0, 0): Fraction(num)}
         raise ParseError(f"unexpected token {tok!r}", pos)

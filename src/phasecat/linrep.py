@@ -10,6 +10,8 @@ subconjugacy covering relation with the dimension lost along it.
 
 from __future__ import annotations
 
+from math import lcm
+
 from . import ratmat
 from .errors import CapExceededError, ValidationError
 from .permgroup import (FiniteGroup, Subgroup, SubgroupClass,
@@ -72,20 +74,20 @@ def averaging_projector(action: LinearAction, H: Subgroup) -> Mat:
     return ratmat.to_mat(rows, den * H.order)
 
 
-def _fixed_space(forms, dimension: int) -> list[Vec]:
-    """Canonical basis of the vectors every N / den in ``forms`` fixes:
-    the kernel of the stacked N - den I, or of one zero row when there is
-    none."""
+def _fixed_space(forms, dimension: int) -> Form:
+    """The form of the canonical basis of the vectors every N / den in
+    ``forms`` fixes: the kernel of the stacked N - den I, or of one zero
+    row when there is none."""
     stacked = [[x - den if i == j else x for j, x in enumerate(row)]
                for rows, den in forms for i, row in enumerate(rows)]
-    return ratmat.int_kernel_basis(stacked or [[0] * dimension])
+    return ratmat.kernel(stacked or [[0] * dimension])
 
 
 def fix_subspace(action: LinearAction, H: Subgroup) -> list[Vec]:
     """Canonical basis of {v | rho(h) v = v for all h in H}, cut out by
     the generators of H alone."""
-    return _fixed_space([action.forms[s] for s in H.generator_indices],
-                        action.dimension)
+    return list(ratmat.to_mat(*_fixed_space(
+        [action.forms[s] for s in H.generator_indices], action.dimension)))
 
 
 class RelativeNormal:
@@ -117,8 +119,9 @@ def relative_normal(action: LinearAction, H0: Subgroup, H1: Subgroup,
     and Fix(K) <= Fix(H0).  The complement is cut out of Fix(H0) by
     ker P_K, P_K the K-averaging projector, so it is canonical and
     K-stable where K acts.  ker P_K is the annihilator of the vectors that
-    the transposes rho(s)^T fix, s running over the generators of K, and
-    the restricted matrices come from one left inverse of the basis.
+    the transposes rho(s)^T fix, s running over the generators of K (kept
+    as integer rows), and the restricted matrices come from one left
+    inverse of the basis.
     """
     return _relative_normal(action, fix_subspace(action, H0), H0, H1,
                             witness)
@@ -138,20 +141,24 @@ def _relative_normal(action: LinearAction, fix0: list[Vec], H0: Subgroup,
     gens = [G.conj(G.inv(witness), h) for h in H1.generator_indices]
     transposes = [(ratmat.transpose(N), den)
                   for N, den in (action.forms[s] for s in gens)]
-    annihilator = _fixed_space(transposes, d)
-    basis = ratmat.intersect(fix0, tuple(annihilator))
+    annihilator, _ = _fixed_space(transposes, d)
+    basis = ratmat.intersect(fix0, annihilator)
 
     acting_members = tuple(sorted(
         K.member_set & transporter(G, H0, H0)))
     acting = Subgroup(G, acting_members)
     if not basis:
         return RelativeNormal(basis, acting, {k: () for k in acting.members})
-    cols = ratmat.transpose(basis)
-    # the basis is independent, so the first len(basis) rows of the
-    # reduced [cols | I] read [I | left] with left * cols = I
-    R, _ = ratmat.rref(tuple(c + e for c, e in zip(cols, ratmat.eye(d))))
-    left, dl = ratmat.form(tuple(row[len(basis):] for row in R[:len(basis)]))
-    cols, dc = ratmat.form(cols)
+    n = len(basis)
+    cols, dc = ratmat.form(ratmat.transpose(basis))
+    # the basis is independent, so row k < n of the reduced [cols | dc I]
+    # is s_k [e_k | L_k], L the left inverse of cols / dc; left = dl L
+    reduced, _ = ratmat.reduce_rows(
+        [[*row, *(dc if i == j else 0 for j in range(d))]
+         for i, row in enumerate(cols)])
+    dl = lcm(*(row[k] for k, row in enumerate(reduced[:n])))
+    left = [[x * (dl // row[k]) for x in row[n:]]
+            for k, row in enumerate(reduced[:n])]
     restricted: dict[int, Mat] = {}
     for k in acting.members:
         N, den = action.forms[k]
@@ -301,7 +308,7 @@ def isotypic_decomposition(action: LinearAction,
             acc = ratmat.int_mul(acc, N)
             for i, row in enumerate(acc):
                 row[i] += c * scale
-        basis = ratmat.int_kernel_basis(acc)
+        basis = list(ratmat.to_mat(*ratmat.kernel(acc)))
         if basis:
             out[d] = basis
             total += len(basis)

@@ -5,12 +5,15 @@ Fraction (vectors are tuples): what callers pass in and get back.
 ``Form`` is ``(rows, den)``, integer rows N over the smallest positive
 den with A = N / den; the smallest den makes the form canonical, so two
 forms are equal exactly when their matrices are.  Products, sums and
-eliminations run on integer rows, and each returned Fraction is built
-once at the end; the ``Mat`` functions are adapters over them.
+eliminations run on integer rows; ``form`` and ``to_mat`` cross between
+the two forms, and each returned Fraction is built once at the end.
 
-Row reduction gives ranks, kernels and canonical subspace bases --
-idempotence and dimension bookkeeping downstream are asserted as
-equalities, so no floating point is allowed here.
+``echelon`` is the package's one fraction-free elimination, on sparse
+integer rows keyed by column.  The Milnor truncations of ``singularity``
+call it directly; Gauss-Jordan (``reduce_rows``), kernels, ranks and
+subspace intersections are built on it, so the a * row - b * kept step
+is written once.  Idempotence and dimension bookkeeping downstream are
+asserted as equalities, so no floating point is allowed here.
 """
 
 from __future__ import annotations
@@ -82,107 +85,100 @@ def form_sum(forms) -> Form:
                       for rows in zip(*(r for r, _ in forms))], den)
 
 
-def _primitive(row: list[int]) -> list[int]:
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
+# -- fraction-free elimination ----------------------------------------------
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    g = gcd(*row.values())
+    return {c: x // g for c, x in row.items()} if g > 1 else row
+
+
+def _step(row: dict[int, int], kept: dict[int, int],
+          c: int) -> dict[int, int]:
+    """a * row - b * kept with a * row[c] = b * kept[c], so column c drops
+    out, divided by the gcd of its entries so the integers stay small."""
+    g = gcd(kept[c], row[c])
+    a, b = kept[c] // g, row[c] // g
+    out = {e: a * x for e, x in row.items()}
+    for e, x in kept.items():
+        out[e] = out.get(e, 0) - b * x
+    return _primitive({e: x for e, x in out.items() if x})
+
+
+def echelon(rows) -> dict[int, dict[int, int]]:
+    """Fraction-free elimination of sparse integer rows ({column: value}):
+    the kept rows, each keyed by its lead, its lowest column.
+
+    A row meeting a kept row at its lead takes one elimination step; a
+    lead is never normalised, since scaling a row does not move it.  Kept
+    rows are primitive when the rows given are.
+    """
+    kept: dict[int, dict[int, int]] = {}
+    for row in sorted(rows, key=len):
+        while row:
+            lead = min(row)
+            other = kept.get(lead)
+            if other is None:
+                kept[lead] = row
+                break
+            row = _step(row, other, lead)
+    return kept
 
 
 def reduce_rows(rows) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan on integer rows.
-
-    Row i becomes p * row_i - q * row_r, divided by the gcd of its
-    entries, so the integers stay small.  Returns the rows, row k a
-    multiple of the k-th row of the reduced echelon form, and the pivots.
-    """
-    rows = [_primitive(row) for row in rows]
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        top = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                g = gcd(top[c], rows[i][c])
-                p, q = top[c] // g, rows[i][c] // g
-                rows[i] = _primitive([p * x - q * y
-                                      for x, y in zip(rows[i], top)])
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+    """Fraction-free Gauss-Jordan on dense integer rows: ``echelon``, then
+    a back pass clearing each pivot column above its row with the same
+    step.  Returns the rows, row k a primitive multiple of the k-th row of
+    the reduced echelon form and the rows past the rank zero, and the
+    pivots in ascending order."""
+    ncols = len(rows[0]) if rows else 0
+    kept = echelon([_primitive({c: x for c, x in enumerate(row) if x})
+                    for row in rows])
+    pivots = sorted(kept)
+    # from the last pivot down, so each row used is already reduced
+    for k in range(len(pivots) - 1, 0, -1):
+        p = pivots[k]
+        for q in pivots[:k]:
+            if p in kept[q]:
+                kept[q] = _step(kept[q], kept[p], p)
+    out = [[kept[p].get(c, 0) for c in range(ncols)] for p in pivots]
+    out += [[0] * ncols for _ in range(len(rows) - len(pivots))]
+    return out, pivots
 
 
-def int_kernel_basis(rows) -> list[Vec]:
-    """Canonical basis of the null space of non-empty integer rows, from
-    the reduced echelon form; scaling a row leaves it unchanged."""
+def kernel(rows) -> Form:
+    """The form of the canonical null-space basis of non-empty integer
+    rows: for each free column f, the vector with 1 at f, 0 at the other
+    free columns and -row[f] / row[p] at the pivot p of each reduced row.
+    Scaling a row leaves it unchanged."""
     reduced, pivots = reduce_rows(rows)
     ncols = len(reduced[0])
+    den = lcm(*(row[p] for row, p in zip(reduced, pivots)))
     basis = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = den
         for row, p in zip(reduced, pivots):
-            v[p] = Fraction(-row[f], row[p])
-        basis.append(tuple(v))
-    return basis
-
-
-# -- Fraction adapters -------------------------------------------------------
-
-def mat_mul(A: Mat, B: Mat) -> Mat:
-    if A and B and len(A[0]) != len(B):
-        raise ValidationError("dimension mismatch in matrix product")
-    a, da = form(A)
-    b, db = form(B)
-    return to_mat(int_mul(a, b), da * db)
-
-
-def mat_vec(A: Mat, v: Vec) -> Vec:
-    a, da = form(A)
-    (x,), dx = form((v,))
-    den = da * dx
-    return tuple(Fraction(sum(map(mul, row, x)), den) for row in a)
-
-
-def rref(A: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form and pivot column indices; each pivot row
-    is divided by its pivot once, and the rows past the rank are zero."""
-    rows, pivots = reduce_rows(form(A)[0])
-    out = [tuple(Fraction(x, row[c]) for x in row)
-           for row, c in zip(rows, pivots)]
-    out += [tuple(map(Fraction, row)) for row in rows[len(pivots):]]
-    return tuple(out), pivots
+            v[p] = -row[f] * (den // row[p])
+        basis.append(v)
+    return canonical(basis, den)
 
 
 def rank(A: Mat) -> int:
     return len(reduce_rows(form(A)[0])[1])
 
 
-def kernel_basis(A: Mat) -> list[Vec]:
-    """Canonical basis of the null space, from the reduced echelon form."""
-    return int_kernel_basis(form(A)[0]) if A else []
-
-
 def is_invertible(A: Mat) -> bool:
     return len(A) == len(A[0]) and rank(A) == len(A)
 
 
-def intersect(basis_a: list[Vec], constraint: Mat) -> list[Vec]:
-    """Basis of {v in span(basis_a) | constraint @ v = 0}, expressed as
-    ambient vectors."""
-    if not basis_a:
-        return []
-    if not constraint:
-        return list(as_mat(basis_a))
-    cols = transpose(as_mat(basis_a))
-    reduced = mat_mul(constraint, cols)
-    out = []
-    for c in kernel_basis(reduced):
-        out.append(mat_vec(cols, c))
-    return out
+def intersect(basis_a: list[Vec], constraint) -> list[Vec]:
+    """Basis of {v in span(basis_a) | constraint @ v = 0}, for integer
+    constraint rows, expressed as ambient vectors: the kernel of
+    constraint @ A, A the integer columns of basis_a, carried back by A."""
+    if not basis_a or not constraint:
+        return list(basis_a)
+    a, den = form(basis_a)
+    k, dk = kernel(int_mul(constraint, transpose(a)))
+    return list(to_mat(int_mul(k, a), den * dk))

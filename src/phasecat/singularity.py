@@ -4,8 +4,10 @@ The Milnor number mu is the dimension of the local algebra, the quotient
 of the local ring at the origin by the Jacobian ideal J of the germ.  It
 is computed Macaulay-style: truncate at a total degree D (work modulo the
 D+1st power of the maximal ideal m), row reduce the multiples of the
-partials with the lowest-degree monomial as the leading term, and read
-off the standard (non-leading) monomials.  When no standard monomial has
+partials with the lowest monomial in graded-lex order as the leading
+term, and read off the standard (non-leading) monomials.  The monomials
+are numbered as columns, so the reduction is ``ratmat.echelon``, the
+package's one fraction-free elimination.  When no standard monomial has
 degree D, m^D lies in J + m^(D+1), so Nakayama's lemma gives m^D in J and
 mu is exactly the number of standard monomials.  The degrees D = 1, 2, 4,
 8, then 25 % more each step, are tried up to TRUNCATION_CAP.
@@ -23,8 +25,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
+from operator import add
 
+from . import ratmat
 from .errors import (CapExceededError, Frozen, PhasecatError,
                      ValidationError)
 from .germs import VAR_NAMES, PolyGerm, parse_germ
@@ -80,61 +84,36 @@ def _monomials_up_to(nvars: int, degree: int):
             yield tuple(exps)
 
 
-def _mono_key(exps):
-    return (sum(exps), exps)
-
-
-def _echelon(rows) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
-    """Fraction-free sparse elimination of integer rows, keyed by the
-    lowest monomial of each kept row in graded-lex order.
-
-    A row meeting a kept row at its lead becomes a * row - b * kept,
-    divided by the gcd of its entries; a lead is never normalised, since
-    scaling a row does not move it.
-    """
-    echelon: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    for row in sorted(rows, key=len):
-        while row:
-            lead = min(row, key=_mono_key)
-            other = echelon.get(lead)
-            if other is None:
-                echelon[lead] = row
-                break
-            g = gcd(other[lead], row[lead])
-            a, b = other[lead] // g, row[lead] // g
-            row = {e: a * c for e, c in row.items()}
-            for e, c in other.items():
-                row[e] = row.get(e, 0) - b * c
-            row = {e: c for e, c in row.items() if c}
-            g = gcd(*row.values())
-            if g > 1:
-                row = {e: c // g for e, c in row.items()}
-    return echelon
-
-
 def _truncated_quotient(partials, nvars: int, degree: int):
     """Standard monomials of span{m * df_i} modulo degree > `degree` terms.
 
-    Sparse elimination keyed by the lowest monomial in graded-lex order, so
-    a row whose lead has degree `degree` has no other degree; the standard
-    (non-leading) monomials of total degree <= degree form a basis of the
-    quotient by the truncated Jacobian ideal.  The rows are the partials
-    scaled to integers once, times each monomial.
+    The monomials of total degree <= degree are numbered once in
+    graded-lex order, so ``ratmat.echelon`` keys each row by its lowest
+    monomial, and a row whose lead has degree `degree` has no other
+    degree; the standard (non-leading) monomials, in graded-lex order,
+    form a basis of the quotient by the truncated Jacobian ideal.  The
+    rows are the partials scaled to integers once, times each monomial
+    that keeps their lowest term within `degree`.
     """
+    monomials = sorted(_monomials_up_to(nvars, degree),
+                       key=lambda e: (sum(e), e))
+    column = {m: i for i, m in enumerate(monomials)}
     rows = []
     for p in partials:
         if not p:
             continue
         den = lcm(*(c.denominator for c in p.values()))
-        p = {e: c.numerator * (den // c.denominator) for e, c in p.items()}
-        mindeg = min(sum(e) for e in p)
-        for m in _monomials_up_to(nvars, degree - mindeg):
-            row = {tuple(a + b for a, b in zip(e, m)): c
-                   for e, c in p.items() if sum(e) + sum(m) <= degree}
-            if row:
-                rows.append(row)
-    echelon = _echelon(rows)
-    return [m for m in _monomials_up_to(nvars, degree) if m not in echelon]
+        terms = [(e, sum(e), c.numerator * (den // c.denominator))
+                 for e, c in p.items()]
+        room = degree - min(d for _, d, _ in terms)
+        for m in monomials:
+            dm = sum(m)
+            if dm > room:
+                break
+            rows.append({column[tuple(map(add, e, m))]: c
+                         for e, d, c in terms if d + dm <= degree})
+    leads = ratmat.echelon(rows)
+    return [m for i, m in enumerate(monomials) if i not in leads]
 
 
 def local_algebra(f: PolyGerm) -> LocalAlgebra:
@@ -158,7 +137,7 @@ def local_algebra(f: PolyGerm) -> LocalAlgebra:
         # no standard monomial of degree D: m^D lies in J + m^(D+1), so in
         # J by Nakayama, and every larger D would give the same basis
         if all(sum(m) < degree for m in standard):
-            return LocalAlgebra(f, sorted(standard, key=_mono_key))
+            return LocalAlgebra(f, standard)
         if degree >= TRUNCATION_CAP:
             raise CapExceededError(f"{f}: mu not certified up to truncation "
                                    f"degree TRUNCATION_CAP={TRUNCATION_CAP}")

@@ -458,14 +458,14 @@ def bf_fix_subspace(action, members):
         for i, row in enumerate(P)))
 
 
-def bf_relative_normal(action, H0, H1, witness):
+def bf_relative_normal(action, fix0, H0, H1, witness):
     """(basis, restricted) of the adjacency H0 -> H1: the part of Fix(H0)
     killed by the averaging projector of K = witness^-1 H1 witness, and
     each element of K normalizing H0 in basis coordinates, one solve per
-    basis vector."""
+    basis vector.  fix0 is bf_fix_subspace(action, H0.members), built once
+    per H0 by the caller."""
     G = action.group
     K = [G.conj(G.inv(witness), h) for h in H1.members]
-    fix0 = bf_fix_subspace(action, H0.members)
     basis = []
     if fix0:
         cols = tuple(zip(*fix0))

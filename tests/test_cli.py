@@ -350,6 +350,8 @@ MALFORMED = {
                             "DEGREE_CAP"),
     "germ_trinomial_power_over_cap": (["sing", "mu", "--germ",
                                        "(x+y+z)^1000"], None, "DEGREE_CAP"),
+    "germ_zero_denominator": (["sing", "mu", "--germ", "1/0*x"], None,
+                              "zero denominator at position 0"),
     "grid_zero_step": (LDP + ["0.1:0.9:0"], None, "--grid"),
     "grid_missing_part": (LDP + ["0.1:0.9"], None, "--grid"),
     "grid_over_cap": (LDP + ["0.1:0.9:1e-9"], None, "--grid"),
@@ -484,7 +486,7 @@ GROUP_READ = {"errors", "fixtures", "permgroup"}
 OLOG_OUT = {"errors", "ologio"}
 COMPLEX_OUT = (GROUP_READ | OLOG_OUT
                | {"category", "gspace", "orbitcat", "phase"})
-SINGULARITY = {"errors", "germs", "singularity"}
+SINGULARITY = {"errors", "germs", "ratmat", "singularity"}
 # argv -> the most phasecat modules the subcommand may load (cli aside)
 LOADS = {
     "seed-fixtures": (["--seed-fixtures", "{tmp}"], GROUP_READ | OLOG_OUT),

@@ -89,6 +89,13 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="denominator"):
             parse_germ("1/x")
 
+    @pytest.mark.parametrize("text,position", [
+        ("1/0*x", 0), ("x^2 + 3/00*y^3", 6)])
+    def test_zero_denominator(self, text, position):
+        with pytest.raises(ParseError, match="zero denominator") as exc:
+            parse_germ(text)
+        assert exc.value.position == position
+
     @pytest.mark.parametrize("text,degree", [
         (f"x^{DEGREE_CAP}", DEGREE_CAP),
         (f"(x*y)^{DEGREE_CAP // 2}", DEGREE_CAP),

@@ -16,8 +16,8 @@ from phasecat.permgroup import (Subgroup, all_subgroups, closure,
                                 trivial_subgroup)
 
 from oracles import (bf_averaging_projector, bf_fix_subspace,
-                     bf_isotypic_decomposition, bf_rref, bf_relative_normal,
-                     zeros)
+                     bf_isotypic_decomposition, bf_mat_mul, bf_rref,
+                     bf_relative_normal, zeros)
 
 F = Fraction
 
@@ -54,8 +54,8 @@ class TestLinearAction:
         for a in range(s3.order):
             for b in range(s3.order):
                 assert s3_standard.matrix(s3.mul(a, b)) \
-                    == ratmat.mat_mul(s3_standard.matrix(a),
-                                      s3_standard.matrix(b))
+                    == bf_mat_mul(s3_standard.matrix(a),
+                                  s3_standard.matrix(b))
 
     def test_entries_written_differently_give_equal_matrices(self, c2, s3):
         # an involution with den 2 entries, and S3's standard
@@ -69,7 +69,7 @@ class TestLinearAction:
         s3_gens = fx.REPRESENTATIONS["s3_standard"]["generators"]
         T, T_inv = ((F(2), F(0)), (F(0), F(1, 3))), \
             ((F(1, 2), F(0)), (F(0), F(3)))
-        conj = [ratmat.mat_mul(ratmat.mat_mul(T, ratmat.as_mat(m)), T_inv)
+        conj = [bf_mat_mul(bf_mat_mul(T, ratmat.as_mat(m)), T_inv)
                 for m in s3_gens]
         s3_actions = [
             LinearAction(s3, 2, conj),
@@ -95,7 +95,7 @@ class TestLinearAction:
                 for m in fx.REPRESENTATIONS["s3_standard"]["generators"]]
         T, T_inv = ((F(1), F(1, 2)), (F(0), F(1))), \
             ((F(1), F(-1, 2)), (F(0), F(1)))
-        moved = [ratmat.mat_mul(ratmat.mat_mul(T, gens[0]), T_inv), gens[1]]
+        moved = [bf_mat_mul(bf_mat_mul(T, gens[0]), T_inv), gens[1]]
         with pytest.raises(ValidationError, match=message):
             LinearAction(s3, 2, moved)
 
@@ -121,11 +121,11 @@ class TestAveragingProjector:
         action = request.getfixturevalue(rep)
         for H in all_subgroups(action.group):
             P = averaging_projector(action, H)
-            assert ratmat.mat_mul(P, P) == P
+            assert bf_mat_mul(P, P) == P
             for h in H.members:
                 R = action.matrix(h)
-                assert ratmat.mat_mul(R, P) == P
-                assert ratmat.mat_mul(P, R) == P
+                assert bf_mat_mul(R, P) == P
+                assert bf_mat_mul(P, R) == P
 
     def test_c2_projector_explicit(self, c2_plane):
         P = averaging_projector(c2_plane, full_subgroup(c2_plane.group))
@@ -166,7 +166,9 @@ class TestFixSubspace:
         for sub in all_subgroups(s3):
             for v in fix_subspace(s3_standard, sub):
                 for h in sub.members:
-                    assert ratmat.mat_vec(s3_standard.matrix(h), v) == v
+                    column = tuple(zip(v))
+                    assert bf_mat_mul(s3_standard.matrix(h), column) \
+                        == column
 
 
 class TestRelativeNormal:
@@ -212,7 +214,7 @@ class TestRelativeNormal:
         for a in acting.members:
             assert ratmat.is_invertible(rn.restricted[a])
             for b in acting.members:
-                assert ratmat.mat_mul(rn.restricted[a], rn.restricted[b]) \
+                assert bf_mat_mul(rn.restricted[a], rn.restricted[b]) \
                     == rn.restricted[s3.mul(a, b)]
 
     def test_bad_witness_rejected(self, s3_standard, s3):
@@ -334,8 +336,8 @@ def rationally_conjugated(mats, seed):
     aug = [row + [F(int(i == j)) for j in range(dim)]
            for i, row in enumerate(T)]
     T_inv = [row[dim:] for row in bf_rref(aug)[0]]
-    return [ratmat.mat_mul(ratmat.mat_mul(ratmat.as_mat(T), ratmat.as_mat(m)),
-                           ratmat.as_mat(T_inv)) for m in mats]
+    return [bf_mat_mul(bf_mat_mul(ratmat.as_mat(T), ratmat.as_mat(m)),
+                       ratmat.as_mat(T_inv)) for m in mats]
 
 
 @pytest.fixture(scope="module")
@@ -382,12 +384,13 @@ class TestGeneratorKernelsMatchProjectors:
             G = action.group
             reps = [c.representative
                     for c in conjugacy_classes_of_subgroups(G)]
-            for h0, h1 in itertools.product(reps, reps):
+            fixes = [bf_fix_subspace(action, h.members) for h in reps]
+            for (h0, fix0), h1 in itertools.product(zip(reps, fixes), reps):
                 t = transporter(G, h0, h1)
                 if not t:
                     continue
                 rn = relative_normal(action, h0, h1, min(t))
-                basis, restricted = bf_relative_normal(action, h0, h1,
+                basis, restricted = bf_relative_normal(action, fix0, h0, h1,
                                                        min(t))
                 assert repr(rn.basis) == repr(basis), (name, h0, h1)
                 assert repr(rn.restricted) == repr(restricted)
@@ -399,8 +402,9 @@ class TestGeneratorKernelsMatchProjectors:
             for a in q.arrows:
                 h0 = q.nodes[a.source].subgroup_class.representative
                 h1 = q.nodes[a.target].subgroup_class.representative
-                basis, restricted = bf_relative_normal(action, h0, h1,
-                                                       a.witness)
+                basis, restricted = bf_relative_normal(
+                    action, bf_fix_subspace(action, h0.members), h0, h1,
+                    a.witness)
                 assert repr(a.normal.basis) == repr(basis), name
                 assert repr(a.normal.restricted) == repr(restricted), name
 

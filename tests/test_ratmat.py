@@ -1,7 +1,7 @@
-"""Integer-row kernels of ratmat and their Fraction adapters against the
-Fraction oracles: a seeded corpus of random matrices, with zero rows and
-columns, 1 x n and n x 1 shapes, rank-deficient products and large
-denominators."""
+"""Integer-row kernels of ratmat against the Fraction oracles: a seeded
+corpus of random matrices, with zero rows and columns, 1 x n and n x 1
+shapes, rank-deficient products and large denominators, and the edge
+shapes of the one fraction-free elimination spelled out."""
 
 import random
 from fractions import Fraction
@@ -11,7 +11,7 @@ import pytest
 
 from phasecat import ratmat
 
-from oracles import bf_kernel_basis, bf_mat_mul, bf_rref
+from oracles import bf_kernel_basis, bf_leads, bf_mat_mul, bf_rref
 
 F = Fraction
 CORPUS_SIZE = 2000
@@ -74,15 +74,26 @@ def test_corpus_covers_the_edge_shapes(corpus):
                for x in row)
 
 
+def rref_of_rows(rows, pivots):
+    """The reduced echelon form read off reduce_rows: each pivot row
+    divided by its pivot, the zero rows past the rank as they are."""
+    return tuple(tuple(F(x, row[c]) for x in row)
+                 for row, c in zip(rows, pivots)) \
+        + tuple(tuple(map(F, row)) for row in rows[len(pivots):])
+
+
 def test_rref_equals_fraction_elimination(corpus):
-    # repr also pins the entry type: every entry stays a Fraction
+    # repr also pins the entry type: every entry becomes a Fraction
     for A in corpus:
-        assert repr(ratmat.rref(A)) == repr(bf_rref(A)), A
+        rows, pivots = ratmat.reduce_rows(ratmat.form(A)[0])
+        assert repr((rref_of_rows(rows, pivots), pivots)) \
+            == repr(bf_rref(A)), A
 
 
 def test_kernel_and_rank_equal_fraction_elimination(corpus):
     for A in corpus:
-        assert repr(ratmat.kernel_basis(A)) == repr(bf_kernel_basis(A)), A
+        basis = list(ratmat.to_mat(*ratmat.kernel(ratmat.form(A)[0])))
+        assert repr(basis) == repr(bf_kernel_basis(A)), A
         assert ratmat.rank(A) == len(bf_rref(A)[1])
 
 
@@ -91,10 +102,9 @@ def test_products_equal_fraction_products(corpus):
     for A in corpus:
         B = _matrix(rng, len(A[0]), rng.randint(1, 5),
                     rng.choice(("small", "sparse", "large")))
-        AB = bf_mat_mul(A, B)
-        assert repr(ratmat.mat_mul(A, B)) == repr(AB)
-        assert repr(ratmat.mat_vec(A, tuple(row[0] for row in B))) \
-            == repr(tuple(row[0] for row in AB))
+        (a, da), (b, db) = ratmat.form(A), ratmat.form(B)
+        assert repr(ratmat.to_mat(ratmat.int_mul(a, b), da * db)) \
+            == repr(bf_mat_mul(A, B))
 
 
 def test_sums_equal_fraction_sums(corpus):
@@ -139,6 +149,46 @@ def test_reduced_rows_stay_primitive(corpus):
             assert all(F(x, row[pivots[k]]) == r for x, r in zip(row, R[k]))
 
 
+@pytest.mark.parametrize("rows", [
+    pytest.param([], id="empty"),
+    pytest.param([[]], id="no-columns"),
+    pytest.param([[0, 0, 0], [0, 0, 0]], id="all-zero"),
+    pytest.param([[0, 2, 4], [0, 1, 3], [0, 5, -1]], id="zero-column"),
+    pytest.param([[1, 2, 3], [1, 2, 3], [2, 4, 6], [0, 1, 1]],
+                 id="repeated"),
+    pytest.param([[0, 6, -4, 10]], id="single-row"),
+])
+def test_reduce_rows_edge_shapes(rows):
+    # rows past the rank come back zero and the pivots ascend
+    out, pivots = ratmat.reduce_rows(rows)
+    A = tuple(tuple(map(F, row)) for row in rows)
+    assert repr((rref_of_rows(out, pivots), pivots)) == repr(bf_rref(A))
+    assert len(out) == len(rows)
+    assert all(not any(row) for row in out[len(pivots):])
+    assert pivots == sorted(set(pivots))
+
+
+def test_echelon_rows_stay_primitive():
+    # primitive rows in: every kept row is primitive and keyed by its
+    # lead, its lowest column, and the leads are those of Fraction
+    # elimination
+    rng = random.Random("echelon-rows")
+    for _ in range(200):
+        rows = []
+        for _ in range(rng.randint(1, 12)):
+            row = {c: rng.randint(-30, 30)
+                   for c in rng.sample(range(25), rng.randint(1, 8))}
+            row = {c: x for c, x in row.items() if x}
+            g = gcd(*row.values())
+            if g:
+                rows.append({c: x // g for c, x in row.items()})
+        echelon = ratmat.echelon([dict(r) for r in rows])
+        for lead, row in echelon.items():
+            assert gcd(*row.values()) == 1, row
+            assert lead == min(row)
+        assert set(echelon) == bf_leads(rows, lambda c: c)
+
+
 class TestIntersect:
     def test_no_constraint_rows_keeps_basis_a(self):
         basis_a = [(F(1), F(0)), (F(0), F(1))]
@@ -158,5 +208,5 @@ class TestIntersect:
 
     def test_constraint_cuts_out_its_null_space(self):
         basis_a = [(F(1), F(0), F(0)), (F(0), F(1), F(0))]
-        out = ratmat.intersect(basis_a, ((F(1), F(1), F(0)),))
+        out = ratmat.intersect(basis_a, ((1, 1, 0),))
         assert out == [(F(-1), F(1), F(0))]

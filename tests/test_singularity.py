@@ -1,7 +1,6 @@
 import random
 import re
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
@@ -12,7 +11,7 @@ from phasecat import (CapExceededError, NonIsolated, QuasihomogeneousGerm,
                       spectrum_grading, stabilize, weight_milnor)
 from phasecat import singularity
 
-from oracles import bf_leads, bf_standard_monomials
+from oracles import bf_standard_monomials
 
 F = Fraction
 
@@ -325,23 +324,3 @@ class TestIntegerElimination:
     def test_seeded_brieskorn_pham(self):
         for germ in seeded_brieskorn_pham("bp-oracle", 12):
             self.check(germ)
-
-    def test_echelon_rows_stay_primitive(self):
-        # primitive rows in: every kept row is primitive and keyed by its
-        # lead, and the leads are those of Fraction elimination
-        rng = random.Random("echelon-rows")
-        monomials = [(i, j) for i in range(5) for j in range(5)]
-        for _ in range(200):
-            rows = []
-            for _ in range(rng.randint(1, 12)):
-                row = {m: rng.randint(-30, 30)
-                       for m in rng.sample(monomials, rng.randint(1, 8))}
-                row = {m: c for m, c in row.items() if c}
-                g = gcd(*row.values())
-                if g:
-                    rows.append({m: c // g for m, c in row.items()})
-            echelon = singularity._echelon([dict(r) for r in rows])
-            for lead, row in echelon.items():
-                assert gcd(*row.values()) == 1, row
-                assert lead == min(row, key=singularity._mono_key)
-            assert set(echelon) == bf_leads(rows, singularity._mono_key)
