@@ -1,10 +1,13 @@
 """Finite permutation groups and subgroup-level primitives.
 
 Groups are given by generators acting on the points ``{0, ..., degree-1}``.
-Elements are indexed by their position in the sorted element list, and all
-subgroup machinery (lattice, conjugacy, transporters, normalizers, Weyl
-groups) works on those indices through a dense Cayley table and an inverse
-array, both built on first use.  Compact groups degenerate here to finite
+Elements are indexed by their position in the sorted element list.  The
+closure walk that finds them keeps each generator's row of products, and
+data given on generators (the Cayley table, actions, representations)
+extends to the whole group along those rows.  All subgroup machinery
+(lattice, conjugacy, transporters, normalizers, Weyl groups) works on the
+indices through a dense Cayley table and an inverse array, both built on
+first use.  Compact groups degenerate here to finite
 ones: every morphism space downstream is already discrete, so the pi_0 step
 of the discretized orbit category is the identity.
 
@@ -14,6 +17,7 @@ Everything is immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import re
+import sys
 import warnings
 from functools import cached_property
 
@@ -36,7 +40,7 @@ def identity_perm(degree: int) -> Perm:
 
 def perm_mul(p: Perm, q: Perm) -> Perm:
     """Composite permutation (p after q): x -> p[q[x]]."""
-    return tuple(p[q[x]] for x in range(len(p)))
+    return tuple([p[x] for x in q])
 
 
 def check_perm(images, degree: int) -> Perm:
@@ -81,19 +85,49 @@ class FiniteGroup:
 
     ``elements`` is the closure of the generators, sorted lexicographically
     by image tuple, so identical generator data always produces identical
-    element indexing.  ``table`` and ``inverse`` are computed on first use.
+    element indexing.  The closure walk records each generator's product
+    with every element: ``_steps[s][i]`` is the index of
+    ``generators[s] * elements[i]``.  Every extension of generator data to
+    the whole group, the Cayley table included, follows these rows.
+    ``table`` and ``inverse`` are computed on first use.
     """
 
-    def __init__(self, degree: int, generators, _elements=None):
+    def __init__(self, degree: int, generators):
         _check_degree(degree)
         self.degree = degree
         self.generators: tuple[Perm, ...] = tuple(
             check_perm(g, degree) for g in generators)
-        if _elements is None:
-            _elements = _closure_elements(degree, self.generators)
-        self.elements: tuple[Perm, ...] = tuple(sorted(_elements))
+        # breadth-first from the identity; found[i] is the i-th element
+        # reached and steps[s][i] the position of generators[s] * found[i]
+        found = [identity_perm(degree)]
+        where = {found[0]: 0}
+        steps: list[list[int]] = [[] for _ in self.generators]
+        for p in found:
+            for g, row in zip(self.generators, steps):
+                q = perm_mul(g, p)
+                i = where.get(q)
+                if i is None:
+                    i = where[q] = len(found)
+                    found.append(q)
+                    if i >= ORDER_CAP:
+                        raise CapExceededError(
+                            f"closure passed ORDER_CAP={ORDER_CAP}: "
+                            f"{i + 1} elements found so far")
+                row.append(i)
+        if len(found) > ORDER_WARN:
+            # at the line of the first caller outside this module
+            frame, level = sys._getframe(), 1
+            while frame.f_globals is globals():
+                frame, level = frame.f_back, level + 1
+            warnings.warn(f"group order {len(found)} > {ORDER_WARN}; "
+                          "subgroup enumeration may be slow", stacklevel=level)
+        self.elements: tuple[Perm, ...] = tuple(sorted(found))
         self._index: dict[Perm, int] = {
             p: i for i, p in enumerate(self.elements)}
+        rank = [self._index[p] for p in found]
+        self._steps: tuple[tuple[int, ...], ...] = tuple(
+            tuple([rank[row[where[p]]] for p in self.elements])
+            for row in steps)
 
     @property
     def order(self) -> int:
@@ -117,30 +151,11 @@ class FiniteGroup:
         """Cayley table: ``table[i][j]`` is the index of
         elements[i] * elements[j].
 
-        Row i is left multiplication by element i.  Rows of a few
-        generators are computed from the permutations; every other row is
-        a composite ``row(s)[row(q)[j]]`` of rows already known, found
-        breadth-first from the identity.
+        Row i is left multiplication by element i, so the rows are the
+        left regular representation, extended from the generator rows.
         """
-        index, elements = self._index, self.elements
-        rows = {self.identity_index: tuple(range(self.order))}
-        used: list[tuple[int, ...]] = []
-        for g in self.generators:
-            if index[g] in rows:
-                continue
-            used.append(tuple(index[perm_mul(g, p)] for p in elements))
-            frontier = list(rows)
-            while frontier:
-                nxt = []
-                for q in frontier:
-                    q_row = rows[q]
-                    for s_row in used:
-                        p = s_row[q]
-                        if p not in rows:
-                            rows[p] = tuple([s_row[x] for x in q_row])
-                            nxt.append(p)
-                frontier = nxt
-        return tuple(rows[i] for i in range(self.order))
+        return extend_generators(self, self._steps, perm_mul,
+                                 tuple(range(self.order)))
 
     @cached_property
     def inverse(self) -> tuple[int, ...]:
@@ -164,29 +179,6 @@ class FiniteGroup:
                 f"generators={len(self.generators)})")
 
 
-def _closure_elements(degree: int, generators) -> set[Perm]:
-    seen = {identity_perm(degree)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in generators:
-                q = perm_mul(g, p)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-                    if len(seen) > ORDER_CAP:
-                        raise CapExceededError(
-                            f"closure passed ORDER_CAP={ORDER_CAP}: "
-                            f"{len(seen)} elements found so far")
-        frontier = nxt
-    if len(seen) > ORDER_WARN:
-        warnings.warn(
-            f"group order {len(seen)} > {ORDER_WARN}; subgroup enumeration "
-            "may be slow", stacklevel=3)
-    return seen
-
-
 def closure(degree: int, generators) -> FiniteGroup:
     """Smallest permutation group containing the generators."""
     return FiniteGroup(degree, generators)
@@ -195,17 +187,15 @@ def closure(degree: int, generators) -> FiniteGroup:
 def extend_generators(G: FiniteGroup, images, mul, one) -> tuple:
     """The homomorphism sending ``G.generators[i]`` to ``images[i]``, as a
     tuple indexed like ``G.elements``; ``mul(a, b)`` is a after b and
-    ``one`` the identity's image.  Breadth-first along the generators'
-    Cayley-table rows; an element reached twice with different images
-    means the images break a relation of G."""
+    ``one`` the identity's image.  Breadth-first along the closure walk's
+    generator rows; an element reached twice with different images means
+    the images break a relation of G."""
     if len(images) != len(G.generators):
         raise ValidationError("one image per group generator required")
-    table = G.table
-    rows = [table[G.index(g)] for g in G.generators]
     out = {G.identity_index: one}
     queue = [G.identity_index]
     for e in queue:
-        for row, image in zip(rows, images):
+        for row, image in zip(G._steps, images):
             f, composed = row[e], mul(image, out[e])
             if f not in out:
                 out[f] = composed
@@ -409,27 +399,28 @@ def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
     return Subgroup(G, tuple(sorted(transporter(G, H, H))))
 
 
-def left_cosets(G: FiniteGroup, H: Subgroup,
-                within: Subgroup | None = None) -> list[tuple[int, ...]]:
-    """Left cosets gH inside ``within`` (default: all of G), each a sorted
-    tuple, listed in order of their minimal element."""
-    ambient = within.members if within is not None else range(G.order)
+def left_cosets(G: FiniteGroup, H: Subgroup) -> list[tuple[int, ...]]:
+    """Left cosets gH, each a sorted tuple, listed in order of their
+    minimal element."""
     seen: set[int] = set()
     cosets = []
-    for g in ambient:
+    for g in range(G.order):
         if g in seen:
             continue
         coset = tuple(sorted(G.mul(g, h) for h in H.members))
         seen.update(coset)
         cosets.append(coset)
-    cosets.sort(key=lambda c: c[0])
     return cosets
 
 
 def weyl_group(G: FiniteGroup, H: Subgroup) -> FiniteGroup:
-    """W_G(H) = N_G(H)/H as a permutation group on the cosets of H in N."""
+    """W_G(H) = N_G(H)/H as a permutation group on the cosets of H in N,
+    numbered in order of their minimal element and generated by the
+    images of N's generators.  N normalizes H, so each coset nH is the
+    right coset Hn, named by its minimal element."""
     N = normalizer(G, H)
-    cosets = left_cosets(G, H, within=N)
-    where = {g: i for i, coset in enumerate(cosets) for g in coset}
-    perms = {tuple(where[G.mul(n, c[0])] for c in cosets) for n in N.members}
-    return FiniteGroup(len(cosets), sorted(perms), _elements=perms)
+    name = H.right_coset_min
+    reps = sorted({name[n] for n in N.members})
+    label = {r: i for i, r in enumerate(reps)}
+    return FiniteGroup(len(reps), [[label[name[G.mul(n, r)]] for r in reps]
+                                   for n in N.generator_indices])

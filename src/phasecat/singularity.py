@@ -74,46 +74,56 @@ class LocalAlgebra:
         return len(self.monomial_basis)
 
 
-def _monomials_up_to(nvars: int, degree: int):
-    for total in range(degree + 1):
-        for cuts in itertools.combinations_with_replacement(
-                range(nvars), total):
-            exps = [0] * nvars
-            for c in cuts:
-                exps[c] += 1
-            yield tuple(exps)
+def _graded_lex(nvars: int, total: int) -> list[tuple[int, ...]]:
+    """The monomials of one total degree, in ascending lex order."""
+    if nvars == 1:
+        return [(total,)]
+    return [(a,) + rest for a in range(total + 1)
+            for rest in _graded_lex(nvars - 1, total - a)]
 
 
-def _truncated_quotient(partials, nvars: int, degree: int):
-    """Standard monomials of span{m * df_i} modulo degree > `degree` terms.
+def _truncations(partials, nvars: int):
+    """Yield (D, standard monomials of span{m * df_i} modulo degree > D
+    terms) for each D of the ladder up to TRUNCATION_CAP.
 
-    The monomials of total degree <= degree are numbered once in
-    graded-lex order, so ``ratmat.echelon`` keys each row by its lowest
-    monomial, and a row whose lead has degree `degree` has no other
-    degree; the standard (non-leading) monomials, in graded-lex order,
-    form a basis of the quotient by the truncated Jacobian ideal.  The
-    rows are the partials scaled to integers once, times each monomial
-    that keeps their lowest term within `degree`.
+    The monomials are numbered in graded-lex order, so ``ratmat.echelon``
+    keys each row by its lowest monomial, and a row whose lead has degree
+    D has no other degree; the standard (non-leading) monomials, in
+    graded-lex order, form a basis of the quotient by the truncated
+    Jacobian ideal.  One monomial list grows a total degree at a time as
+    the ladder climbs.  The rows are the partials, scaled to integers
+    once, times each monomial that keeps their lowest term within D.
     """
-    monomials = sorted(_monomials_up_to(nvars, degree),
-                       key=lambda e: (sum(e), e))
-    column = {m: i for i, m in enumerate(monomials)}
-    rows = []
+    scaled = []
     for p in partials:
-        if not p:
-            continue
-        den = lcm(*(c.denominator for c in p.values()))
-        terms = [(e, sum(e), c.numerator * (den // c.denominator))
-                 for e, c in p.items()]
-        room = degree - min(d for _, d, _ in terms)
-        for m in monomials:
-            dm = sum(m)
-            if dm > room:
-                break
-            rows.append({column[tuple(map(add, e, m))]: c
-                         for e, d, c in terms if d + dm <= degree})
-    leads = ratmat.echelon(rows)
-    return [m for i, m in enumerate(monomials) if i not in leads]
+        if p:
+            den = lcm(*(c.denominator for c in p.values()))
+            scaled.append([(e, sum(e), c.numerator * (den // c.denominator))
+                           for e, c in p.items()])
+    # the monomials of total degree d are monomials[starts[d]:starts[d+1]]
+    monomials, column, starts = [], {}, [0]
+    degree = 1
+    while True:
+        for total in range(len(starts) - 1, degree + 1):
+            for m in _graded_lex(nvars, total):
+                column[m] = len(monomials)
+                monomials.append(m)
+            starts.append(len(monomials))
+        rows = []
+        for terms in scaled:
+            room = degree - min(d for _, d, _ in terms)
+            for dm in range(room + 1):
+                for m in monomials[starts[dm]:starts[dm + 1]]:
+                    rows.append({column[tuple(map(add, e, m))]: c
+                                 for e, d, c in terms if d + dm <= degree})
+        leads = ratmat.echelon(rows)
+        standard = [m for i, m in enumerate(monomials) if i not in leads]
+        del rows, leads  # each rung eliminates afresh; hold no old rows
+        yield degree, standard
+        if degree >= TRUNCATION_CAP:
+            return
+        degree = min(TRUNCATION_CAP,
+                     degree + (degree if degree < 8 else degree // 4))
 
 
 def local_algebra(f: PolyGerm) -> LocalAlgebra:
@@ -131,18 +141,13 @@ def local_algebra(f: PolyGerm) -> LocalAlgebra:
                 where = (" = ".join([VAR_NAMES[i] for i in zeros] + ["0"])
                          if zeros else "the whole space")
                 raise NonIsolated(f"{f}: every partial vanishes on {where}")
-    degree = 1
-    while True:
-        standard = _truncated_quotient(partials, n, degree)
+    for degree, standard in _truncations(partials, n):
         # no standard monomial of degree D: m^D lies in J + m^(D+1), so in
         # J by Nakayama, and every larger D would give the same basis
         if all(sum(m) < degree for m in standard):
             return LocalAlgebra(f, standard)
-        if degree >= TRUNCATION_CAP:
-            raise CapExceededError(f"{f}: mu not certified up to truncation "
-                                   f"degree TRUNCATION_CAP={TRUNCATION_CAP}")
-        degree = min(TRUNCATION_CAP,
-                     degree + (degree if degree < 8 else degree // 4))
+    raise CapExceededError(f"{f}: mu not certified up to truncation "
+                           f"degree TRUNCATION_CAP={TRUNCATION_CAP}")
 
 
 def milnor_number(f: PolyGerm) -> int:

@@ -66,6 +66,20 @@ def left_cosets(group_elements, subgroup_elements):
     return sorted(cosets, key=sorted)
 
 
+def bf_weyl_elements(group_elements, subgroup_elements):
+    """N/H acting on the cosets of H in its normalizer N, as the sorted
+    image tuples of every n in N: the cosets are numbered in order of
+    their least element tuple, and n sends coset c to the coset n c."""
+    H = set(subgroup_elements)
+    N = [g for g in group_elements
+         if {compose(compose(g, h), invert(g)) for h in H} == H]
+    cosets = sorted({frozenset(compose(n, h) for h in H) for n in N},
+                    key=min)
+    where = {c: i for i, c in enumerate(cosets)}
+    return sorted({tuple(where[frozenset(compose(n, x) for x in c)]
+                         for c in cosets) for n in N})
+
+
 def bf_equivariant_map_count(group_elements, h0_elements, h1_elements):
     """Count equivariant maps G/H0 -> G/H1 by enumerating candidate images
     of the base coset and checking well-definedness and equivariance
@@ -416,17 +430,19 @@ def bf_kernel_basis(A):
     return basis
 
 
-def bf_solve(A, b):
-    """One solution of A x = b from the reduced augmented matrix; None when
-    the system is inconsistent."""
+def bf_solve(A, B):
+    """The solution X of A X = B for every column of B, from one reduction
+    of the augmented matrix (A | B); None when some column makes the
+    system inconsistent."""
     ncols = len(A[0])
-    R, pivots = bf_rref(tuple(tuple(row) + (bb,) for row, bb in zip(A, b)))
-    if ncols in pivots:
+    R, pivots = bf_rref(tuple(tuple(row) + tuple(bb)
+                              for row, bb in zip(A, B)))
+    if pivots and pivots[-1] >= ncols:
         return None
-    x = [Fraction(0)] * ncols
+    X = [[Fraction(0)] * len(B[0]) for _ in range(ncols)]
     for r, p in enumerate(pivots):
-        x[p] = R[r][ncols]
-    return tuple(x)
+        X[p] = list(R[r][ncols:])
+    return tuple(tuple(row) for row in X)
 
 
 def zeros(n, m):
@@ -435,8 +451,11 @@ def zeros(n, m):
 
 
 def bf_mat_mul(A, B):
-    return tuple(tuple(sum((a * b for a, b in zip(row, col)), Fraction(0))
-                       for col in zip(*B)) for row in A)
+    """The Fraction product A B; zero products are skipped."""
+    cols = tuple(zip(*B))
+    return tuple(tuple(sum((a * b for a, b in zip(row, col) if a and b),
+                           Fraction(0))
+                       for col in cols) for row in A)
 
 
 def bf_averaging_projector(action, members):
@@ -446,7 +465,8 @@ def bf_averaging_projector(action, members):
     for h in members:
         for i, row in enumerate(action.matrix(h)):
             for j, x in enumerate(row):
-                total[i][j] += x
+                if x:
+                    total[i][j] += x
     return tuple(tuple(x / len(members) for x in row) for row in total)
 
 
@@ -461,9 +481,10 @@ def bf_fix_subspace(action, members):
 def bf_relative_normal(action, fix0, H0, H1, witness):
     """(basis, restricted) of the adjacency H0 -> H1: the part of Fix(H0)
     killed by the averaging projector of K = witness^-1 H1 witness, and
-    each element of K normalizing H0 in basis coordinates, one solve per
-    basis vector.  fix0 is bf_fix_subspace(action, H0.members), built once
-    per H0 by the caller."""
+    each element of K normalizing H0 in basis coordinates, from one
+    elimination of the basis augmented by the images of every such
+    element.  fix0 is bf_fix_subspace(action, H0.members), built once per
+    H0 by the caller."""
     G = action.group
     K = [G.conj(G.inv(witness), h) for h in H1.members]
     basis = []
@@ -474,18 +495,14 @@ def bf_relative_normal(action, fix0, H0, H1, witness):
                        for row in cols)
                  for c in bf_kernel_basis(reduced)]
     h0 = set(H0.members)
-    restricted = {}
-    for k in sorted(K):
-        if {G.conj(k, h) for h in h0} != h0:
-            continue
-        if not basis:
-            restricted[k] = ()
-            continue
-        cols = tuple(zip(*basis))
-        images = [tuple(sum((a * x for a, x in zip(row, b)), Fraction(0))
-                        for row in action.matrix(k)) for b in basis]
-        restricted[k] = tuple(zip(*(bf_solve(cols, img) for img in images)))
-    return basis, restricted
+    acting = [k for k in sorted(K) if {G.conj(k, h) for h in h0} == h0]
+    if not basis:
+        return basis, {k: () for k in acting}
+    B, b = tuple(zip(*basis)), len(basis)
+    images = [bf_mat_mul(action.matrix(k), B) for k in acting]
+    X = bf_solve(B, tuple(sum(rows, ()) for rows in zip(*images)))
+    return basis, {k: tuple(row[i * b:(i + 1) * b] for row in X)
+                   for i, k in enumerate(acting)}
 
 
 def bf_cyclotomic(n):

@@ -3,7 +3,8 @@ import random
 import pytest
 
 import oracles
-from phasecat import (CapExceededError, ValidationError, all_subgroups,
+from phasecat import (CapExceededError, FiniteGroup, GComplex,
+                      LinearAction, ValidationError, all_subgroups,
                       build_orbit_category, closure,
                       conjugacy_classes_of_subgroups, normalizer,
                       transporter, weyl_group)
@@ -80,6 +81,15 @@ class TestClosure:
         with pytest.raises(CapExceededError, match=message):
             parse_cycles("(0 1)", DEGREE_CAP + 1)
 
+    @pytest.mark.parametrize("build", [closure, FiniteGroup])
+    def test_order_warning_names_the_callers_line(self, build):
+        # S6 has order 720 > ORDER_WARN
+        gens = [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]
+        with pytest.warns(UserWarning, match="group order 720 > 200") \
+                as record:
+            build(6, gens)
+        assert [w.filename for w in record] == [__file__]
+
     def test_all_subgroups_cap_names_order(self, groups, monkeypatch):
         monkeypatch.setattr(permgroup, "ORDER_CAP", 20)
         with pytest.raises(CapExceededError,
@@ -94,9 +104,16 @@ class TestCayleyTable:
                 for j, q in enumerate(G.elements):
                     assert G.elements[G.mul(i, j)] == oracles.compose(p, q)
                 assert G.elements[G.inv(i)] == oracles.invert(p)
+            # the closure walk's generator rows
+            assert [[G.elements[k] for k in row] for row in G._steps] \
+                == [[oracles.compose(g, p) for p in G.elements]
+                    for g in G.generators]
 
     def test_built_on_first_use(self):
         G = closure(3, [[1, 0, 2], [1, 2, 0]])
+        # actions extend generator data along the generator rows alone
+        GComplex(G, 3, [(0,), (1,), (2,)], G.generators)
+        LinearAction(G, 2, [[[0, 1], [1, 0]], [[0, -1], [1, -1]]])
         assert "table" not in vars(G)
         G.mul(1, 2)
         assert "table" in vars(G)
@@ -299,6 +316,14 @@ class TestWeylGroup:
     def test_weyl_of_alternating_in_s3(self, s3):
         a3 = next(s for s in all_subgroups(s3) if s.order == 3)
         assert weyl_group(s3, a3).order == 2
+
+    def test_elements_equal_coset_action(self, groups):
+        s5 = closure(5, [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]])
+        for G in [*groups.values(), s5]:
+            for c in conjugacy_classes_of_subgroups(G):
+                H = [G.elements[h] for h in c.representative.members]
+                assert list(weyl_group(G, c.representative).elements) \
+                    == oracles.bf_weyl_elements(G.elements, H)
 
     def test_order_identity(self, groups):
         for G in groups.values():

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -277,13 +278,6 @@ class TestRelativeCokernel:
             relative_cokernel(corpus, "A2", "E6")
 
 
-def truncation_ladder():
-    degree = 1
-    while degree <= singularity.TRUNCATION_CAP:
-        yield degree
-        degree += degree if degree < 8 else degree // 4
-
-
 def seeded_brieskorn_pham(seed, count):
     """Germs sum of c_i x_i^e_i with rational c_i and e_i in 2..7."""
     rng = random.Random(seed)
@@ -305,12 +299,20 @@ class TestIntegerElimination:
     def check(germ):
         n = germ.variable_count
         partials = [germ.derivative(v) for v in range(n)]
-        for degree in truncation_ladder():
+        for degree, got in singularity._truncations(partials, n):
             want = bf_standard_monomials(partials, n, degree)
-            got = singularity._truncated_quotient(partials, n, degree)
-            assert sorted(got) == sorted(want), (str(germ), degree)
+            assert got == want, (str(germ), degree)
             if all(sum(m) < degree for m in want):
                 return
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    def test_monomials_in_graded_lex_order(self, nvars):
+        listed = [m for total in range(8)
+                  for m in singularity._graded_lex(nvars, total)]
+        oracle = sorted((e for e in itertools.product(range(8),
+                                                      repeat=nvars)
+                         if sum(e) < 8), key=lambda e: (sum(e), e))
+        assert listed == oracle
 
     def test_ade_corpus(self, corpus):
         for entry in corpus.entries.values():
