@@ -104,9 +104,6 @@ class FiniteCategory:
             raise ValidationError(f"morphisms {m2} and {m1} not composable")
         return self.columns[m2][self.position[m1]]
 
-    def is_identity(self, m: int) -> bool:
-        return self.identity[self.morphisms[m].src] == m
-
     def aut_order(self, obj: int) -> int:
         return len(self.hom(obj, obj))
 

@@ -74,14 +74,14 @@ def emit_category(category, phase, out: str | None, fmt: str | None):
 
 def cmd_group(args) -> int:
     from .fixtures import group_from_spec
-    from .permgroup import all_subgroups, conjugacy_classes_of_subgroups
+    from .permgroup import conjugacy_classes_of_subgroups
     G, = load_inputs((args.input, group_from_spec))
     if args.action == "info":
-        subs = all_subgroups(G)
-        classes = conjugacy_classes_of_subgroups(G, subs)
+        classes = conjugacy_classes_of_subgroups(G)
+        subgroups = sum(len(c.orbit_of_subgroups) for c in classes)
         print(f"degree: {G.degree}")
         print(f"order: {G.order}")
-        print(f"subgroups: {len(subs)}")
+        print(f"subgroups: {subgroups}")
         print(f"subgroup conjugacy classes: {len(classes)}")
     return 0
 

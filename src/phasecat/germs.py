@@ -50,12 +50,6 @@ class PolyGerm(Frozen):
         object.__setattr__(self, "variable_count", variable_count)
         object.__setattr__(self, "terms", tuple(canon.items()))
 
-    @property
-    def term_dict(self) -> dict[tuple[int, ...], Fraction]:
-        """The terms as an {exponents: coefficient} dict, the form
-        ``derivative`` and ``singularity.euler_apply`` return."""
-        return dict(self.terms)
-
     def derivative(self, var: int) -> dict[tuple[int, ...], Fraction]:
         out: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in self.terms:

@@ -30,11 +30,13 @@ Simplex = frozenset[int]
 def close_under_faces(simplices, vertex_count: int) -> frozenset[Simplex]:
     """The given simplices with all their nonempty faces.
 
-    Rejects an empty simplex and a vertex outside ``0 .. vertex_count-1``;
-    only the given simplices are checked, as their faces use the same
-    vertices.  A face is marked when it is pushed, so the stack holds each
-    simplex at most once.
+    Rejects a non-positive vertex count, an empty simplex and a vertex
+    outside ``0 .. vertex_count-1``; only the given simplices are checked,
+    as their faces use the same vertices.  A face is marked when it is
+    pushed, so the stack holds each simplex at most once.
     """
+    if vertex_count <= 0:
+        raise ValidationError("vertex count must be positive")
     out: set[Simplex] = set()
     stack: list[Simplex] = []
     for s in simplices:
@@ -68,8 +70,6 @@ class GComplex:
 
     def __init__(self, group: FiniteGroup, vertex_count: int, simplices,
                  generator_maps):
-        if vertex_count <= 0:
-            raise ValidationError("vertex count must be positive")
         self.group = group
         self.vertex_count = vertex_count
         self.simplices = close_under_faces(simplices, vertex_count)

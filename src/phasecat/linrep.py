@@ -63,10 +63,6 @@ class LinearAction:
             m = self._matrices[g] = ratmat.to_mat(*self.forms[g])
         return m
 
-    @property
-    def element_matrices(self) -> tuple[Mat, ...]:
-        return tuple(map(self.matrix, range(self.group.order)))
-
 
 def averaging_projector(action: LinearAction, H: Subgroup) -> Mat:
     """P = (1/|H|) sum over h of rho(h); idempotent with image Fix(H)."""

@@ -4,7 +4,9 @@ Groups are given by generators acting on the points ``{0, ..., degree-1}``.
 Elements are indexed by their position in the sorted element list.  The
 closure walk that finds them keeps each generator's row of products, and
 data given on generators (the Cayley table, actions, representations)
-extends to the whole group along those rows.  All subgroup machinery
+extends to the whole group along those rows.  The conjugacy classes of
+subgroups come from one walk that extends a single subgroup per class,
+and the lattice is the union of their orbits.  All subgroup machinery
 (lattice, conjugacy, transporters, normalizers, Weyl groups) works on the
 indices through a dense Cayley table and an inverse array, both built on
 first use.  Compact groups degenerate here to finite
@@ -274,53 +276,9 @@ def _generated(G: FiniteGroup, seed) -> set[int]:
     return members
 
 
-def trivial_subgroup(G: FiniteGroup) -> Subgroup:
-    """{e}, the bottom of the lattice: its fixed set is the whole space."""
-    return Subgroup(G, (G.identity_index,))
-
-
 def full_subgroup(G: FiniteGroup) -> Subgroup:
     """G itself, the top of the lattice."""
     return Subgroup(G, tuple(range(G.order)))
-
-
-def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    """Every subgroup of G, sorted by (order, member tuple).
-
-    Layered closure on the Cayley table: seed with all cyclic subgroups,
-    then repeatedly extend each known subgroup H by one element g outside
-    it.  Each known subgroup keeps the generator tuple it was found with,
-    and the extension closes ``gens + (g,)``.  Every element of the coset
-    gH gives the same extension, so one g per left coset is tried.
-    Terminates because the subgroup lattice is finite; exhaustive because
-    every subgroup is reachable by adjoining its elements one at a time.
-    """
-    if G.order > ORDER_CAP:
-        raise CapExceededError(
-            f"group order {G.order} exceeds ORDER_CAP={ORDER_CAP}")
-    table = G.table
-    known: dict[frozenset[int], tuple[int, ...]] = {
-        frozenset({G.identity_index}): ()}
-    for g in range(G.order):
-        known.setdefault(subgroup_closure(G, (g,)), (g,))
-    frontier = dict(known)
-    while frontier:
-        new: dict[frozenset[int], tuple[int, ...]] = {}
-        for members, gens in frontier.items():
-            tried = set(members)
-            for g in range(G.order):
-                if g in tried:
-                    continue
-                row = table[g]
-                tried.update(row[h] for h in members)
-                ext = subgroup_closure(G, gens + (g,))
-                if ext not in known and ext not in new:
-                    new[ext] = gens + (g,)
-        known.update(new)
-        frontier = new
-    subs = [Subgroup(G, tuple(sorted(m))) for m in known]
-    subs.sort(key=lambda s: (s.order, s.members))
-    return subs
 
 
 class SubgroupClass(Frozen):
@@ -346,30 +304,77 @@ class SubgroupClass(Frozen):
 def conjugacy_classes_of_subgroups(
         G: FiniteGroup, subgroups: list[Subgroup] | None = None
 ) -> list[SubgroupClass]:
-    """Partition of the subgroup lattice into conjugation orbits.
+    """The conjugacy classes of subgroups of G, by cyclic extension of
+    class representatives.
+
+    One walk from the trivial subgroup.  Each class extends only the first
+    subgroup H found in it: the generators H was found with, plus one
+    element g per left coset gH (every element of gH gives the same
+    extension).  This reaches every class: if K = <K', g> and
+    K' = x H x^-1, then x^-1 K x = <H, x^-1 g x>.  A new subgroup's orbit
+    is closed under conjugation by G's generators at once, so a conjugate
+    found later is not taken for a new class.
 
     Representatives are the subgroups with minimal member tuple in their
-    orbit; classes are sorted by (order, representative members) and indexed
-    in that order.
+    orbit; classes are sorted by (order, representative members) and
+    indexed in that order.  Given ``subgroups``, only the classes that
+    meet them are kept, indexed in the same order.
     """
-    if subgroups is None:
-        subgroups = all_subgroups(G)
-    remaining = {s.members: s for s in subgroups}
-    classes = []
-    while remaining:
-        members, sub = min(remaining.items())
-        orbit = {}
+    if G.order > ORDER_CAP:
+        raise CapExceededError(
+            f"group order {G.order} exceeds ORDER_CAP={ORDER_CAP}")
+    table, inverse = G.table, G.inverse
+    # conjugations[s][h] is the index of g h g^-1, g the s-th generator
+    conjugations = []
+    for p in G.generators:
+        g = G.index(p)
+        conjugations.append([table[x][inverse[g]] for x in table[g]])
+    trivial = frozenset({G.identity_index})
+    seen = {trivial}
+    # per class: the generators of its first subgroup, and its orbit with
+    # that subgroup first
+    walk: list[tuple[tuple[int, ...], list[frozenset[int]]]] = [
+        ((), [trivial])]
+    for gens, orbit in walk:
+        H = orbit[0]
+        tried = set(H)
         for g in range(G.order):
-            c = sub.conjugate(g)
-            orbit[c.members] = c
-        for m in orbit:
-            remaining.pop(m, None)
-        reps = sorted(orbit)
-        classes.append((Subgroup(G, reps[0]),
-                        tuple(orbit[m] for m in reps)))
-    classes.sort(key=lambda pair: (pair[0].order, pair[0].members))
-    return [SubgroupClass(rep, orbit, i)
-            for i, (rep, orbit) in enumerate(classes)]
+            if g in tried:
+                continue
+            row = table[g]
+            tried.update([row[h] for h in H])
+            K = subgroup_closure(G, gens + (g,))
+            if K in seen:
+                continue
+            seen.add(K)
+            conjugates = [K]
+            for S in conjugates:
+                for conj in conjugations:
+                    T = frozenset([conj[h] for h in S])
+                    if T not in seen:
+                        seen.add(T)
+                        conjugates.append(T)
+            walk.append((gens + (g,), conjugates))
+    if subgroups is not None:
+        given = {frozenset(s.members) for s in subgroups}
+        walk = [step for step in walk if not given.isdisjoint(step[1])]
+    orbits = sorted((sorted([tuple(sorted(S)) for S in orbit])
+                     for _, orbit in walk),
+                    key=lambda members: (len(members[0]), members[0]))
+    classes = []
+    for i, members in enumerate(orbits):
+        orbit = tuple(Subgroup(G, m) for m in members)
+        classes.append(SubgroupClass(orbit[0], orbit, i))
+    return classes
+
+
+def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
+    """Every subgroup of G, sorted by (order, member tuple): the union of
+    the orbits of its conjugacy classes."""
+    subs = [s for c in conjugacy_classes_of_subgroups(G)
+            for s in c.orbit_of_subgroups]
+    subs.sort(key=lambda s: (s.order, s.members))
+    return subs
 
 
 def transporter(G: FiniteGroup, H0: Subgroup, H1: Subgroup) -> frozenset[int]:
@@ -397,20 +402,6 @@ def transporter(G: FiniteGroup, H0: Subgroup, H1: Subgroup) -> frozenset[int]:
 def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
     """{g | g H g^-1 = H}; for finite H, containment forces equality."""
     return Subgroup(G, tuple(sorted(transporter(G, H, H))))
-
-
-def left_cosets(G: FiniteGroup, H: Subgroup) -> list[tuple[int, ...]]:
-    """Left cosets gH, each a sorted tuple, listed in order of their
-    minimal element."""
-    seen: set[int] = set()
-    cosets = []
-    for g in range(G.order):
-        if g in seen:
-            continue
-        coset = tuple(sorted(G.mul(g, h) for h in H.members))
-        seen.update(coset)
-        cosets.append(coset)
-    return cosets
 
 
 def weyl_group(G: FiniteGroup, H: Subgroup) -> FiniteGroup:

@@ -135,6 +135,56 @@ def bf_conjugation_orbits(group_elements, subgroup_sets):
     return orbits
 
 
+def trivial_subgroup(G):
+    """{e}, the bottom of the lattice: its fixed set is the whole space."""
+    from phasecat.permgroup import Subgroup
+    return Subgroup(G, (G.identity_index,))
+
+
+def layered_subgroups(G):
+    """Every subgroup of a library group as a member tuple, sorted by
+    (order, members): seed with the cyclic subgroups, then extend every
+    known subgroup by one element per left coset, closing the generators
+    it was found with plus that element, until nothing new appears."""
+    from phasecat.permgroup import subgroup_closure
+    known = {frozenset({G.identity_index}): ()}
+    for g in range(G.order):
+        known.setdefault(subgroup_closure(G, (g,)), (g,))
+    frontier = dict(known)
+    while frontier:
+        new = {}
+        for members, gens in frontier.items():
+            tried = set(members)
+            for g in range(G.order):
+                if g in tried:
+                    continue
+                tried.update(G.mul(g, h) for h in members)
+                ext = subgroup_closure(G, gens + (g,))
+                if ext not in known and ext not in new:
+                    new[ext] = gens + (g,)
+        known.update(new)
+        frontier = new
+    return sorted((tuple(sorted(m)) for m in known),
+                  key=lambda m: (len(m), m))
+
+
+def conjugation_partition(G, subgroups):
+    """The conjugation orbits that meet the given member tuples, each
+    taken by conjugating its least remaining member with every element of
+    G, as (index, representative, orbit) with the least tuple as
+    representative, sorted and indexed by (order, representative)."""
+    remaining = set(subgroups)
+    orbits = []
+    while remaining:
+        seed = min(remaining)
+        orbit = sorted({tuple(sorted(G.conj(g, h) for h in seed))
+                        for g in range(G.order)})
+        remaining -= set(orbit)
+        orbits.append(orbit)
+    orbits.sort(key=lambda orbit: (len(orbit[0]), orbit[0]))
+    return [(i, orbit[0], tuple(orbit)) for i, orbit in enumerate(orbits)]
+
+
 def bf_subdivide(simplices, generator_maps):
     """Barycentric subdivision by scanning every simplex for the cofaces
     of each flag's top element.  Returns (vertex count, simplices,
@@ -190,6 +240,10 @@ def table_category(objects, morphisms, identity, table):
     columns = [[table.get((m2, m1)) for m1 in into.get(b.src, [])]
                for m2, b in enumerate(morphisms)]
     return FiniteCategory(objects, morphisms, identity, columns)
+
+
+def is_identity(cat, m):
+    return cat.identity[cat.morphisms[m].src] == m
 
 
 def gaussian_binomial_2(n, r):
@@ -456,6 +510,11 @@ def bf_mat_mul(A, B):
     return tuple(tuple(sum((a * b for a, b in zip(row, col) if a and b),
                            Fraction(0))
                        for col in cols) for row in A)
+
+
+def element_matrices(action):
+    """The matrix of every group element, in element order."""
+    return tuple(map(action.matrix, range(action.group.order)))
 
 
 def bf_averaging_projector(action, members):

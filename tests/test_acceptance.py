@@ -137,7 +137,7 @@ def test_criterion_6_singularity_numbers():
         assert mu == weight_milnor(entry.weights)
         assert milnor_number(stabilize(entry.germ)) == mu
         q = entry.quasihomogeneous
-        assert euler_apply(q) == entry.germ.term_dict
+        assert euler_apply(q) == dict(entry.germ.terms)
     for src, dst in corpus.arrows:
         assert corpus.entries[src].mu - corpus.entries[dst].mu == 1
     with pytest.raises(NonIsolated):

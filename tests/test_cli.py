@@ -16,6 +16,8 @@ from phasecat.errors import ValidationError
 from phasecat.linrep import DIMENSION_CAP
 from phasecat.permgroup import DEGREE_CAP
 
+from oracles import element_matrices
+
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
@@ -346,6 +348,15 @@ MALFORMED = {
         "vertices": 1, "simplices": [[5], [7], [5, 7]],
         "assignment": [0, 0, 1], "poset": [[0, 1]]},
         "vertex 5 out of range"),
+    "strata_vertices_negative": (["strata", "-i", "{bad}"], {
+        "vertices": -2, "simplices": [], "assignment": [], "poset": []},
+        "vertex count must be positive"),
+    "strata_vertices_zero": (["strata", "-i", "{bad}"], {
+        "vertices": 0, "simplices": [], "assignment": [], "poset": []},
+        "vertex count must be positive"),
+    "complex_vertices_zero": (PHASE_C2, {"vertices": 0, "simplices": [],
+                                         "action": [[]]},
+                              "vertex count must be positive"),
     "germ_power_over_cap": (["sing", "mu", "--germ", "x^1000000000"], None,
                             "DEGREE_CAP"),
     "germ_trinomial_power_over_cap": (["sing", "mu", "--germ",
@@ -453,8 +464,8 @@ class TestLoaderEquivalence:
     def test_representations(self, inputs, name):
         G = self.group(inputs, fx.REPRESENTATIONS[name]["group"])
         A = fx.rep_from_spec(read_spec(inputs / f"rep_{name}.json"), G)
-        assert A.element_matrices == \
-            fx.load_representation(name).element_matrices
+        assert element_matrices(A) == \
+            element_matrices(fx.load_representation(name))
 
     @pytest.mark.parametrize("name", sorted(fx.STRATIFIED))
     def test_strata(self, inputs, name):

@@ -16,31 +16,31 @@ class TestParse:
     def test_e6_normal_form(self):
         g = parse_germ("x^3 + y^4")
         assert g.variable_count == 2
-        assert g.term_dict == {(3, 0): F(1), (0, 4): F(1)}
+        assert dict(g.terms) == {(3, 0): F(1), (0, 4): F(1)}
 
     def test_d_series_shape(self):
         g = parse_germ("x^2*y + y^4")
-        assert g.term_dict == {(2, 1): F(1), (0, 4): F(1)}
+        assert dict(g.terms) == {(2, 1): F(1), (0, 4): F(1)}
 
     def test_rational_coefficients(self):
         g = parse_germ("1/2*x^2 - 3/4*x*y")
-        assert g.term_dict == {(2, 0): F(1, 2), (1, 1): F(-3, 4)}
+        assert dict(g.terms) == {(2, 0): F(1, 2), (1, 1): F(-3, 4)}
 
     def test_three_variables(self):
         g = parse_germ("x*y*z + z^2")
         assert g.variable_count == 3
-        assert g.term_dict == {(1, 1, 1): F(1), (0, 0, 2): F(1)}
+        assert dict(g.terms) == {(1, 1, 1): F(1), (0, 0, 2): F(1)}
 
     def test_whitespace_insensitive(self):
         assert parse_germ("x^3+y^4") == parse_germ("  x^3   + y^4 ")
 
     def test_parentheses_and_cancellation(self):
         g = parse_germ("(x + y)^2 - 2*x*y")
-        assert g.term_dict == {(2, 0): F(1), (0, 2): F(1)}
+        assert dict(g.terms) == {(2, 0): F(1), (0, 2): F(1)}
 
     def test_leading_minus(self):
         g = parse_germ("-x^2 + y^3")
-        assert g.term_dict == {(2, 0): F(-1), (0, 3): F(1)}
+        assert dict(g.terms) == {(2, 0): F(-1), (0, 3): F(1)}
 
     def test_deterministic_term_order(self):
         a = parse_germ("y^4 + x^3")
@@ -51,7 +51,7 @@ class TestParse:
         # y alone still lives in a two-variable ring
         g = parse_germ("y^2")
         assert g.variable_count == 2
-        assert g.term_dict == {(0, 2): F(1)}
+        assert dict(g.terms) == {(0, 2): F(1)}
 
 
 class TestParseErrors:
@@ -117,8 +117,8 @@ class TestIntegerPowers:
 
     @staticmethod
     def check(base, k):
-        want = bf_poly_power(parse_germ(base).term_dict, k)
-        assert parse_germ(f"({base})^{k}").term_dict == want, (base, k)
+        want = bf_poly_power(dict(parse_germ(base).terms), k)
+        assert dict(parse_germ(f"({base})^{k}").terms) == want, (base, k)
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_rational_trinomial(self, k):
@@ -163,7 +163,7 @@ class TestPolyGerm:
 
     def test_like_terms_merged(self):
         g = PolyGerm(1, (((2,), F(1)), ((2,), F(2))))
-        assert g.term_dict == {(2,): F(3)}
+        assert dict(g.terms) == {(2,): F(3)}
 
     def test_max_degree(self):
         assert max_degree(parse_germ("x^3 + y^4")) == 4

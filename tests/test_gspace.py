@@ -9,7 +9,7 @@ from phasecat import (GComplex, ValidationError, components,
                       isotropy, orbit_of, pi0_fix_presheaf, subdivide)
 from phasecat import fixtures as fx
 from phasecat.permgroup import (Subgroup, all_subgroups, closure,
-                                full_subgroup, trivial_subgroup)
+                                full_subgroup)
 
 
 HEXAGON_DIAGONALS = ([[i, (i + 1) % 6] for i in range(6)]
@@ -117,7 +117,8 @@ class TestFixedSubcomplex:
         assert fix == frozenset({frozenset({0}), frozenset({2})})
 
     def test_trivial_subgroup_fixes_everything(self, c2, square_reflection):
-        fix = fixed_subcomplex(square_reflection, trivial_subgroup(c2))
+        fix = fixed_subcomplex(square_reflection,
+                               oracles.trivial_subgroup(c2))
         assert fix == square_reflection.simplices
 
     def test_halfturn_fixes_nothing(self, c2, square_halfturn):
@@ -133,7 +134,8 @@ class TestFixedSubcomplex:
                 X.simplices, X.element_maps, H.members)
 
     def test_monotone_in_subgroup(self, c2, square_reflection):
-        small = fixed_subcomplex(square_reflection, trivial_subgroup(c2))
+        small = fixed_subcomplex(square_reflection,
+                                 oracles.trivial_subgroup(c2))
         big = fixed_subcomplex(square_reflection, full_subgroup(c2))
         assert big <= small
 

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from oracles import (bf_export_olog, bf_import_olog, bf_olog_json,
-                     table_category)
+                     is_identity, table_category)
 from phasecat import (ValidationError, atomic_write, build_orbit_category,
                       build_phase_diagram, category_isomorphic, export_dot,
                       export_olog, import_olog, olog_json, strata_category,
@@ -289,7 +289,7 @@ class TestKeyedImport:
             assert data["arrows"], name
             for k, arrow in enumerate(data["arrows"]):
                 m = back.find(f"m{k}")
-                assert m is not None and not back.is_identity(m), name
+                assert m is not None and not is_identity(back, m), name
                 mor = back.morphisms[m]
                 assert (f"o{mor.src}", f"o{mor.dst}", mor.label) == \
                     (arrow["src"], arrow["dst"], arrow["label"]), name

@@ -11,8 +11,27 @@ from phasecat import (CapExceededError, FiniteGroup, GComplex,
 from phasecat import fixtures as fx
 from phasecat import permgroup
 from phasecat.permgroup import (DEGREE_CAP, ORDER_CAP, Subgroup,
-                                extend_generators, left_cosets, parse_cycles,
-                                perm_mul, subgroup_closure, trivial_subgroup)
+                                extend_generators, parse_cycles, perm_mul,
+                                subgroup_closure)
+
+# Beyond the bundled groups: D6, D4 x C2 and C2 x S4 on the benchmark's
+# base generators, S5 and C2^5.
+MORE_GROUPS = {
+    "d6": (6, [[1, 2, 3, 4, 5, 0], [0, 5, 4, 3, 2, 1]]),
+    "d4c2": (6, [[1, 2, 3, 0, 4, 5], [1, 0, 3, 2, 4, 5],
+                 [0, 1, 2, 3, 5, 4]]),
+    "c2s4": (6, [[1, 0, 2, 3, 4, 5], [1, 2, 3, 0, 4, 5],
+                 [0, 1, 2, 3, 5, 4]]),
+    "s5": (5, [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]),
+    "c2^5": (10, [[j ^ 1 if j // 2 == i else j for j in range(10)]
+                  for i in range(5)]),
+}
+
+
+def class_data(classes):
+    return [(c.class_index, c.representative.members,
+             tuple(s.members for s in c.orbit_of_subgroups))
+            for c in classes]
 
 
 def naive_subgroup_closure(G, seed):
@@ -174,12 +193,14 @@ class TestSymmetricGroupS5:
         oc = build_orbit_category(G, classes)
         # one morphism H -> K per H-fixed coset of G/K
         expected = 0
-        for c0 in classes:
-            H = c0.representative.members
-            for c1 in classes:
-                K = c1.representative
-                for coset in left_cosets(G, K):
-                    if all(G.mul(h, coset[0]) in coset for h in H):
+        for c1 in classes:
+            K = [G.elements[k] for k in c1.representative.members]
+            cosets = oracles.left_cosets(G.elements, K)
+            for c0 in classes:
+                H = [G.elements[h] for h in c0.representative.members]
+                for coset in cosets:
+                    x = min(coset)
+                    if all(oracles.compose(h, x) in coset for h in H):
                         expected += 1
         assert len(oc.category.morphisms) == expected
         assert oc.category.check_category_laws()
@@ -257,6 +278,31 @@ class TestConjugacyClasses:
             classes = conjugacy_classes_of_subgroups(G, subs)
             assert len(classes) == len(oracle)
 
+    @pytest.mark.parametrize("name", sorted(fx.GROUPS) + sorted(MORE_GROUPS))
+    def test_walk_matches_two_pass_reference(self, name):
+        # every subgroup extended, then partitioned by conjugating with
+        # every element of G
+        G = (closure(*MORE_GROUPS[name]) if name in MORE_GROUPS
+             else fx.load_group(name))
+        subs = oracles.layered_subgroups(G)
+        assert [s.members for s in all_subgroups(G)] == subs
+        assert class_data(conjugacy_classes_of_subgroups(G)) \
+            == oracles.conjugation_partition(G, subs)
+
+    @pytest.mark.parametrize("picks", [(1, 5), (6, 1, 5), (10, 14), ()])
+    def test_given_subgroups_keep_the_classes_they_meet(self, groups,
+                                                        picks):
+        # S4 subgroups by position in the lattice: 1 and 6 lie in the
+        # class of the transpositions, 5 in that of the double
+        # transpositions, 10 has order 3 and 14 is cyclic of order 4; no
+        # list is closed under conjugation, and the kept classes are
+        # indexed anew
+        G = groups["s4"]
+        subs = all_subgroups(G)
+        given = [subs[i] for i in picks]
+        assert class_data(conjugacy_classes_of_subgroups(G, given)) \
+            == oracles.conjugation_partition(G, [s.members for s in given])
+
     def test_equal_order_within_class(self, groups):
         for G in groups.values():
             for c in conjugacy_classes_of_subgroups(G):
@@ -273,7 +319,7 @@ class TestTransporter:
 
     def test_trivial_source_transports_everywhere(self, groups):
         for G in groups.values():
-            triv = trivial_subgroup(G)
+            triv = oracles.trivial_subgroup(G)
             for sub in all_subgroups(G):
                 assert transporter(G, triv, sub) \
                     == frozenset(range(G.order))
@@ -311,7 +357,7 @@ class TestWeylGroup:
             assert weyl_group(G, full).order == 1
 
     def test_weyl_of_trivial_is_whole_group(self, s3):
-        assert weyl_group(s3, trivial_subgroup(s3)).order == 6
+        assert weyl_group(s3, oracles.trivial_subgroup(s3)).order == 6
 
     def test_weyl_of_alternating_in_s3(self, s3):
         a3 = next(s for s in all_subgroups(s3) if s.order == 3)
