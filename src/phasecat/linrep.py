@@ -201,28 +201,17 @@ def subconjugacy_covers(G: FiniteGroup,
                         classes: list[SubgroupClass]) -> list[tuple[int,
                                                                     int, int]]:
     """Covering relations of the subconjugacy order on classes, each with a
-    minimal transporter witness."""
-    n = len(classes)
-    leq = [[False] * n for _ in range(n)]
-    wit = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            t = transporter(G, classes[a].representative,
-                            classes[b].representative)
-            if t:
-                leq[a][b] = True
-                wit[a][b] = min(t)
+    minimal transporter witness.  Class b covers a when it is strictly
+    above a and above no other class strictly above a."""
+    where = {c.representative.members: i for i, c in enumerate(classes)}
+    above = [{where[k] for k in c.subconjugate_to if k in where} - {a}
+             for a, c in enumerate(classes)]
     covers = []
-    for a in range(n):
-        for b in range(n):
-            if a == b or not leq[a][b]:
-                continue
-            # distinct classes subconjugate both ways would be equal, so
-            # the order is strict off the diagonal
-            if any(leq[a][c] and leq[c][b] for c in range(n)
-                   if c != a and c != b):
-                continue
-            covers.append((a, b, wit[a][b]))
+    for a, up in enumerate(above):
+        for b in sorted(up.difference(*(above[c] for c in up))):
+            witness = min(transporter(G, classes[a].representative,
+                                      classes[b].representative))
+            covers.append((a, b, witness))
     return covers
 
 

@@ -70,13 +70,13 @@ def _build(G: FiniteGroup, classes: list[SubgroupClass]):
     objects = {c: f"H{cls.class_index}|{cls.order}"
                for c, cls in enumerate(classes)}
     morphisms = []
-    for c0 in range(len(classes)):
-        for c1 in range(len(classes)):
-            reps = transporter_coset_reps(G, classes[c0].representative,
-                                          classes[c1].representative)
-            for g in reps:
-                morphisms.append((c0, c1, f"g{g}:{c0}->{c1}",
-                                  OrbitMorphism(c0, c1, g)))
+    for c0, cls0 in enumerate(classes):
+        for c1, cls1 in enumerate(classes):
+            if cls1.representative.members in cls0.subconjugate_to:
+                for g in transporter_coset_reps(G, cls0.representative,
+                                                cls1.representative):
+                    morphisms.append((c0, c1, f"g{g}:{c0}->{c1}",
+                                      OrbitMorphism(c0, c1, g)))
     canon = [cls.representative.right_coset_min for cls in classes]
     table = G.table
 

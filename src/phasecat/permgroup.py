@@ -5,13 +5,14 @@ Elements are indexed by their position in the sorted element list.  The
 closure walk that finds them keeps each generator's row of products, and
 data given on generators (the Cayley table, actions, representations)
 extends to the whole group along those rows.  The conjugacy classes of
-subgroups come from one walk that extends a single subgroup per class,
-and the lattice is the union of their orbits.  All subgroup machinery
-(lattice, conjugacy, transporters, normalizers, Weyl groups) works on the
-indices through a dense Cayley table and an inverse array, both built on
-first use.  Compact groups degenerate here to finite
-ones: every morphism space downstream is already discrete, so the pi_0 step
-of the discretized orbit category is the identity.
+subgroups and their subconjugacy order come from one walk that extends a
+single subgroup per class; the lattice is the union of their orbits, and
+the orbit category and the degeneracy quiver read the order.  All subgroup
+machinery (lattice, conjugacy, transporters, normalizers, Weyl groups)
+works on the indices through a dense Cayley table and an inverse array,
+both built on first use.  Compact groups degenerate here to finite ones:
+every morphism space downstream is already discrete, so the pi_0 step of
+the discretized orbit category is the identity.
 
 Everything is immutable after construction and all operations are pure.
 """
@@ -282,15 +283,18 @@ def full_subgroup(G: FiniteGroup) -> Subgroup:
 
 
 class SubgroupClass(Frozen):
-    """A conjugacy class of subgroups with a canonical representative."""
+    """A conjugacy class of subgroups with a canonical representative, and
+    the representative members of each class of G it is subconjugate to."""
     __slots__ = _fields = ("representative", "orbit_of_subgroups",
-                           "class_index")
+                           "class_index", "subconjugate_to")
 
     def __init__(self, representative: Subgroup,
-                 orbit_of_subgroups: tuple[Subgroup, ...], class_index: int):
+                 orbit_of_subgroups: tuple[Subgroup, ...], class_index: int,
+                 subconjugate_to: frozenset[tuple[int, ...]]):
         object.__setattr__(self, "representative", representative)
         object.__setattr__(self, "orbit_of_subgroups", orbit_of_subgroups)
         object.__setattr__(self, "class_index", class_index)
+        object.__setattr__(self, "subconjugate_to", subconjugate_to)
 
     @property
     def order(self) -> int:
@@ -304,8 +308,8 @@ class SubgroupClass(Frozen):
 def conjugacy_classes_of_subgroups(
         G: FiniteGroup, subgroups: list[Subgroup] | None = None
 ) -> list[SubgroupClass]:
-    """The conjugacy classes of subgroups of G, by cyclic extension of
-    class representatives.
+    """The conjugacy classes of subgroups of G and their subconjugacy
+    order, by cyclic extension of class representatives.
 
     One walk from the trivial subgroup.  Each class extends only the first
     subgroup H found in it: the generators H was found with, plus one
@@ -313,7 +317,9 @@ def conjugacy_classes_of_subgroups(
     extension).  This reaches every class: if K = <K', g> and
     K' = x H x^-1, then x^-1 K x = <H, x^-1 g x>.  A new subgroup's orbit
     is closed under conjugation by G's generators at once, so a conjugate
-    found later is not taken for a new class.
+    found later is not taken for a new class.  Subconjugacy is the closure
+    of the edges H -> <H, g>: for H < x K x^-1, the walk tries a g in
+    x K x^-1 - H up to gH, and <H, g> has smaller index in x K x^-1.
 
     Representatives are the subgroups with minimal member tuple in their
     orbit; classes are sorted by (order, representative members) and
@@ -330,12 +336,11 @@ def conjugacy_classes_of_subgroups(
         g = G.index(p)
         conjugations.append([table[x][inverse[g]] for x in table[g]])
     trivial = frozenset({G.identity_index})
-    seen = {trivial}
-    # per class: the generators of its first subgroup, and its orbit with
-    # that subgroup first
-    walk: list[tuple[tuple[int, ...], list[frozenset[int]]]] = [
-        ((), [trivial])]
-    for gens, orbit in walk:
+    seen = {trivial: 0}  # subgroup -> position of its class in the walk
+    # per class: the generators of its first subgroup, its orbit with that
+    # subgroup first, and the classes its extensions reach
+    walk = [((), [trivial], set())]
+    for gens, orbit, reached in walk:
         H = orbit[0]
         tried = set(H)
         for g in range(G.order):
@@ -344,27 +349,32 @@ def conjugacy_classes_of_subgroups(
             row = table[g]
             tried.update([row[h] for h in H])
             K = subgroup_closure(G, gens + (g,))
-            if K in seen:
-                continue
-            seen.add(K)
-            conjugates = [K]
-            for S in conjugates:
-                for conj in conjugations:
-                    T = frozenset([conj[h] for h in S])
-                    if T not in seen:
-                        seen.add(T)
-                        conjugates.append(T)
-            walk.append((gens + (g,), conjugates))
+            if K not in seen:
+                seen[K] = len(walk)
+                conjugates = [K]
+                for S in conjugates:
+                    for conj in conjugations:
+                        T = frozenset([conj[h] for h in S])
+                        if T not in seen:
+                            seen[T] = len(walk)
+                            conjugates.append(T)
+                walk.append((gens + (g,), conjugates, set()))
+            reached.add(seen[K])
+    orbits = [sorted([tuple(sorted(S)) for S in orbit])
+              for _, orbit, _ in walk]
+    order = sorted(range(len(walk)),
+                   key=lambda w: (len(orbits[w][0]), orbits[w][0]))
+    above = {}  # an extension sorts later, so the largest class goes first
+    for w in reversed(order):
+        above[w] = frozenset([orbits[w][0]]).union(
+            *(above[r] for r in walk[w][2]))
     if subgroups is not None:
         given = {frozenset(s.members) for s in subgroups}
-        walk = [step for step in walk if not given.isdisjoint(step[1])]
-    orbits = sorted((sorted([tuple(sorted(S)) for S in orbit])
-                     for _, orbit in walk),
-                    key=lambda members: (len(members[0]), members[0]))
+        order = [w for w in order if not given.isdisjoint(walk[w][1])]
     classes = []
-    for i, members in enumerate(orbits):
-        orbit = tuple(Subgroup(G, m) for m in members)
-        classes.append(SubgroupClass(orbit[0], orbit, i))
+    for i, w in enumerate(order):
+        orbit = tuple(Subgroup(G, m) for m in orbits[w])
+        classes.append(SubgroupClass(orbit[0], orbit, i, above[w]))
     return classes
 
 

@@ -225,7 +225,7 @@ class StratifiedComplex:
                         f"closure condition violated: face {sorted(face)} "
                         f"(stratum {j}) of simplex {sorted(s)} (stratum {i})")
         closure = {i: self.stratum_closure(i) for i in self.strata}
-        for (i, j) in self.leq:
+        for (i, j) in sorted(self.leq):
             if i != j and not closure[i] <= closure[j]:
                 s = next(iter(closure[i] - closure[j]))
                 raise ValidationError(
@@ -233,7 +233,7 @@ class StratifiedComplex:
                     f"simplex {sorted(s)} of closure({i}) is outside "
                     f"closure({j})")
         if self.codim is not None:
-            for (i, j) in self.leq:
+            for (i, j) in sorted(self.leq):
                 ci, cj = self.codim.get(i), self.codim.get(j)
                 if ci is None or cj is None:
                     continue
@@ -248,21 +248,22 @@ class StratifiedComplex:
 
 
 def _poset_closure(strata, relations) -> set[tuple[int, int]]:
-    leq = {(i, i) for i in strata}
+    """Reflexive-transitive closure, by one search per stratum."""
+    up: dict[int, set[int]] = {i: set() for i in strata}
     for (i, j) in relations:
-        if i not in strata or j not in strata:
+        if i not in up or j not in up:
             raise ValidationError(f"relation ({i},{j}) names unused strata")
-        leq.add((int(i), int(j)))
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(leq):
-            for (c, d) in list(leq):
-                if b == c and (a, d) not in leq:
-                    leq.add((a, d))
-                    changed = True
-    for (i, j) in leq:
-        if i != j and (j, i) in leq:
+        up[int(i)].add(int(j))
+    leq = set()
+    for i in strata:
+        reached, stack = {i}, [i]
+        while stack:
+            for j in up[stack.pop()] - reached:
+                reached.add(j)
+                stack.append(j)
+        leq.update((i, j) for j in reached)
+    for (i, j) in sorted(leq):
+        if i < j and (j, i) in leq:
             raise ValidationError(f"poset relation has a cycle {i} ~ {j}")
     return leq
 

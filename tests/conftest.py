@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from phasecat import GComplex
+from phasecat import GComplex, closure
 from phasecat import fixtures as fx
 
 GROUP_NAMES = ["trivial", "c2", "c4", "s3", "d4", "a4", "s4"]
@@ -11,6 +11,13 @@ GROUP_NAMES = ["trivial", "c2", "c4", "s3", "d4", "a4", "s4"]
 @pytest.fixture(scope="session")
 def groups():
     return {name: fx.load_group(name) for name in GROUP_NAMES}
+
+
+@pytest.fixture(scope="session")
+def c2s4():
+    """C2 x S4 on six points, the benchmark's largest lattice group."""
+    return closure(6, [[1, 0, 2, 3, 4, 5], [1, 2, 3, 0, 4, 5],
+                       [0, 1, 2, 3, 5, 4]])
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Independent brute-force oracles, kept deliberately separate from the
 library implementations they check."""
 
+import functools
 import itertools
 import json
 import math
@@ -183,6 +184,80 @@ def conjugation_partition(G, subgroups):
         orbits.append(orbit)
     orbits.sort(key=lambda orbit: (len(orbit[0]), orbit[0]))
     return [(i, orbit[0], tuple(orbit)) for i, orbit in enumerate(orbits)]
+
+
+def bf_subconjugate_to(classes):
+    """Per class a, the representative member tuples of the classes b with
+    a member that contains a's representative."""
+    orbits = [[set(S.members) for S in b.orbit_of_subgroups]
+              for b in classes]
+    out = []
+    for a in classes:
+        rep = set(a.representative.members)
+        out.append(frozenset(b.representative.members
+                             for b, orbit in zip(classes, orbits)
+                             if any(rep <= S for S in orbit)))
+    return out
+
+
+def all_pairs_orbit_morphisms(G, classes):
+    """(c0, c1, rep) for each ordered pair of classes and each minimal
+    representative of a transporter coset, by calling the transporter on
+    every pair."""
+    from phasecat.permgroup import transporter
+    out = []
+    for c0, a in enumerate(classes):
+        for c1, b in enumerate(classes):
+            canon = b.representative.right_coset_min
+            t = transporter(G, a.representative, b.representative)
+            out.extend((c0, c1, g) for g in sorted({canon[x] for x in t}))
+    return out
+
+
+def all_pairs_subconjugacy_covers(G, classes):
+    """(a, b, minimal witness) for each covering pair of the subconjugacy
+    order on the given classes: the transporter on every ordered pair
+    gives the order, and a pair is a cover unless a third class of the
+    list lies strictly between."""
+    from phasecat.permgroup import transporter
+    n = len(classes)
+    leq = [[False] * n for _ in range(n)]
+    wit = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            t = transporter(G, classes[a].representative,
+                            classes[b].representative)
+            if t:
+                leq[a][b] = True
+                wit[a][b] = min(t)
+    covers = []
+    for a in range(n):
+        for b in range(n):
+            if a == b or not leq[a][b]:
+                continue
+            # distinct classes subconjugate both ways would be equal, so
+            # the order is strict off the diagonal
+            if any(leq[a][c] and leq[c][b] for c in range(n)
+                   if c != a and c != b):
+                continue
+            covers.append((a, b, wit[a][b]))
+    return covers
+
+
+def warshall_closure(strata, relations):
+    """The reflexive-transitive closure of ``relations`` on ``strata`` as
+    a set of pairs, by Warshall's algorithm on a boolean matrix."""
+    where = {s: k for k, s in enumerate(strata)}
+    n = len(strata)
+    reach = [[i == j for j in range(n)] for i in range(n)]
+    for i, j in relations:
+        reach[where[i]][where[j]] = True
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                reach[i] = [x or y for x, y in zip(reach[i], reach[k])]
+    return {(strata[i], strata[j])
+            for i in range(n) for j in range(n) if reach[i][j]}
 
 
 def bf_subdivide(simplices, generator_maps):
@@ -529,6 +604,13 @@ def bf_averaging_projector(action, members):
     return tuple(tuple(x / len(members) for x in row) for row in total)
 
 
+@functools.lru_cache(maxsize=1024)
+def _bf_projector(action, members):
+    """bf_averaging_projector, once per action and sorted member tuple:
+    every H0 below K asks for the projector of the same K."""
+    return bf_averaging_projector(action, members)
+
+
 def bf_fix_subspace(action, members):
     """Fix(H) as the kernel of P - I, P the averaging projector of H."""
     P = bf_averaging_projector(action, members)
@@ -549,7 +631,7 @@ def bf_relative_normal(action, fix0, H0, H1, witness):
     basis = []
     if fix0:
         cols = tuple(zip(*fix0))
-        reduced = bf_mat_mul(bf_averaging_projector(action, K), cols)
+        reduced = bf_mat_mul(_bf_projector(action, tuple(sorted(K))), cols)
         basis = [tuple(sum((a * x for a, x in zip(row, c)), Fraction(0))
                        for row in cols)
                  for c in bf_kernel_basis(reduced)]

@@ -8,16 +8,16 @@ from phasecat import (LinearAction, ValidationError, averaging_projector,
                       conjugacy_classes_of_subgroups, degeneracy_quiver,
                       fix_subspace, isotypic_decomposition, relative_normal)
 from phasecat import fixtures as fx
-from phasecat import ratmat
+from phasecat import linrep, ratmat
 from phasecat.errors import CapExceededError
 from phasecat.linrep import DIMENSION_CAP
 from phasecat.permgroup import (Subgroup, all_subgroups, closure,
                                 full_subgroup, subgroup_closure, transporter)
 
-from oracles import (bf_averaging_projector, bf_fix_subspace,
-                     bf_isotypic_decomposition, bf_mat_mul, bf_rref,
-                     bf_relative_normal, element_matrices, trivial_subgroup,
-                     zeros)
+from oracles import (all_pairs_subconjugacy_covers, bf_averaging_projector,
+                     bf_fix_subspace, bf_isotypic_decomposition, bf_mat_mul,
+                     bf_rref, bf_relative_normal, element_matrices,
+                     trivial_subgroup, zeros)
 
 F = Fraction
 
@@ -399,6 +399,9 @@ class TestGeneratorKernelsMatchProjectors:
     def test_quiver_arrows(self, oracle_reps):
         for name, action in oracle_reps.items():
             q = degeneracy_quiver(action)
+            classes = [n.subgroup_class for n in q.nodes]
+            assert [(a.source, a.target, a.witness) for a in q.arrows] \
+                == all_pairs_subconjugacy_covers(action.group, classes), name
             for a in q.arrows:
                 h0 = q.nodes[a.source].subgroup_class.representative
                 h1 = q.nodes[a.target].subgroup_class.representative
@@ -407,6 +410,26 @@ class TestGeneratorKernelsMatchProjectors:
                     a.witness)
                 assert repr(a.normal.basis) == repr(basis), name
                 assert repr(a.normal.restricted) == repr(restricted), name
+
+    def test_two_transporter_calls_per_arrow(self, oracle_reps,
+                                             monkeypatch):
+        # the witness of each cover, and the acting subgroup's normalizer
+        calls = []
+        monkeypatch.setattr(linrep, "transporter",
+                            lambda *a: calls.append(a) or transporter(*a))
+        for name, action in oracle_reps.items():
+            del calls[:]
+            q = degeneracy_quiver(action)
+            assert len(calls) == 2 * len(q.arrows), name
+
+    def test_quiver_on_every_other_class(self, c2s4):
+        action = LinearAction(c2s4, 6,
+                              permutation_matrices(c2s4.generators, 6))
+        classes = conjugacy_classes_of_subgroups(c2s4)[::2]
+        q = degeneracy_quiver(action, classes)
+        assert [n.subgroup_class for n in q.nodes] == classes
+        assert [(a.source, a.target, a.witness) for a in q.arrows] \
+            == all_pairs_subconjugacy_covers(c2s4, classes)
 
     def test_averaging_projector_on_every_subgroup(self, oracle_reps):
         for name, action in oracle_reps.items():

@@ -9,8 +9,9 @@ from phasecat import (ValidationError, build_orbit_category,
                       export_olog, import_olog, strata_category, subdivide,
                       weyl_group)
 from phasecat import fixtures as fx
+from phasecat import orbitcat
 from phasecat.category import FiniteCategory, Morphism
-from phasecat.permgroup import closure
+from phasecat.permgroup import closure, transporter
 
 GROUP_NAMES = ["trivial", "c2", "c4", "s3", "d4", "a4", "s4"]
 
@@ -413,6 +414,33 @@ def _c2k(k):
     """C2^k acting on 2k points, one swap of (2i, 2i+1) per factor."""
     return closure(2 * k, [[j ^ 1 if j // 2 == i else j
                             for j in range(2 * k)] for i in range(k)])
+
+
+class TestSubconjugatePairsOnly:
+    """Only subconjugate pairs of classes can have a morphism, and only
+    they are handed to the transporter."""
+
+    # C2^4 has 1, 15, 35, 15 and 1 subgroups of order 1, 2, 4, 8 and 16,
+    # which contain 1, 2, 5, 16 and 67 subgroups: 513 pairs, not 67^2
+    @pytest.mark.parametrize("name,want", [("c2s4", 224), ("c2^4", 513)])
+    def test_one_transporter_call_per_subconjugate_pair(
+            self, name, want, c2s4, monkeypatch):
+        G = c2s4 if name == "c2s4" else _c2k(4)
+        classes = conjugacy_classes_of_subgroups(G)
+        calls = []
+        monkeypatch.setattr(orbitcat, "transporter",
+                            lambda *a: calls.append(a) or transporter(*a))
+        build_orbit_category(G, classes)
+        pairs = sum(map(len, oracles.bf_subconjugate_to(classes)))
+        assert len(calls) == pairs == want
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_morphisms_equal_the_all_pairs_scan(self, c2s4, step):
+        # step 2 keeps every other class, so part of the order lies
+        # outside the list
+        classes = conjugacy_classes_of_subgroups(c2s4)[::step]
+        assert build_orbit_category(c2s4, classes).orbit_morphisms \
+            == oracles.all_pairs_orbit_morphisms(c2s4, classes)
 
 
 class TestSizeOracle:

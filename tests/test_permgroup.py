@@ -28,6 +28,11 @@ MORE_GROUPS = {
 }
 
 
+def named_group(name):
+    return (closure(*MORE_GROUPS[name]) if name in MORE_GROUPS
+            else fx.load_group(name))
+
+
 def class_data(classes):
     return [(c.class_index, c.representative.members,
              tuple(s.members for s in c.orbit_of_subgroups))
@@ -282,8 +287,7 @@ class TestConjugacyClasses:
     def test_walk_matches_two_pass_reference(self, name):
         # every subgroup extended, then partitioned by conjugating with
         # every element of G
-        G = (closure(*MORE_GROUPS[name]) if name in MORE_GROUPS
-             else fx.load_group(name))
+        G = named_group(name)
         subs = oracles.layered_subgroups(G)
         assert [s.members for s in all_subgroups(G)] == subs
         assert class_data(conjugacy_classes_of_subgroups(G)) \
@@ -300,8 +304,21 @@ class TestConjugacyClasses:
         G = groups["s4"]
         subs = all_subgroups(G)
         given = [subs[i] for i in picks]
-        assert class_data(conjugacy_classes_of_subgroups(G, given)) \
+        kept = conjugacy_classes_of_subgroups(G, given)
+        assert class_data(kept) \
             == oracles.conjugation_partition(G, [s.members for s in given])
+        # the order still names every class of G, not only the kept ones
+        every = conjugacy_classes_of_subgroups(G)
+        above = dict(zip((c.representative.members for c in every),
+                         oracles.bf_subconjugate_to(every)))
+        assert [c.subconjugate_to for c in kept] \
+            == [above[c.representative.members] for c in kept]
+
+    @pytest.mark.parametrize("name", sorted(fx.GROUPS) + sorted(MORE_GROUPS))
+    def test_subconjugate_to_is_containment_in_a_conjugate(self, name):
+        classes = conjugacy_classes_of_subgroups(named_group(name))
+        assert [c.subconjugate_to for c in classes] \
+            == oracles.bf_subconjugate_to(classes)
 
     def test_equal_order_within_class(self, groups):
         for G in groups.values():

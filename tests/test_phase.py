@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from phasecat import (GComplex, StratifiedComplex, ValidationError,
@@ -6,9 +8,10 @@ from phasecat import (GComplex, StratifiedComplex, ValidationError,
                       quotient_functor, strata_category, subdivide,
                       weyl_group)
 from phasecat.errors import CapExceededError
-from phasecat.phase import QuotientFunctor
+from phasecat.phase import QuotientFunctor, _poset_closure
 
-from oracles import is_identity, phase_fiber, weyl_component_action
+from oracles import (is_identity, phase_fiber, warshall_closure,
+                     weyl_component_action)
 
 GROUP_NAMES = ["trivial", "c2", "c4", "s3", "d4", "a4", "s4"]
 
@@ -310,6 +313,33 @@ class TestStrataCategory:
         with pytest.raises(ValidationError, match="frontier"):
             StratifiedComplex(3, [[0], [1], [2], [1, 2]],
                               [0, 1, 1, 1], [(0, 1)])
+
+    def test_frontier_names_the_least_violating_pair(self):
+        # a chain of 300 singleton strata: every pair i < j is in the
+        # order and violates the frontier condition
+        n = 300
+        with pytest.raises(ValidationError,
+                           match=r"stratum 0 <= 1 but simplex \[0\]"):
+            StratifiedComplex(n, [[i] for i in range(n)], list(range(n)),
+                              [(i, i + 1) for i in range(n - 1)])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_poset_closure_matches_warshall(self, seed):
+        # seeds below 10 draw forward edges only, the rest any edges
+        rng = random.Random(seed)
+        strata = sorted(rng.sample(range(40), rng.randint(2, 12)))
+        relations = [tuple(sorted(rng.sample(strata, 2)) if seed < 10
+                           else rng.choices(strata, k=2))
+                     for _ in range(rng.randint(0, 15))]
+        leq = warshall_closure(strata, relations)
+        cycles = sorted((i, j) for (i, j) in leq if i < j and (j, i) in leq)
+        if cycles:
+            i, j = cycles[0]
+            with pytest.raises(ValidationError,
+                               match=f"has a cycle {i} ~ {j}$"):
+                _poset_closure(strata, relations)
+        else:
+            assert _poset_closure(strata, relations) == leq
 
     def test_out_of_range_vertex_rejected(self):
         from phasecat import fixtures as fx
