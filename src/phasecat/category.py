@@ -3,20 +3,22 @@
 This is the shared output shape for the orbit category, the phase diagram,
 stratified-set diagrams and imported ologs, each built by ``keyed_category``
 from objects named by key and morphisms named by their distinct ``data``
-(``FiniteCategory.find`` maps data back to a position).  The table is the
-data, in one form: ``columns[m2]`` holds m2 o m1 for each m1 into the
-source of m2, ascending, so every walk over composable pairs costs the
-number of pairs, not M^2.  The constructor checks each entry's place and
-endpoints; the law check then tests the units entry by entry, and
-associativity only for middles drawn from a generating set (Light's test),
-which implies it for every middle."""
+(``FiniteCategory.find`` maps data back to a position), with the columns
+filled by morphism index.  The table is the data, in one form:
+``columns[m2]`` holds m2 o m1 for each m1 into the source of m2,
+ascending, so every walk over composable pairs costs the number of pairs,
+not M^2.  The constructor checks each entry's place and endpoints, and
+the law check the units, a whole table at a time; only a table that fails
+is scanned entry by entry, for the first bad one.  Associativity is
+tested only for middles drawn from a generating set (Light's test), which
+implies it for every middle."""
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Mapping
 from functools import cached_property
-from itertools import compress, count, repeat
-from operator import itemgetter
+from itertools import chain, compress, count, repeat
+from operator import getitem, gt, itemgetter
 from typing import Any
 
 from .errors import CapExceededError, Frozen, ValidationError
@@ -47,13 +49,8 @@ class FiniteCategory:
         self.morphisms = list(morphisms)
         self.identity = list(identity)
         self.columns = list(map(tuple, columns))
-        self.into: list[list[int]] = [[] for _ in self.objects]
-        self.outgoing: list[list[int]] = [[] for _ in self.objects]
-        self.position = []
-        for m, mor in enumerate(self.morphisms):
-            self.position.append(len(self.into[mor.dst]))
-            self.into[mor.dst].append(m)
-            self.outgoing[mor.src].append(m)
+        self.into, self.outgoing, self.position = _incidence(
+            len(self.objects), self.morphisms)
         self._validate()
         #: the columns read as a mapping ``(m2, m1) -> m2 o m1``
         self.compose_table: Mapping[tuple[int, int], int] = _ColumnTable(self)
@@ -75,11 +72,15 @@ class FiniteCategory:
         columns = self.columns
         src = [m.src for m in self.morphisms]
         dst = [m.dst for m in self.morphisms]
-        if len(columns) != len(src) or any(
-                len(c) > len(self.into[x]) for c, x in zip(columns, src)):
+        sizes = [len(self.into[x]) for x in src]
+        if len(columns) != len(src) or any(map(gt, map(len, columns),
+                                               sizes)):
             raise ValidationError("one composition column required per "
                                   "morphism, no longer than its pairs")
-        # over m1, then m2: the brute-force law check's order
+        if self._entries_hold(src, dst, sizes):
+            return
+        # the first bad entry over m1, then m2: the brute-force law
+        # check's order
         for m1, k in enumerate(self.position):
             for m2 in self.outgoing[dst[m1]]:
                 r = columns[m2][k] if k < len(columns[m2]) else None
@@ -89,6 +90,23 @@ class FiniteCategory:
                         and src[r] == src[m1] and dst[r] == dst[m2]):
                     raise ValidationError(f"composition table entry "
                                           f"({m2},{m1})->{r!r} mismatched")
+
+    def _entries_hold(self, src, dst, sizes) -> bool:
+        """The entry scan of ``_validate`` a whole table at a time: every
+        column is full, and every entry is an int index running from the
+        source of its m1 to the target of its m2."""
+        columns = self.columns
+        flat = list(chain.from_iterable(columns))
+        if not (list(map(len, columns)) == sizes
+                and set(map(type, flat)) <= {int}
+                and 0 <= min(flat, default=0)
+                and max(flat, default=0) < len(src)):
+            return False
+        sources = [list(map(src.__getitem__, ms)) for ms in self.into]
+        return (list(map(src.__getitem__, flat))
+                == list(chain.from_iterable(map(sources.__getitem__, src)))
+                and list(map(dst.__getitem__, flat))
+                == list(chain.from_iterable(map(repeat, dst, sizes))))
 
     def find(self, data) -> int | None:
         """The index of the morphism carrying ``data``, or None."""
@@ -134,17 +152,29 @@ class FiniteCategory:
         every morphism.  Only when a generator fails do the gathers run
         over every middle, to name the first failing triple.
         """
-        for m, mor in enumerate(self.morphisms):
-            if self.compose(m, self.identity[mor.src]) != m:
-                raise ValidationError(f"right unit fails at {m}")
-            if self.compose(self.identity[mor.dst], m) != m:
-                raise ValidationError(f"left unit fails at {m}")
+        if not self._units_hold():
+            for m, mor in enumerate(self.morphisms):
+                if self.compose(m, self.identity[mor.src]) != m:
+                    raise ValidationError(f"right unit fails at {m}")
+                if self.compose(self.identity[mor.dst], m) != m:
+                    raise ValidationError(f"left unit fails at {m}")
         if next(self._failures(self._generators()), None) is not None:
             # the least (m1, m2, m3) is the first in a scan over m1, then
             # m2, then m3 in index order
             m1, m2, m3 = min(self._failures(range(len(self.morphisms))))
             raise ValidationError(f"associativity fails on ({m3},{m2},{m1})")
         return True
+
+    def _units_hold(self) -> bool:
+        """Both unit laws a whole table at a time: m o id = m for every m,
+        and the column of the identity of x is ``into[x]``."""
+        columns, identity = self.columns, self.identity
+        at_unit = map(self.position.__getitem__, map(
+            identity.__getitem__, (m.src for m in self.morphisms)))
+        return (list(map(getitem, columns, at_unit))
+                == list(range(len(columns)))
+                and list(map(columns.__getitem__, identity))
+                == list(map(tuple, self.into)))
 
     def _generators(self) -> list[int]:
         """The morphisms, in index order, that the composition closure of
@@ -229,15 +259,33 @@ class _ColumnTable(Mapping):
                 for m1 in cat.into[b.src])
 
 
+def _incidence(n_objects: int, morphisms: list[Morphism]):
+    """``into[x]`` and ``outgoing[x]``, the morphisms into and out of each
+    object x in ascending order, and ``position[m]``, m's place in
+    ``into[dst m]``."""
+    into: list[list[int]] = [[] for _ in range(n_objects)]
+    outgoing: list[list[int]] = [[] for _ in range(n_objects)]
+    position = []
+    for m, mor in enumerate(morphisms):
+        position.append(len(into[mor.dst]))
+        into[mor.dst].append(m)
+        outgoing[mor.src].append(m)
+    return into, outgoing, position
+
+
 def keyed_category(objects: Mapping[Hashable, str],
                    morphisms: Iterable[tuple], identity_keys,
-                   compose_on_data) -> FiniteCategory:
+                   fill) -> FiniteCategory:
     """The category on the keys of ``objects``, labelled by its values, with
     one morphism per ``(src, dst, label, data)`` record of ``morphisms``:
     src and dst are object keys, and the data are distinct.
-    ``identity_keys[o]`` names object o's identity and
-    ``compose_on_data((d2, d1))`` names d2 after d1, so a dict of data
-    pairs serves through its ``__getitem__``.
+    ``identity_keys[o]`` names object o's identity.
+
+    ``fill(mors, index, into, position)`` returns the composition table
+    by index: column b holds b o m1 for each m1 of ``into[mors[b].src]``.
+    ``mors`` are the morphisms on object positions, in record order,
+    ``index`` maps each datum to its morphism, and ``into`` and
+    ``position`` are as in ``FiniteCategory``.
     """
     position = {key: o for o, key in enumerate(objects)}
     morphisms = [Morphism(position[s], position[d], label, data)
@@ -245,14 +293,10 @@ def keyed_category(objects: Mapping[Hashable, str],
     index = dict(zip((m.data for m in morphisms), count()))
     if len(index) != len(morphisms):
         raise ValidationError("morphism data must be distinct")
-    data_into: list[list] = [[] for _ in position]
-    for m in morphisms:
-        data_into[m.dst].append(m.data)
-    columns = [tuple(map(index.__getitem__, map(
-        compose_on_data, zip(repeat(b.data), data_into[b.src]))))
-        for b in morphisms]
+    into, _, at = _incidence(len(position), morphisms)
     cat = FiniteCategory(list(objects.values()), morphisms,
-                         [index[k] for k in identity_keys], columns)
+                         [index[k] for k in identity_keys],
+                         fill(morphisms, index, into, at))
     cat._by_data = index
     return cat
 

@@ -119,13 +119,16 @@ def relative_normal(action: LinearAction, H0: Subgroup, H1: Subgroup,
     as integer rows), and the restricted matrices come from one left
     inverse of the basis.
     """
-    return _relative_normal(action, fix_subspace(action, H0), H0, H1,
+    return _relative_normal(action, fix_subspace(action, H0),
+                            transporter(action.group, H0, H0), H0, H1,
                             witness)
 
 
-def _relative_normal(action: LinearAction, fix0: list[Vec], H0: Subgroup,
+def _relative_normal(action: LinearAction, fix0: list[Vec],
+                     normalizer0: frozenset[int], H0: Subgroup,
                      H1: Subgroup, witness: int) -> RelativeNormal:
-    """relative_normal, given the basis fix0 of Fix(H0)."""
+    """relative_normal, given the basis fix0 of Fix(H0) and the members
+    of the normalizer of H0."""
     G = action.group
     # range check first: a negative witness would wrap around G.inverse
     K = H1.conjugate(G.inv(witness)) if 0 <= witness < G.order else None
@@ -140,8 +143,7 @@ def _relative_normal(action: LinearAction, fix0: list[Vec], H0: Subgroup,
     annihilator, _ = _fixed_space(transposes, d)
     basis = ratmat.intersect(fix0, annihilator)
 
-    acting_members = tuple(sorted(
-        K.member_set & transporter(G, H0, H0)))
+    acting_members = tuple(sorted(K.member_set & normalizer0))
     acting = Subgroup(G, acting_members)
     if not basis:
         return RelativeNormal(basis, acting, {k: () for k in acting.members})
@@ -231,9 +233,13 @@ def degeneracy_quiver(action: LinearAction,
         basis = fix_subspace(action, c.representative)
         nodes.append(QuiverNode(c, len(basis), basis))
     arrows = []
+    normalizers: dict[int, frozenset[int]] = {}
     for (a, b, g) in subconjugacy_covers(G, classes):
+        H0 = classes[a].representative
+        if a not in normalizers:
+            normalizers[a] = transporter(G, H0, H0)
         normal = _relative_normal(action, nodes[a].fix_basis,
-                                  classes[a].representative,
+                                  normalizers[a], H0,
                                   classes[b].representative, g)
         arrows.append(QuiverArrow(a, b, g, normal))
     return DegeneracyQuiver(nodes, arrows)

@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 import os
 from json.encoder import encode_basestring_ascii as _encode_str
-from operator import itemgetter
+from itertools import chain
+from operator import getitem, itemgetter
 from typing import TYPE_CHECKING
 
 from .errors import ValidationError
@@ -85,21 +86,30 @@ def export_olog(category: FiniteCategory,
             "compositions": compositions}
 
 
-def _records(data, key: str, fields: tuple[str, ...]) -> list[dict]:
+def _records(data, key: str,
+             fields: tuple[str, ...]) -> tuple[list, list[list[str]]]:
     """``data[key]``, default empty, as a list of objects whose ``fields``
-    are strings; a malformed one is named with the field."""
+    are strings, returned with one column per field; a malformed record
+    is named with the field."""
     if not isinstance(data, dict):
         raise ValidationError("olog: expected a JSON object at top level")
     records = data.get(key, [])
     if not isinstance(records, list):
         raise ValidationError(f"{key}: expected a list of objects")
-    for i, record in enumerate(records):
-        for field in fields:
-            if not (isinstance(record, dict)
-                    and isinstance(record.get(field), str)):
-                raise ValidationError(
-                    f"{key}[{i}]: expected an object with a string {field!r}")
-    return records
+    try:
+        columns = [list(map(itemgetter(f), records)) for f in fields]
+        # str.join raises TypeError on any value that is not a str
+        "".join(chain.from_iterable(columns))
+    except (KeyError, TypeError):
+        columns = None
+    if columns is None or not set(map(type, records)) <= {dict}:
+        for i, record in enumerate(records):
+            for field in fields:
+                if not (isinstance(record, dict)
+                        and isinstance(record.get(field), str)):
+                    raise ValidationError(f"{key}[{i}]: expected an object "
+                                          f"with a string {field!r}")
+    return records, columns
 
 
 def import_olog(data: dict) -> FiniteCategory:
@@ -111,13 +121,17 @@ def import_olog(data: dict) -> FiniteCategory:
     endpoints, unknown ids and inconsistent composition triples are
     rejected with the offending field or ids.
 
-    The columns are filled from one dict of id pairs: the listed triples,
-    then the unit laws, which decide every pair with an identity.
+    The columns are filled by morphism index: each triple's result goes
+    to ``columns[left][position[right]]``, and then the unit laws fill
+    every pair with an identity.  The ids and endpoints of all triples
+    are checked as whole columns; only when a check fails are the
+    triples scanned in order, for the first bad one.
     """
     from .category import keyed_category
-    records = _records(data, "objects", ("id",))
-    arrows = _records(data, "arrows", ("id", "src", "dst"))
-    compositions = _records(data, "compositions", ("left", "right", "result"))
+    records, _ = _records(data, "objects", ("id",))
+    arrows, (arrow_ids, srcs, dsts) = _records(data, "arrows",
+                                               ("id", "src", "dst"))
+    _, triples = _records(data, "compositions", ("left", "right", "result"))
     objects = {o["id"]: o.get("label", o["id"]) for o in records}
     if len(objects) != len(records):
         raise ValidationError("duplicate object ids")
@@ -125,46 +139,76 @@ def import_olog(data: dict) -> FiniteCategory:
     # (src, dst, label, data): the identities in object order, then the arrows
     morphisms = [(oid, oid, key, key)
                  for oid, key in zip(objects, identity_keys)]
-    ends = {key: (oid, oid) for oid, key in zip(objects, identity_keys)}
-    for a in arrows:
-        if a["src"] not in objects or a["dst"] not in objects:
+    known = set(identity_keys)
+    for a, aid, s, d in zip(arrows, arrow_ids, srcs, dsts):
+        if s not in objects or d not in objects:
             raise ValidationError(
-                f"arrow {a['id']} has dangling endpoint "
-                f"{a['src']}->{a['dst']}")
-        if a["id"] in ends:
-            raise ValidationError(f"duplicate arrow id {a['id']}")
-        ends[a["id"]] = a["src"], a["dst"]
-        morphisms.append((a["src"], a["dst"], a.get("label", a["id"]),
-                          a["id"]))
+                f"arrow {aid} has dangling endpoint {s}->{d}")
+        if aid in known:
+            raise ValidationError(f"duplicate arrow id {aid}")
+        known.add(aid)
+        morphisms.append((s, d, a.get("label", aid), aid))
 
-    composite: dict[tuple[str, str], str] = {}
-    for c in compositions:
-        left, right, result = c["left"], c["right"], c["result"]
+    def fill(mors, index, into, position) -> list[list]:
+        src = [m.src for m in mors]
+        dst = [m.dst for m in mors]
         try:
-            (b0, b1), (a0, a1), res = ends[left], ends[right], ends[result]
-        except KeyError as exc:
-            mid = exc.args[0]
-            raise ValidationError(
-                f"identity of unknown object {mid[3:]}"
-                if mid.startswith("id:")
-                else f"composition names unknown arrow {mid}") from None
-        if a1 != b0 or res != (a0, b1):
-            raise ValidationError(f"inconsistent composition triple "
-                                  f"({left},{right})->{result}")
-        if composite.setdefault((left, right), result) != result:
-            raise ValidationError(
-                f"conflicting composition triple for ({left},{right})")
-    # the unit laws override a listed triple with an identity in it
-    composite.update(((mid, "id:" + s), mid) for mid, (s, _) in ends.items())
-    composite.update((("id:" + d, mid), mid) for mid, (_, d) in ends.items())
-    try:
-        cat = keyed_category(objects, morphisms, identity_keys,
-                             composite.__getitem__)
-    except KeyError as exc:  # ids and results are known: a pair unlisted
-        d2, d1 = exc.args[0]
-        raise ValidationError(f"missing composition ({d2},{d1})") from None
+            left, right, result = (list(map(index.__getitem__, ids))
+                                   for ids in triples)
+        except KeyError:
+            _first_bad_triple(triples, index, src, dst)
+        # r = m2 o m1 needs dst m1 = src m2, src r = src m1, dst r = dst m2
+        at = list(map(position.__getitem__, right))
+        if not (list(map(dst.__getitem__, right))
+                == list(map(src.__getitem__, left))
+                and list(map(src.__getitem__, result))
+                == list(map(src.__getitem__, right))
+                and list(map(dst.__getitem__, result))
+                == list(map(dst.__getitem__, left))):
+            _first_bad_triple(triples, index, src, dst)
+        columns = [[None] * len(into[x]) for x in src]
+        for m2, k, r in zip(left, at, result):
+            columns[m2][k] = r
+        # a pair listed twice keeps its last result; any other is a conflict
+        if list(map(getitem, map(columns.__getitem__, left), at)) != result:
+            _first_bad_triple(triples, index, src, dst)
+        # the unit laws override a listed triple with an identity in it
+        identity = list(map(index.__getitem__, identity_keys))
+        for x, e in enumerate(identity):
+            columns[e] = list(into[x])
+        for m, x in enumerate(src):
+            columns[m][position[identity[x]]] = m
+        for m2, column in enumerate(columns):
+            if None in column:
+                m1 = into[src[m2]][column.index(None)]
+                raise ValidationError(f"missing composition "
+                                      f"({mors[m2].data},{mors[m1].data})")
+        return columns
+
+    cat = keyed_category(objects, morphisms, identity_keys, fill)
     cat.check_category_laws()
     return cat
+
+
+def _first_bad_triple(triples, index, src, dst):
+    """Raise for the first triple, in listed order, that names an unknown
+    id, has endpoints that do not compose, or conflicts with a triple
+    before it."""
+    seen: dict[tuple[int, int], int] = {}
+    for ids in zip(*triples):
+        for mid in ids:
+            if mid not in index:
+                raise ValidationError(
+                    f"identity of unknown object {mid[3:]}"
+                    if mid.startswith("id:")
+                    else f"composition names unknown arrow {mid}")
+        m2, m1, r = map(index.__getitem__, ids)
+        if dst[m1] != src[m2] or (src[r], dst[r]) != (src[m1], dst[m2]):
+            raise ValidationError("inconsistent composition triple "
+                                  "({},{})->{}".format(*ids))
+        if seen.setdefault((m2, m1), r) != r:
+            raise ValidationError("conflicting composition triple for "
+                                  "({},{})".format(*ids[:2]))
 
 
 _SCALARS = {str, int, float, bool, type(None)}
@@ -224,7 +268,10 @@ def _records_text(records: list[dict], pad: str) -> str | None:
             return None
         kinds = set(map(type, column))
         if kinds == {str}:
-            encode = _encode_str
+            # triples repeat each id many times: encode each one once
+            distinct = set(column)
+            encode = (dict(zip(distinct, map(_encode_str, distinct)))
+                      .__getitem__ if 2 * len(distinct) < n else _encode_str)
         elif kinds <= _SCALARS:
             encode = json.dumps
         else:

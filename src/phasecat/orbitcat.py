@@ -10,6 +10,7 @@ category is meant to model.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import NamedTuple
 
 from .category import keyed_category
@@ -69,25 +70,39 @@ class OrbitCategory:
 def _build(G: FiniteGroup, classes: list[SubgroupClass]):
     objects = {c: f"H{cls.class_index}|{cls.order}"
                for c, cls in enumerate(classes)}
+    canon = [cls.representative.right_coset_min for cls in classes]
     morphisms = []
+    # hom[c0][c1][g]: the index of the morphism c0 -> c1 whose coset holds
+    # g, or None; blocks[c1]: the (c0, reps) of the morphisms into c1, in
+    # index order
+    hom: list[dict[int, list]] = [{} for _ in classes]
+    blocks: list[list] = [[] for _ in classes]
     for c0, cls0 in enumerate(classes):
         for c1, cls1 in enumerate(classes):
             if cls1.representative.members in cls0.subconjugate_to:
-                for g in transporter_coset_reps(G, cls0.representative,
-                                                cls1.representative):
-                    morphisms.append((c0, c1, f"g{g}:{c0}->{c1}",
-                                      OrbitMorphism(c0, c1, g)))
-    canon = [cls.representative.right_coset_min for cls in classes]
-    table = G.table
+                reps = transporter_coset_reps(G, cls0.representative,
+                                              cls1.representative)
+                at = dict(zip(reps, count(len(morphisms))))
+                hom[c0][c1] = list(map(at.get, canon[c1]))
+                blocks[c1].append((c0, reps))
+                morphisms.extend((c0, c1, f"g{g}:{c0}->{c1}",
+                                  OrbitMorphism(c0, c1, g)) for g in reps)
 
-    def compose(pair: tuple[OrbitMorphism, OrbitMorphism]) -> tuple:
-        (_, c2, g2), (c0, _, g1) = pair
-        return (c0, c2, canon[c2][table[g2][g1]])
+    def fill(mors, index, into, position) -> list[list[int]]:
+        # (c1, c2, g2) o (c0, c1, g1) = (c0, c2, canon[c2][g2 g1])
+        columns = []
+        for c1, c2, g2 in (b.data for b in mors):
+            product = G.table[g2].__getitem__
+            column: list[int] = []
+            for c0, reps in blocks[c1]:
+                column += map(hom[c0][c2].__getitem__, map(product, reps))
+            columns.append(column)
+        return columns
 
     return keyed_category(
         objects, morphisms,
         [(c, c, canon[c][G.identity_index]) for c in range(len(classes))],
-        compose)
+        fill)
 
 
 def build_orbit_category(G: FiniteGroup,

@@ -67,7 +67,10 @@ def _build_phase(orbit: OrbitCategory, presheaf: FixPresheaf):
                for c, comps in enumerate(presheaf.comps)
                for comp_id in range(len(comps))]
     morphisms = []
+    # the index of (m, 0); (m, c) follows it at start[m] + c
+    start = []
     for m, om in enumerate(orbit.orbit_morphisms):
+        start.append(len(morphisms))
         induced = presheaf.induced_map(om.source_class, om.target_class,
                                        om.coset_rep)
         for c1, c0 in enumerate(induced):
@@ -77,16 +80,17 @@ def _build_phase(orbit: OrbitCategory, presheaf: FixPresheaf):
                 f"{orbit.category.morphisms[m].label}@c{c1}", (m, c1)))
 
     base = orbit.category
-    columns, position = base.columns, base.position
 
-    def compose(pair: tuple) -> tuple:
-        (m2, c2), (m1, _) = pair
-        return (columns[m2][position[m1]], c2)
+    def fill(mors, index, into, position) -> list[list[int]]:
+        # the morphisms into (H, c) are (m1, c) over m1 into H, in the
+        # same order, and (m2, c2) o (m1, c) = (m2 o m1, c2)
+        return [[start[r] + c2 for r in base.columns[m2]]
+                for m2, c2 in (b.data for b in mors)]
 
     cat = keyed_category(
         {o: o.label for o in objects}, morphisms,
         [(base.identity[o.subgroup_class], o.component_id) for o in objects],
-        compose)
+        fill)
     return cat, objects
 
 
@@ -286,9 +290,11 @@ def strata_category(strat: StratifiedComplex) -> FiniteCategory:
             cj = component_of[j][comp[0]]
             morphisms.append(((i, c), (j, cj), f"{i}.c{c}<={j}", (i, c, j)))
 
-    def compose(pair: tuple) -> tuple:
-        (_, _, k), (i, c, _) = pair
-        return (i, c, k)
+    def fill(mors, index, into, position) -> list[list[int]]:
+        # (j, c', k) o (i, c, j) = (i, c, k)
+        return [[index[(i, c, b.data[2])]
+                 for i, c, _ in (mors[m1].data for m1 in into[b.src])]
+                for b in mors]
 
     return keyed_category(objects, morphisms,
-                          [(i, c, i) for (i, c) in objects], compose)
+                          [(i, c, i) for (i, c) in objects], fill)

@@ -411,16 +411,18 @@ class TestGeneratorKernelsMatchProjectors:
                 assert repr(a.normal.basis) == repr(basis), name
                 assert repr(a.normal.restricted) == repr(restricted), name
 
-    def test_two_transporter_calls_per_arrow(self, oracle_reps,
-                                             monkeypatch):
-        # the witness of each cover, and the acting subgroup's normalizer
+    def test_transporter_once_per_arrow_and_source(self, oracle_reps,
+                                                   monkeypatch):
+        # the witness of each cover, and the normalizer of each distinct
+        # source class, which every arrow out of it shares
         calls = []
         monkeypatch.setattr(linrep, "transporter",
                             lambda *a: calls.append(a) or transporter(*a))
         for name, action in oracle_reps.items():
             del calls[:]
             q = degeneracy_quiver(action)
-            assert len(calls) == 2 * len(q.arrows), name
+            sources = {a.source for a in q.arrows}
+            assert len(calls) == len(q.arrows) + len(sources), name
 
     def test_quiver_on_every_other_class(self, c2s4):
         action = LinearAction(c2s4, 6,

@@ -8,9 +8,9 @@ import pytest
 from oracles import (bf_export_olog, bf_import_olog, bf_olog_json,
                      is_identity, table_category)
 from phasecat import (ValidationError, atomic_write, build_orbit_category,
-                      build_phase_diagram, category_isomorphic, export_dot,
-                      export_olog, import_olog, olog_json, strata_category,
-                      subdivide)
+                      build_phase_diagram, category_isomorphic, closure,
+                      export_dot, export_olog, import_olog, olog_json,
+                      strata_category, subdivide)
 from phasecat import fixtures as fx
 from phasecat.category import Morphism
 from phasecat.cli import main
@@ -269,6 +269,30 @@ class TestRoundTrip:
         back = import_olog(export_olog(cat))
         assert category_isomorphic(cat, back) is not None
 
+    @pytest.mark.parametrize("name", ["c2s4", "s5"])
+    def test_columns_of_large_orbit_categories(self, name, c2s4):
+        """The imported columns are the exported category's, relabelled:
+        the import lists the identities first, so a second round trip
+        gives back the same columns exactly."""
+        G = c2s4 if name == "c2s4" else closure(5, [[1, 0, 2, 3, 4],
+                                                    [1, 2, 3, 4, 0]])
+        cat = build_orbit_category(G).category
+        back = import_olog(export_olog(cat))
+        # each morphism of cat under its olog name in back
+        ids, k, relabel = set(cat.identity), 0, []
+        for m, mor in enumerate(cat.morphisms):
+            if m in ids:
+                relabel.append(back.find(f"id:o{mor.src}"))
+            else:
+                relabel.append(back.find(f"m{k}"))
+                k += 1
+        assert sorted(relabel) == list(range(len(cat.morphisms))), name
+        for m2, column in enumerate(cat.columns):
+            m1s = cat.into[cat.morphisms[m2].src]
+            assert [back.compose(relabel[m2], relabel[m1])
+                    for m1 in m1s] == [relabel[r] for r in column], name
+        assert import_olog(export_olog(back)).columns == back.columns, name
+
 
 class TestKeyedImport:
     """An imported olog is built by keyed_category: each arrow is found by
@@ -499,6 +523,49 @@ def _non_dict_record(rng, data):
     return data
 
 
+def _missing_field(rng, data):
+    j = rng.randrange(len(data["compositions"]))
+    data, comps = _copied(data, "compositions", j)
+    del comps[j][rng.choice(["left", "right", "result"])]
+    return data
+
+
+def _scalar_field(rng, data):
+    """A triple field that is null, a number or a bool: no whole-column
+    pass may take it for an id."""
+    j = rng.randrange(len(data["compositions"]))
+    data, comps = _copied(data, "compositions", j)
+    comps[j][rng.choice(["left", "right", "result"])] = rng.choice(
+        [None, 0, 1, 2.5, True, False])
+    return data
+
+
+def _list_object(rng, data):
+    j = rng.randrange(len(data["objects"]))
+    data, records = _copied(data, "objects")
+    records[j] = rng.choice([list(records[j].items()),
+                             [records[j]["id"]]])
+    return data
+
+
+def _late_inconsistent_triple(rng, data):
+    """A triple whose result or right arrow has the wrong endpoints,
+    placed after 100 valid triples (after all of them in a smaller
+    olog)."""
+    data, comps = _copied(data, "compositions")
+    c = rng.choice(comps)
+    ends = _olog_ends(data)
+    if rng.random() < 0.5:
+        field = "result"
+        wrong = [m for m, e in ends.items() if e != ends[c["result"]]]
+    else:
+        field = "right"
+        wrong = [m for m, e in ends.items() if e[1] != ends[c["left"]][0]]
+    comps.insert(rng.randrange(min(100, len(comps)), len(comps) + 1),
+                 dict(c, **{field: rng.choice(wrong)}))
+    return data
+
+
 def _olog_ends(data):
     """Each olog id, identities included, with its endpoints."""
     ends = {f"id:{o['id']}": (o["id"], o["id"]) for o in data["objects"]}
@@ -508,7 +575,11 @@ def _olog_ends(data):
 
 MUTATIONS = [_drop_triple, _duplicate_triple, _conflicting_triple,
              _identity_triple, _changed_result, _unknown_id, _bad_arrow,
-             _non_string_field, _non_dict_record]
+             _non_string_field, _non_dict_record, _missing_field,
+             _scalar_field, _list_object, _late_inconsistent_triple]
+# mutations that always make an olog invalid
+REJECTED = {_missing_field, _scalar_field, _list_object,
+            _late_inconsistent_triple}
 
 
 class TestImportOracle:
@@ -541,13 +612,15 @@ class TestImportOracle:
                  for name, (cat, phase) in sources.items()}
         rng = random.Random("mutated ologs")
         seen = []
-        for i in range(270):
+        for i in range(21 * len(MUTATIONS)):
             name = rng.choice(sorted(ologs))
             mutate = MUTATIONS[i % len(MUTATIONS)]
             data = mutate(rng, ologs[name])
             want = self.outcome(bf_import_olog, bf_export_olog, data)
             got = self.outcome(import_olog, export_olog, data)
             assert got == want, (i, name, mutate.__name__)
+            assert want.startswith("error") or mutate not in REJECTED, \
+                (i, name, mutate.__name__)
             seen.append(want.split(" ")[1] if want.startswith("error")
                         else "imported")
         # every kind of outcome shows up

@@ -159,15 +159,30 @@ class TestLawCheckRejects:
                 _with_table(cat, table).check_category_laws()
 
     def test_broken_unit(self, orbit_cats):
-        cat = orbit_cats["s3"].category
-        for obj, e in enumerate(cat.identity):
-            for m in cat.hom(obj, obj):
-                if m == e:
-                    continue
-                table = dict(cat.compose_table)
-                table[(m, e)] = e
-                with pytest.raises(ValidationError, match="unit fails"):
-                    _with_table(cat, table).check_category_laws()
+        """Each unit pair m o id and id o m set to a parallel morphism,
+        alone and with another such break: the first unit failure of the
+        brute-force scan is the one named."""
+        rng = random.Random("broken units")
+        for name in ("s3", "d4"):
+            cat = orbit_cats[name].category
+            breaks = []
+            for m, mor in enumerate(cat.morphisms):
+                others = [o for o in cat.hom(mor.src, mor.dst) if o != m]
+                if others:
+                    breaks.append(((m, cat.identity[mor.src]), others[0]))
+                    breaks.append(((cat.identity[mor.dst], m), others[-1]))
+            assert breaks, name
+            for key, value in breaks:
+                for extra in ((), (rng.choice(breaks),)):
+                    table = dict(cat.compose_table)
+                    for k, v in ((key, value), *extra):
+                        table[k] = v
+                    bad = _with_table(cat, table)
+                    want = _outcome(oracles.bf_check_category_laws, bad,
+                                    table)
+                    assert "unit fails" in want, (name, key)
+                    assert _outcome(FiniteCategory.check_category_laws,
+                                    bad) == want, (name, key, extra)
 
     def test_first_failing_triple_is_named(self, orbit_cats):
         cat = orbit_cats["s3"].category
@@ -543,12 +558,16 @@ class TestColumnTable:
                         (-1, f"{entry}->-1 mismatched"),
                         (n, f"{entry}->{n} mismatched"),
                         ("0", f"{entry}->'0' mismatched"),
+                        # an int by value, but no entry: a pass built on
+                        # min() or isinstance would take them
+                        (True, f"{entry}->True mismatched"),
+                        (1.0, f"{entry}->1.0 mismatched"),
                         (wrong, f"{entry}->{wrong} mismatched")):
                     columns = self.columns_of(cat)
                     columns[m2][k] = value
                     assert self.raises(cat, columns) == message
                     checked += 1
-        assert checked == 5 * len(cat.compose_table)
+        assert checked == 7 * len(cat.compose_table)
 
     def test_short_and_long_columns(self, orbit_cats):
         cat = orbit_cats["s3"].category

@@ -461,4 +461,5 @@ class TestKeyedLookup:
         from phasecat.category import keyed_category
         mors = [(0, 0, "id", "k"), (0, 0, "s", "k")]
         with pytest.raises(ValidationError, match="distinct"):
-            keyed_category({0: "pt"}, mors, ["k"], lambda pair: pair[1])
+            keyed_category({0: "pt"}, mors, ["k"],
+                           lambda *_: [[0, 1], [1, 0]])
