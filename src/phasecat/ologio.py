@@ -268,7 +268,8 @@ def _records_text(records: list[dict], pad: str) -> str | None:
             return None
         kinds = set(map(type, column))
         if kinds == {str}:
-            # triples repeat each id many times: encode each one once
+            # triples repeat each id many times: encode each one once;
+            # mostly distinct ids and labels are faster one by one
             distinct = set(column)
             encode = (dict(zip(distinct, map(_encode_str, distinct)))
                       .__getitem__ if 2 * len(distinct) < n else _encode_str)

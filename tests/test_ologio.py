@@ -612,7 +612,7 @@ class TestImportOracle:
                  for name, (cat, phase) in sources.items()}
         rng = random.Random("mutated ologs")
         seen = []
-        for i in range(21 * len(MUTATIONS)):
+        for i in range(30 * len(MUTATIONS)):
             name = rng.choice(sorted(ologs))
             mutate = MUTATIONS[i % len(MUTATIONS)]
             data = mutate(rng, ologs[name])
