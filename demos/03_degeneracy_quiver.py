@@ -11,9 +11,8 @@
 #
 #     python3 demos/03_degeneracy_quiver.py
 
-from phasecat import (averaging_projector, degeneracy_quiver, fixtures,
-                      isotypic_decomposition, ratmat)
-from phasecat.permgroup import full_subgroup
+from phasecat import (Subgroup, averaging_projector, degeneracy_quiver,
+                      fixtures, isotypic_decomposition, ratmat)
 
 # The standard 2-dimensional representation of S3 (the reflection
 # symmetries of a triangle, with the rotation acting irrationally enough
@@ -25,7 +24,7 @@ s3 = action.group
 # The averaging projector over the full group is exactly zero: the
 # representation has no invariant vectors.
 
-P = averaging_projector(action, full_subgroup(s3))
+P = averaging_projector(action, Subgroup(s3, tuple(range(s3.order))))
 print("projector over all of S3:", P)
 
 # The quiver.  Nodes are subgroup classes with their fixed dimensions;

@@ -1,11 +1,12 @@
 """Finite categories whose composition table is stored as columns.
 
 This is the shared output shape for the orbit category, the phase diagram,
-stratified-set diagrams and imported ologs, each built by ``keyed_category``
-from objects named by key and morphisms named by their distinct ``data``
-(``FiniteCategory.find`` maps data back to a position), with the columns
-filled by morphism index.  The table is the data, in one form:
-``columns[m2]`` holds m2 o m1 for each m1 into the source of m2,
+stratified-set diagrams and imported ologs.  Each is built from objects
+named by key and morphisms named by their distinct ``data``, and the one
+constructor indexes both: ``object_of`` maps a key to its object,
+``find`` a datum to its morphism, and ``hom`` reads a stored hom-set.
+The columns are filled by morphism index.  The table is the data, in one
+form: ``columns[m2]`` holds m2 o m1 for each m1 into the source of m2,
 ascending, so every walk over composable pairs costs the number of pairs,
 not M^2.  The constructor checks each entry's place and endpoints; the
 law check then tests the units entry by entry, and associativity only for
@@ -14,8 +15,8 @@ every middle."""
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Mapping
-from functools import cached_property
+from collections import defaultdict
+from collections.abc import Callable, Hashable, Iterable, Mapping
 from itertools import compress, count
 from operator import itemgetter
 from typing import Any
@@ -40,25 +41,38 @@ class Morphism(Frozen):
 class FiniteCategory:
     """Objects, morphisms, identities and a total composition table:
     ``columns[m2][k]`` is m2 o ``into[src m2][k]``, and
-    ``position[m1]`` is m1's place in ``into[dst m1]``."""
+    ``position[m1]`` is m1's place in ``into[dst m1]``.
 
-    def __init__(self, objects: list[str], morphisms: list[Morphism],
-                 identity: list[int], columns: Iterable[Iterable[int]]):
-        self.objects = list(objects)
-        self.morphisms = list(morphisms)
-        self.identity = list(identity)
-        self.columns = list(map(tuple, columns))
-        self.into, self.outgoing, self.position = _incidence(
+    The category on the keys of ``objects``, labelled by its values, with
+    one morphism per ``(src, dst, label, data)`` record of ``morphisms``:
+    src and dst are object keys, and the data are distinct.
+    ``identity_keys[o]`` names object o's identity.  ``object_of`` maps
+    each key to its object and ``morphism_of`` each datum to its morphism.
+
+    ``fill(cat)`` returns the composition table by index: column b holds
+    b o m1 for each m1 of ``cat.into[cat.morphisms[b].src]``.  It is
+    called once the objects, morphisms, identities and incidence lists
+    are in place.
+    """
+
+    def __init__(self, objects: Mapping[Hashable, str],
+                 morphisms: Iterable[tuple], identity_keys: Iterable,
+                 fill: Callable[[FiniteCategory], Iterable[Iterable[int]]]):
+        self.object_of = at = {key: o for o, key in enumerate(objects)}
+        self.objects = list(objects.values())
+        self.morphisms = [Morphism(at[s], at[d], label, data)
+                          for s, d, label, data in morphisms]
+        self.morphism_of = dict(zip((m.data for m in self.morphisms),
+                                    count()))
+        if len(self.morphism_of) != len(self.morphisms):
+            raise ValidationError("morphism data must be distinct")
+        self.into, self.outgoing, self.position, self._hom_sets = _incidence(
             len(self.objects), self.morphisms)
+        self.identity = list(map(self.morphism_of.__getitem__, identity_keys))
+        self.columns = list(map(tuple, fill(self)))
         self._validate()
         #: the columns read as a mapping ``(m2, m1) -> m2 o m1``
         self.compose_table: Mapping[tuple[int, int], int] = _ColumnTable(self)
-
-    @cached_property
-    def _by_data(self) -> dict:
-        """Morphism index by data; ``keyed_category`` stores the index it
-        built, so only a category built directly computes it here."""
-        return {m.data: i for i, m in enumerate(self.morphisms)}
 
     def _validate(self):
         if len(self.identity) != len(self.objects):
@@ -88,10 +102,10 @@ class FiniteCategory:
 
     def find(self, data) -> int | None:
         """The index of the morphism carrying ``data``, or None."""
-        return self._by_data.get(data)
+        return self.morphism_of.get(data)
 
     def hom(self, src: int, dst: int) -> list[int]:
-        return [m for m in self.outgoing[src] if self.morphisms[m].dst == dst]
+        return list(self._hom_sets.get((src, dst), ()))
 
     def compose(self, m2: int, m1: int) -> int:
         # a negative index would wrap around to the last morphism
@@ -227,44 +241,19 @@ class _ColumnTable(Mapping):
 
 def _incidence(n_objects: int, morphisms: list[Morphism]):
     """``into[x]`` and ``outgoing[x]``, the morphisms into and out of each
-    object x in ascending order, and ``position[m]``, m's place in
-    ``into[dst m]``."""
+    object x in ascending order, ``position[m]``, m's place in
+    ``into[dst m]``, and the hom-sets, ascending, keyed by
+    ``(src, dst)``."""
     into: list[list[int]] = [[] for _ in range(n_objects)]
     outgoing: list[list[int]] = [[] for _ in range(n_objects)]
     position = []
+    hom_sets: dict[tuple[int, int], list[int]] = defaultdict(list)
     for m, mor in enumerate(morphisms):
         position.append(len(into[mor.dst]))
         into[mor.dst].append(m)
         outgoing[mor.src].append(m)
-    return into, outgoing, position
-
-
-def keyed_category(objects: Mapping[Hashable, str],
-                   morphisms: Iterable[tuple], identity_keys,
-                   fill) -> FiniteCategory:
-    """The category on the keys of ``objects``, labelled by its values, with
-    one morphism per ``(src, dst, label, data)`` record of ``morphisms``:
-    src and dst are object keys, and the data are distinct.
-    ``identity_keys[o]`` names object o's identity.
-
-    ``fill(mors, index, into, position)`` returns the composition table
-    by index: column b holds b o m1 for each m1 of ``into[mors[b].src]``.
-    ``mors`` are the morphisms on object positions, in record order,
-    ``index`` maps each datum to its morphism, and ``into`` and
-    ``position`` are as in ``FiniteCategory``.
-    """
-    position = {key: o for o, key in enumerate(objects)}
-    morphisms = [Morphism(position[s], position[d], label, data)
-                 for s, d, label, data in morphisms]
-    index = dict(zip((m.data for m in morphisms), count()))
-    if len(index) != len(morphisms):
-        raise ValidationError("morphism data must be distinct")
-    into, _, at = _incidence(len(position), morphisms)
-    cat = FiniteCategory(list(objects.values()), morphisms,
-                         [index[k] for k in identity_keys],
-                         fill(morphisms, index, into, at))
-    cat._by_data = index
-    return cat
+        hom_sets[mor.src, mor.dst].append(m)
+    return into, outgoing, position, hom_sets
 
 
 class IsoWitness:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import count
 from typing import NamedTuple
 
-from .category import keyed_category
+from .category import FiniteCategory
 from .errors import ValidationError
 from .permgroup import (FiniteGroup, Subgroup, SubgroupClass,
                         conjugacy_classes_of_subgroups, transporter)
@@ -88,10 +88,10 @@ def _build(G: FiniteGroup, classes: list[SubgroupClass]):
                 morphisms.extend((c0, c1, f"g{g}:{c0}->{c1}",
                                   OrbitMorphism(c0, c1, g)) for g in reps)
 
-    def fill(mors, index, into, position) -> list[list[int]]:
+    def fill(cat) -> list[list[int]]:
         # (c1, c2, g2) o (c0, c1, g1) = (c0, c2, canon[c2][g2 g1])
         columns = []
-        for c1, c2, g2 in (b.data for b in mors):
+        for c1, c2, g2 in (b.data for b in cat.morphisms):
             product = G.table[g2].__getitem__
             column: list[int] = []
             for c0, reps in blocks[c1]:
@@ -99,7 +99,7 @@ def _build(G: FiniteGroup, classes: list[SubgroupClass]):
             columns.append(column)
         return columns
 
-    return keyed_category(
+    return FiniteCategory(
         objects, morphisms,
         [(c, c, canon[c][G.identity_index]) for c in range(len(classes))],
         fill)

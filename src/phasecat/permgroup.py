@@ -277,11 +277,6 @@ def _generated(G: FiniteGroup, seed) -> set[int]:
     return members
 
 
-def full_subgroup(G: FiniteGroup) -> Subgroup:
-    """G itself, the top of the lattice."""
-    return Subgroup(G, tuple(range(G.order)))
-
-
 class SubgroupClass(Frozen):
     """A conjugacy class of subgroups with a canonical representative, and
     the representative members of each class of G it is subconjugate to."""
@@ -326,9 +321,6 @@ def conjugacy_classes_of_subgroups(
     indexed in that order.  Given ``subgroups``, only the classes that
     meet them are kept, indexed in the same order.
     """
-    if G.order > ORDER_CAP:
-        raise CapExceededError(
-            f"group order {G.order} exceeds ORDER_CAP={ORDER_CAP}")
     table, inverse = G.table, G.inverse
     # conjugations[s][h] is the index of g h g^-1, g the s-th generator
     conjugations = []

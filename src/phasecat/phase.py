@@ -14,7 +14,7 @@ from __future__ import annotations
 import warnings
 from typing import NamedTuple
 
-from .category import FiniteCategory, keyed_category
+from .category import FiniteCategory
 from .errors import ValidationError
 from .gspace import (FixPresheaf, GComplex, close_under_faces,
                      component_index, components, isotropy, pi0_fix_presheaf)
@@ -44,22 +44,21 @@ class PhaseCategory:
     def __init__(self, orbit: OrbitCategory, presheaf: FixPresheaf):
         self.orbit = orbit
         self.presheaf = presheaf
-        self.category, self.objects = _build_phase(orbit, presheaf)
+        self.category = _build_phase(orbit, presheaf)
+        self.objects = list(self.category.object_of)
 
     @property
     def aut_orders(self) -> list[int]:
         return [self.category.aut_order(o) for o in range(len(self.objects))]
 
     def object_index(self, subgroup_class: int, component_id: int) -> int:
-        """The object (H, c), found as the source of its identity."""
-        identity = self.orbit.category.identity
-        # a negative class would wrap around the identity list
-        m = (self.category.find((identity[subgroup_class], component_id))
-             if 0 <= subgroup_class < len(identity) else None)
-        if m is None:
+        """The object (H, c), found by its key."""
+        o = self.category.object_of.get(
+            PhaseObject(subgroup_class, component_id))
+        if o is None:
             raise ValidationError(
                 f"no phase object (H{subgroup_class},c{component_id})")
-        return self.category.morphisms[m].src
+        return o
 
 
 def _build_phase(orbit: OrbitCategory, presheaf: FixPresheaf):
@@ -81,17 +80,16 @@ def _build_phase(orbit: OrbitCategory, presheaf: FixPresheaf):
 
     base = orbit.category
 
-    def fill(mors, index, into, position) -> list[list[int]]:
+    def fill(cat) -> list[list[int]]:
         # the morphisms into (H, c) are (m1, c) over m1 into H, in the
         # same order, and (m2, c2) o (m1, c) = (m2 o m1, c2)
         return [[start[r] + c2 for r in base.columns[m2]]
-                for m2, c2 in (b.data for b in mors)]
+                for m2, c2 in (b.data for b in cat.morphisms)]
 
-    cat = keyed_category(
+    return FiniteCategory(
         {o: o.label for o in objects}, morphisms,
         [(base.identity[o.subgroup_class], o.component_id) for o in objects],
         fill)
-    return cat, objects
 
 
 def build_phase_diagram(G: FiniteGroup, X: GComplex,
@@ -290,11 +288,12 @@ def strata_category(strat: StratifiedComplex) -> FiniteCategory:
             cj = component_of[j][comp[0]]
             morphisms.append(((i, c), (j, cj), f"{i}.c{c}<={j}", (i, c, j)))
 
-    def fill(mors, index, into, position) -> list[list[int]]:
+    def fill(cat) -> list[list[int]]:
         # (j, c', k) o (i, c, j) = (i, c, k)
+        mors, index = cat.morphisms, cat.morphism_of
         return [[index[(i, c, b.data[2])]
-                 for i, c, _ in (mors[m1].data for m1 in into[b.src])]
+                 for i, c, _ in (mors[m1].data for m1 in cat.into[b.src])]
                 for b in mors]
 
-    return keyed_category(objects, morphisms,
+    return FiniteCategory(objects, morphisms,
                           [(i, c, i) for (i, c) in objects], fill)

@@ -142,6 +142,12 @@ def trivial_subgroup(G):
     return Subgroup(G, (G.identity_index,))
 
 
+def full_subgroup(G):
+    """G itself, the top of the lattice."""
+    from phasecat.permgroup import Subgroup
+    return Subgroup(G, tuple(range(G.order)))
+
+
 def layered_subgroups(G):
     """Every subgroup of a library group as a member tuple, sorted by
     (order, members): seed with the cyclic subgroups, then extend every
@@ -307,14 +313,19 @@ def bf_olog_json(data):
 def table_category(objects, morphisms, identity, table):
     """The ``FiniteCategory`` whose composition columns are read from a
     dict ``table`` of ``(m2, m1) -> m2 o m1``; a composable pair absent
-    from it becomes a ``None`` entry, which the constructor names."""
+    from it becomes a ``None`` entry, which the constructor names.
+    Objects are keyed by position, and a morphism without data by its
+    index."""
     from phasecat.category import FiniteCategory
-    into = {}
-    for m, mor in enumerate(morphisms):
-        into.setdefault(mor.dst, []).append(m)
-    columns = [[table.get((m2, m1)) for m1 in into.get(b.src, [])]
-               for m2, b in enumerate(morphisms)]
-    return FiniteCategory(objects, morphisms, identity, columns)
+    records = [(m.src, m.dst, m.label, i if m.data is None else m.data)
+               for i, m in enumerate(morphisms)]
+
+    def fill(cat):
+        return [[table.get((m2, m1)) for m1 in cat.into[b.src]]
+                for m2, b in enumerate(cat.morphisms)]
+
+    return FiniteCategory(dict(enumerate(objects)), records,
+                          [records[e][3] for e in identity], fill)
 
 
 def is_identity(cat, m):

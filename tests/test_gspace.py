@@ -8,8 +8,7 @@ from phasecat import (GComplex, ValidationError, components,
                       conjugacy_classes_of_subgroups, fixed_subcomplex,
                       isotropy, orbit_of, pi0_fix_presheaf, subdivide)
 from phasecat import fixtures as fx
-from phasecat.permgroup import (Subgroup, all_subgroups, closure,
-                                full_subgroup)
+from phasecat.permgroup import all_subgroups, closure
 
 
 HEXAGON_DIAGONALS = ([[i, (i + 1) % 6] for i in range(6)]
@@ -113,7 +112,7 @@ class TestValidation:
 class TestFixedSubcomplex:
     def test_reflection_fixes_two_isolated_vertices(self, c2,
                                                     square_reflection):
-        fix = fixed_subcomplex(square_reflection, full_subgroup(c2))
+        fix = fixed_subcomplex(square_reflection, oracles.full_subgroup(c2))
         assert fix == frozenset({frozenset({0}), frozenset({2})})
 
     def test_trivial_subgroup_fixes_everything(self, c2, square_reflection):
@@ -122,7 +121,7 @@ class TestFixedSubcomplex:
         assert fix == square_reflection.simplices
 
     def test_halfturn_fixes_nothing(self, c2, square_halfturn):
-        assert fixed_subcomplex(square_halfturn, full_subgroup(c2)) \
+        assert fixed_subcomplex(square_halfturn, oracles.full_subgroup(c2)) \
             == frozenset()
 
     def test_matches_all_members_scan(self, groups, tetrahedron):
@@ -136,7 +135,7 @@ class TestFixedSubcomplex:
     def test_monotone_in_subgroup(self, c2, square_reflection):
         small = fixed_subcomplex(square_reflection,
                                  oracles.trivial_subgroup(c2))
-        big = fixed_subcomplex(square_reflection, full_subgroup(c2))
+        big = fixed_subcomplex(square_reflection, oracles.full_subgroup(c2))
         assert big <= small
 
 
@@ -264,7 +263,7 @@ class TestSubdivide:
             X = GComplex(c2, 2, [[0, 1]], [[1, 0]])
         sd = subdivide(X)
         # the flipped edge's barycenter is a genuine fixed vertex now
-        fix = fixed_subcomplex(sd, full_subgroup(c2))
+        fix = fixed_subcomplex(sd, oracles.full_subgroup(c2))
         assert len(fix) == 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")

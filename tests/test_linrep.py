@@ -12,12 +12,12 @@ from phasecat import linrep, ratmat
 from phasecat.errors import CapExceededError
 from phasecat.linrep import DIMENSION_CAP
 from phasecat.permgroup import (Subgroup, all_subgroups, closure,
-                                full_subgroup, subgroup_closure, transporter)
+                                subgroup_closure, transporter)
 
 from oracles import (all_pairs_subconjugacy_covers, bf_averaging_projector,
                      bf_fix_subspace, bf_isotypic_decomposition, bf_mat_mul,
                      bf_rref, bf_relative_normal, element_matrices,
-                     trivial_subgroup, zeros)
+                     full_subgroup, trivial_subgroup, zeros)
 
 F = Fraction
 

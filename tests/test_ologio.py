@@ -295,8 +295,8 @@ class TestRoundTrip:
 
 
 class TestKeyedImport:
-    """An imported olog is built by keyed_category: each arrow is found by
-    its olog id and each identity by ``id:<object id>``."""
+    """An imported olog is keyed like every other category: each arrow is
+    found by its olog id and each identity by ``id:<object id>``."""
 
     @pytest.fixture(scope="class")
     def round_trips(self, groups, tetrahedron):

@@ -529,8 +529,11 @@ class TestColumnTable:
         return [list(column) for column in cat.columns]
 
     def rebuilt(self, cat, columns):
-        return FiniteCategory(cat.objects, cat.morphisms, cat.identity,
-                              columns)
+        return FiniteCategory(
+            dict(enumerate(cat.objects)),
+            [(m.src, m.dst, m.label, m.data) for m in cat.morphisms],
+            [cat.morphisms[e].data for e in cat.identity],
+            lambda _: columns)
 
     def test_rebuilt_from_its_columns(self, orbit_cats, tetra_phase):
         for name, cat in _every_category(orbit_cats, tetra_phase).items():

@@ -9,7 +9,6 @@ from phasecat import (CapExceededError, FiniteGroup, GComplex,
                       conjugacy_classes_of_subgroups, normalizer,
                       transporter, weyl_group)
 from phasecat import fixtures as fx
-from phasecat import permgroup
 from phasecat.permgroup import (DEGREE_CAP, ORDER_CAP, Subgroup,
                                 extend_generators, parse_cycles, perm_mul,
                                 subgroup_closure)
@@ -113,12 +112,6 @@ class TestClosure:
                 as record:
             build(6, gens)
         assert [w.filename for w in record] == [__file__]
-
-    def test_all_subgroups_cap_names_order(self, groups, monkeypatch):
-        monkeypatch.setattr(permgroup, "ORDER_CAP", 20)
-        with pytest.raises(CapExceededError,
-                           match=r"group order 24 exceeds ORDER_CAP=20"):
-            all_subgroups(groups["s4"])
 
 
 class TestCayleyTable:

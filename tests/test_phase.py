@@ -4,11 +4,12 @@ import pytest
 
 from phasecat import (GComplex, StratifiedComplex, ValidationError,
                       build_orbit_category, build_phase_diagram,
-                      category_isomorphic, forgetful_functor,
-                      quotient_functor, strata_category, subdivide,
-                      weyl_group)
+                      category_isomorphic, closure, components, export_olog,
+                      forgetful_functor, import_olog, quotient_functor,
+                      strata_category, subdivide, weyl_group)
+from phasecat import fixtures as fx
 from phasecat.errors import CapExceededError
-from phasecat.phase import QuotientFunctor, _poset_closure
+from phasecat.phase import PhaseObject, QuotientFunctor, _poset_closure
 
 from oracles import (is_identity, phase_fiber, warshall_closure,
                      weyl_component_action)
@@ -293,7 +294,6 @@ class TestStrataCategory:
                    for m in range(len(cat.morphisms)))
 
     def test_nchain_is_linear_poset(self):
-        from phasecat import fixtures as fx
         strat = fx.load_stratified("nchain4")
         cat = strata_category(strat)
         assert len(cat.objects) == 4
@@ -342,7 +342,6 @@ class TestStrataCategory:
             assert _poset_closure(strata, relations) == leq
 
     def test_out_of_range_vertex_rejected(self):
-        from phasecat import fixtures as fx
         spec = {"vertices": 1, "simplices": [[5], [7], [5, 7]],
                 "assignment": [0, 0, 1], "poset": [[0, 1]]}
         with pytest.raises(ValidationError, match="vertex 5 out of range"):
@@ -411,13 +410,92 @@ class TestCategoryIsomorphic:
                 category_isomorphic(a, b)
 
 
+# D6 and D4 x C2 on the benchmark's base generators, and the octahedron
+# boundary D4 x C2 acts on: a square equator and two poles
+D6 = [[1, 2, 3, 4, 5, 0], [0, 5, 4, 3, 2, 1]]
+D4C2 = [[1, 2, 3, 0, 4, 5], [1, 0, 3, 2, 4, 5], [0, 1, 2, 3, 5, 4]]
+OCTAHEDRON = [[a, (a + 1) % 4, pole] for a in range(4) for pole in (4, 5)]
+
+
+@pytest.fixture(scope="module")
+def keyed_categories(groups, c2s4, tetra_phase):
+    """Every bundled and benchmark orbit category, phase diagram and
+    strata category, each with the keys of its objects in index order,
+    and each again as its olog round trip, keyed by object id; and the
+    phase diagrams by the same names."""
+    more = {"d6": closure(6, D6), "d4c2": closure(6, D4C2), "c2s4": c2s4}
+    cats = {}
+    for name, G in {**groups, **more}.items():
+        oc = build_orbit_category(G)
+        cats[f"orbit_{name}"] = (oc.category, list(range(len(oc.classes))))
+    with pytest.warns(UserWarning, match="setwise"):
+        spaces = {name: fx.load_complex(name) for name in fx.COMPLEXES}
+        spaces["d4c2_octa"] = subdivide(GComplex(
+            more["d4c2"], 6, OCTAHEDRON, more["d4c2"].generators))
+    phases = {f"phase_{name}": build_phase_diagram(X.group, X)
+              for name, X in spaces.items()}
+    phases["phase_s4_tetra"] = tetra_phase
+    for name, ph in phases.items():
+        cats[name] = (ph.category,
+                      [PhaseObject(c, k)
+                       for c, comps in enumerate(ph.presheaf.comps)
+                       for k in range(len(comps))])
+    for name in sorted(fx.STRATIFIED):
+        strat = fx.load_stratified(name)
+        cats[f"strata_{name}"] = (strata_category(strat), [
+            (i, c) for i in strat.strata
+            for c in range(len(components(strat.stratum_closure(i))))])
+    for name, (cat, keys) in list(cats.items()):
+        cats[f"{name}_olog"] = (import_olog(export_olog(cat)),
+                                [f"o{k}" for k in range(len(keys))])
+    return cats, phases
+
+
 class TestKeyedLookup:
-    """Every bundled builder goes through keyed_category, so each
-    morphism is found again through its data."""
+    """Every builder keys its category once, so each morphism is found
+    again through its data, each object through its key, and each
+    hom-set is read from the same index."""
+
+    def test_hom_is_the_brute_force_filter(self, keyed_categories):
+        cats, _ = keyed_categories
+        empty = 0
+        for name, (cat, _) in cats.items():
+            ends = [(m.src, m.dst) for m in cat.morphisms]
+            n = len(cat.objects)
+            for a in range(n):
+                for b in range(n):
+                    want = [m for m, e in enumerate(ends) if e == (a, b)]
+                    got = cat.hom(a, b)
+                    assert got == want, (name, a, b)
+                    empty += not want
+                    # a copy: changing it leaves the stored hom-set alone
+                    got.append(-1)
+                    assert cat.hom(a, b) == want, (name, a, b)
+        assert empty > 0
+
+    def test_each_object_found_by_its_key(self, keyed_categories):
+        cats, _ = keyed_categories
+        for name, (cat, keys) in cats.items():
+            assert len(cat.object_of) == len(keys) == len(cat.objects), name
+            assert [cat.object_of[key] for key in keys] \
+                == list(range(len(keys))), name
+
+    def test_phase_object_index(self, keyed_categories):
+        cats, phases = keyed_categories
+        for name, ph in phases.items():
+            keys = cats[name][1]
+            for o, (c, k) in enumerate(keys):
+                assert ph.object_index(c, k) == o, name
+            comps = ph.presheaf.comps
+            absent = [(-1, 0), (len(comps), 0)] + [
+                (c, len(cs)) for c, cs in enumerate(comps)]
+            for c, k in absent:
+                with pytest.raises(ValidationError,
+                                   match=rf"^no phase object \(H{c},c{k}\)$"):
+                    ph.object_index(c, k)
 
     @staticmethod
     def categories(tetra_phase):
-        from phasecat import fixtures as fx
         cats = {"orbit_s4": tetra_phase.orbit.category,
                 "tetra_phase": tetra_phase.category}
         for name in sorted(fx.STRATIFIED):
@@ -442,7 +520,6 @@ class TestKeyedLookup:
 
     def test_strata_tables_follow_the_poset_rule(self):
         # (i,c,j) then (j,c',k) is (i,c,k), checked over all pairs
-        from phasecat import fixtures as fx
         for name in sorted(fx.STRATIFIED):
             cat = strata_category(fx.load_stratified(name))
             mors = cat.morphisms
@@ -458,8 +535,8 @@ class TestKeyedLookup:
                     assert mors[r].data == (i, c, k), name
 
     def test_duplicate_data_rejected(self):
-        from phasecat.category import keyed_category
+        from phasecat.category import FiniteCategory
         mors = [(0, 0, "id", "k"), (0, 0, "s", "k")]
         with pytest.raises(ValidationError, match="distinct"):
-            keyed_category({0: "pt"}, mors, ["k"],
-                           lambda *_: [[0, 1], [1, 0]])
+            FiniteCategory({0: "pt"}, mors, ["k"],
+                           lambda _: [[0, 1], [1, 0]])
