@@ -23,7 +23,7 @@ from typing import Any
 
 from .errors import CapExceededError, Frozen, ValidationError
 
-#: categoryIsomorphic refuses categories bigger than this.
+#: category_isomorphic refuses categories with more objects than this.
 ISO_OBJECT_GUARD = 64
 
 
@@ -108,14 +108,18 @@ class FiniteCategory:
         return list(self._hom_sets.get((src, dst), ()))
 
     def compose(self, m2: int, m1: int) -> int:
-        # a negative index would wrap around to the last morphism
-        if (m2 < 0 or m1 < 0
-                or self.morphisms[m1].dst != self.morphisms[m2].src):
-            raise ValidationError(f"morphisms {m2} and {m1} not composable")
-        return self.columns[m2][self.position[m1]]
+        # a negative index would wrap around to the last morphism, and one
+        # past the end raises IndexError
+        try:
+            if (m2 >= 0 and m1 >= 0
+                    and self.morphisms[m1].dst == self.morphisms[m2].src):
+                return self.columns[m2][self.position[m1]]
+        except IndexError:
+            pass
+        raise ValidationError(f"morphisms {m2} and {m1} not composable")
 
     def aut_order(self, obj: int) -> int:
-        return len(self.hom(obj, obj))
+        return len(self._hom_sets.get((obj, obj), ()))
 
     def check_category_laws(self):
         """Verify the units and associativity of the total table, exactly.
@@ -269,9 +273,15 @@ def category_isomorphic(A: FiniteCategory,
                         B: FiniteCategory) -> IsoWitness | None:
     """Search for an isomorphism of finite categories.
 
-    Backtracks over object bijections (pruned by hom-set cardinalities),
-    then over morphism bijections with forced closure under composition.
-    Intended for desk-scale categories only.
+    Objects are matched by backtracking, pruned by the hom-set sizes read
+    once from each category's index.  For each object bijection that keeps
+    every size, the identities are placed first; then only the generators
+    of A's law check (``_generators``, Light's test) branch, each over the
+    unused morphisms of B's hom-set between the images of its endpoints,
+    and placing a morphism places every composite whose two parts are
+    placed.  Every morphism is a generator after one reached before it, so
+    that places them all, and each composable pair is checked when the
+    second of its parts is placed.  Intended for desk-scale categories.
     """
     most = max(len(A.objects), len(B.objects))
     if most > ISO_OBJECT_GUARD:
@@ -283,121 +293,93 @@ def category_isomorphic(A: FiniteCategory,
         return None
 
     n = len(A.objects)
-
-    def hom_signature(C: FiniteCategory, o: int):
-        ins = sorted(len(C.hom(x, o)) for x in range(len(C.objects)))
-        outs = sorted(len(C.hom(o, x)) for x in range(len(C.objects)))
-        return tuple(ins), tuple(outs)
-
-    sig_a = [hom_signature(A, o) for o in range(n)]
-    sig_b = [hom_signature(B, o) for o in range(n)]
-
-    obj_map: list[int] = [-1] * n
+    # size[x][y] = |hom(x, y)|, and each object's sorted in- and out-sizes
+    size_a, size_b = ([[len(C._hom_sets.get((x, y), ())) for y in range(n)]
+                       for x in range(n)] for C in (A, B))
+    sig_a, sig_b = ([(sorted(col), sorted(row))
+                     for row, col in zip(size, zip(*size))]
+                    for size in (size_a, size_b))
+    generators = A._generators()
+    obj_map: list[int] = []
     used_obj = [False] * n
 
     def objects_ok(i: int, j: int) -> bool:
-        if sig_a[i] != sig_b[j]:
-            return False
-        for x in range(n):
-            if obj_map[x] < 0:
-                continue
-            if len(A.hom(i, x)) != len(B.hom(j, obj_map[x])):
-                return False
-            if len(A.hom(x, i)) != len(B.hom(obj_map[x], j)):
-                return False
-        return True
+        return (sig_a[i] == sig_b[j] and size_a[i][i] == size_b[j][j]
+                and all(size_a[i][x] == size_b[j][y]
+                        and size_a[x][i] == size_b[y][j]
+                        for x, y in enumerate(obj_map)))
 
-    def assign_objects(i: int):
-        if i == n:
-            got = _find_morphism_map(A, B, obj_map)
+    def assign_objects():
+        if len(obj_map) == n:
+            got = _find_morphism_map(A, B, obj_map, generators)
             if got is not None:
                 yield got
             return
         for j in range(n):
-            if used_obj[j] or not objects_ok(i, j):
+            if used_obj[j] or not objects_ok(len(obj_map), j):
                 continue
-            obj_map[i] = j
+            obj_map.append(j)
             used_obj[j] = True
-            yield from assign_objects(i + 1)
-            obj_map[i] = -1
+            yield from assign_objects()
+            obj_map.pop()
             used_obj[j] = False
 
-    for mmap in assign_objects(0):
+    for mmap in assign_objects():
         return IsoWitness(object_map=list(obj_map), morphism_map=mmap)
     return None
 
 
 def _find_morphism_map(A: FiniteCategory, B: FiniteCategory,
-                       obj_map: list[int]) -> list[int] | None:
-    nm = len(A.morphisms)
-    mmap = [-1] * nm
-    used = [False] * nm
-    # the composable pairs (m2, m1) each morphism of A takes part in
-    comp_a = [[(m, m1) for m1 in A.into[a.src]]
-              + [(m2, m) for m2 in A.outgoing[a.dst]]
-              for m, a in enumerate(A.morphisms)]
+                       obj_map: list[int],
+                       generators: list[int]) -> list[int] | None:
+    mmap = [-1] * len(A.morphisms)
+    used = [False] * len(B.morphisms)
+    trail: list[int] = []
 
-    def assign(m: int, target: int, trail: list[int]) -> bool:
-        """Set mmap[m] = target and propagate forced compositions."""
-        if mmap[m] >= 0:
-            return mmap[m] == target
-        if used[target]:
-            return False
-        ma, mb = A.morphisms[m], B.morphisms[target]
-        if obj_map[ma.src] != mb.src or obj_map[ma.dst] != mb.dst:
-            return False
-        mmap[m] = target
-        used[target] = True
-        trail.append(m)
-        for (m2, m1) in comp_a[m]:
-            if mmap[m2] < 0 or mmap[m1] < 0:
+    def assign(m: int, target: int) -> bool:
+        """Set mmap[m] = target and every composite that forces."""
+        todo = [(m, target)]
+        while todo:
+            m, t = todo.pop()
+            if mmap[m] == t:
                 continue
-            # mmap keeps endpoints, so mmap[m2] o mmap[m1] is defined
-            if not assign(A.compose(m2, m1),
-                          B.compose(mmap[m2], mmap[m1]), trail):
+            if mmap[m] >= 0 or used[t]:
                 return False
+            mmap[m] = t
+            used[t] = True
+            trail.append(m)
+            # mmap keeps endpoints, so each image pair is composable
+            a, col_b = A.morphisms[m], B.columns[t]
+            k, kb = A.position[m], B.position[t]
+            todo.extend((r, col_b[B.position[mmap[m1]]])
+                        for m1, r in zip(A.into[a.src], A.columns[m])
+                        if mmap[m1] >= 0)
+            todo.extend((A.columns[m2][k], B.columns[mmap[m2]][kb])
+                        for m2 in A.outgoing[a.dst] if mmap[m2] >= 0)
         return True
 
-    def undo(trail: list[int], mark: int):
+    def undo(mark: int):
         while len(trail) > mark:
-            m = trail.pop()
-            used[mmap[m]] = False
-            mmap[m] = -1
+            used[mmap[trail[-1]]] = False
+            mmap[trail.pop()] = -1
 
-    trail: list[int] = []
-    for o, i in enumerate(A.identity):
-        if not assign(i, B.identity[obj_map[o]], trail):
-            undo(trail, 0)
-            return None
-
-    def next_unassigned() -> int | None:
-        best, best_count = None, None
-        for m in range(nm):
-            if mmap[m] >= 0:
-                continue
-            ma = A.morphisms[m]
-            cands = sum(
-                1 for t in B.hom(obj_map[ma.src], obj_map[ma.dst])
-                if not used[t])
-            if best_count is None or cands < best_count:
-                best, best_count = m, cands
-        return best
-
-    def search() -> bool:
-        m = next_unassigned()
-        if m is None:
+    def search(i: int) -> bool:
+        # a generator placed by propagation does not branch
+        while i < len(generators) and mmap[generators[i]] >= 0:
+            i += 1
+        if i == len(generators):
             return True
-        ma = A.morphisms[m]
-        for t in B.hom(obj_map[ma.src], obj_map[ma.dst]):
-            if used[t]:
-                continue
-            mark = len(trail)
-            if assign(m, t, trail) and search():
-                return True
-            undo(trail, mark)
+        g = generators[i]
+        a = A.morphisms[g]
+        for t in B._hom_sets.get((obj_map[a.src], obj_map[a.dst]), ()):
+            if not used[t]:
+                mark = len(trail)
+                if assign(g, t) and search(i + 1):
+                    return True
+                undo(mark)
         return False
 
-    if search():
-        return list(mmap)
-    undo(trail, 0)
+    if all(assign(e, B.identity[obj_map[o]])
+           for o, e in enumerate(A.identity)) and search(0):
+        return mmap
     return None

@@ -278,12 +278,13 @@ def isotypic_decomposition(action: LinearAction,
     den^deg(Phi_d) Phi_d(rho(h)), which has the same kernel.
     Only nontrivial pieces are returned.
     """
-    gens = [h for h in H.members
-            if subgroup_closure(action.group, (h,)) == H.member_set]
-    if not gens:
+    # the least generator: members are ascending
+    h = next((h for h in H.members
+              if subgroup_closure(action.group, (h,)) == H.member_set), None)
+    if h is None:
         raise ValidationError("isotypic decomposition needs a cyclic "
                               "subgroup")
-    N, den = action.forms[min(gens)]
+    N, den = action.forms[h]
     m = H.order
     out: dict[int, list[Vec]] = {}
     total = 0

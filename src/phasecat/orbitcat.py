@@ -56,7 +56,13 @@ class OrbitCategory:
 
     def morphism_index(self, c0: int, c1: int, rep: int) -> int:
         """Index of the morphism c0 -> c1 whose coset contains element rep."""
-        canon = self.classes[c1].representative.right_coset_min[rep]
+        # a negative index would wrap around to the last class or element,
+        # and one past the end raises IndexError
+        try:
+            canon = (self.classes[c1].representative.right_coset_min[rep]
+                     if c1 >= 0 and rep >= 0 else None)
+        except IndexError:
+            canon = None
         m = self.category.find((c0, c1, canon))
         if m is None:
             raise ValidationError(

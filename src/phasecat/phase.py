@@ -121,7 +121,15 @@ class QuotientFunctor:
     def arrow_image(self, g: int, v: int) -> int:
         X = self.phase.presheaf.X
         G = X.group
-        w = X.element_maps[g][v]
+        # a negative index would wrap around to the last element or vertex,
+        # and one past the end raises IndexError
+        try:
+            w = X.element_maps[g][v] if g >= 0 and v >= 0 else None
+        except IndexError:
+            w = None
+        if w is None:
+            raise ValidationError(
+                f"no phase morphism for arrow (g={g}, v={v})")
         k0, k1 = self._conjugator[v], self._conjugator[w]
         # k1^-1 g k0 normalizes the class representative of Iso(v)
         n = G.mul(G.inv(k1), G.mul(g, k0))

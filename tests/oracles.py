@@ -398,6 +398,50 @@ def bf_check_category_laws(cat, table,
     return True
 
 
+def bf_hom_sets(cat):
+    """Every hom-set of ``cat``, empty ones included, keyed by (x, y), by
+    a filter of all its morphisms."""
+    n = len(cat.objects)
+    return {(x, y): [m for m, mor in enumerate(cat.morphisms)
+                     if (mor.src, mor.dst) == (x, y)]
+            for x in range(n) for y in range(n)}
+
+
+def bf_iso_cost(cat):
+    """The product of the hom-set factorials: how many morphism maps
+    ``bf_isomorphic`` tries for each object bijection."""
+    return math.prod(map(math.factorial, map(len, bf_hom_sets(cat).values())))
+
+
+def bf_isomorphic(A, B):
+    """True when some functor A -> B is bijective on objects and on
+    morphisms.  Every object bijection that keeps each hom-set size, then
+    every choice of one bijection per hom-set, is checked on the
+    identities and on every composable pair of A."""
+    if (len(A.objects), len(A.morphisms)) != (len(B.objects),
+                                              len(B.morphisms)):
+        return False
+    hom_a, hom_b = bf_hom_sets(A), bf_hom_sets(B)
+    table_a, table_b = dict(A.compose_table), dict(B.compose_table)
+    for obj in itertools.permutations(range(len(A.objects))):
+        blocks = [(ms, hom_b[obj[x], obj[y]])
+                  for (x, y), ms in hom_a.items()]
+        if any(len(ms) != len(images) for ms, images in blocks):
+            continue
+        for choice in itertools.product(*(itertools.permutations(images)
+                                          for _, images in blocks)):
+            f = [None] * len(A.morphisms)
+            for (ms, _), images in zip(blocks, choice):
+                for m, t in zip(ms, images):
+                    f[m] = t
+            if (all(f[e] == B.identity[obj[o]]
+                    for o, e in enumerate(A.identity))
+                    and all(table_b[f[m2], f[m1]] == f[r]
+                            for (m2, m1), r in table_a.items())):
+                return True
+    return False
+
+
 def bf_composition_closure(cat, seeds):
     """The morphisms reached from ``seeds`` by composing any two reached
     ones, until nothing new appears."""

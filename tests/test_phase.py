@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -8,10 +9,12 @@ from phasecat import (GComplex, StratifiedComplex, ValidationError,
                       forgetful_functor, import_olog, quotient_functor,
                       strata_category, subdivide, weyl_group)
 from phasecat import fixtures as fx
+from phasecat.category import Morphism
 from phasecat.errors import CapExceededError
 from phasecat.phase import PhaseObject, QuotientFunctor, _poset_closure
 
-from oracles import (is_identity, phase_fiber, warshall_closure,
+from oracles import (bf_hom_sets, bf_iso_cost, bf_isomorphic, is_identity,
+                     phase_fiber, table_category, warshall_closure,
                      weyl_component_action)
 
 GROUP_NAMES = ["trivial", "c2", "c4", "s3", "d4", "a4", "s4"]
@@ -215,6 +218,38 @@ class TestLookups:
                 assert (mor.src, mor.dst) == (qf.vertex_object[v],
                                               qf.vertex_object[w])
 
+    @pytest.mark.parametrize("name", ["phase_square_d4", "phase_s4_tetra"])
+    def test_out_of_range_indices(self, name, keyed_categories):
+        """An index past either end is refused, not wrapped around to the
+        last element, vertex, class or representative: the ends first,
+        then seeded draws up to three lengths away."""
+        phase = keyed_categories[1][name]
+        qf, orbit, X = quotient_functor(phase), phase.orbit, phase.presheaf.X
+        order, nv, nc = X.group.order, X.vertex_count, len(orbit.classes)
+        rng = random.Random(f"out of range: {name}")
+        arrows = [(-1, 0), (0, -1), (order, 0), (0, nv)]
+        lookups = [(0, 0, -1), (0, 0, order), (0, -1, 0), (0, nc, 0)]
+
+        def outside(n):
+            return rng.choice([rng.randint(-3 * n, -1),
+                               rng.randint(n, 4 * n)])
+
+        for _ in range(40):
+            g, v = rng.randrange(order), rng.randrange(nv)
+            c0, c1 = rng.randrange(nc), rng.randrange(nc)
+            arrows += [(outside(order), v), (g, outside(nv))]
+            lookups += [(c0, outside(nc), rng.randrange(order)),
+                        (c0, c1, outside(order))]
+        for g, v in arrows:
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"no phase morphism for arrow (g={g}, v={v})")):
+                qf.arrow_image(g, v)
+        for c0, c1, rep in lookups:
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"element {rep} does not represent a morphism "
+                    f"{c0} -> {c1}")):
+                orbit.morphism_index(c0, c1, rep)
+
     def test_arrow_image_checks_endpoints(self, tetra_phase):
         # move vertex v to another component of its own fiber: the arrow
         # g: v -> w found by (orbit morphism, component of w) then starts
@@ -394,9 +429,48 @@ class TestCategoryIsomorphic:
                                     w.morphism_map[m1])] \
                 == w.morphism_map[r]
 
+    def test_agrees_with_brute_force(self, iso_inputs):
+        """Each input against itself, every other input with its counts
+        and a seeded relabelled copy: the search finds a witness exactly
+        when the brute force finds an isomorphism, and every witness is
+        a functor."""
+        rng = random.Random("isomorphism oracle")
+        for name, cat in iso_inputs.items():
+            assert bf_iso_cost(cat) <= 10 ** 5, name
+            copy = _relabelled(rng, cat)
+            others = [(other, iso_inputs[other]) for other in iso_inputs
+                      if other != name]
+            for other, cat_b in [(name, cat), ("copy", copy), *others]:
+                w = category_isomorphic(cat, cat_b)
+                assert (w is not None) == bf_isomorphic(cat, cat_b), \
+                    (name, other)
+                if w is not None:
+                    _assert_functor(w, cat, cat_b)
+
+    def test_moved_entry_agrees_with_brute_force(self, iso_inputs):
+        """A relabelled copy with one entry moved to another morphism of
+        its hom-set, against the input, against itself relabelled again,
+        and the input against it: the search and the brute force agree
+        on None versus a witness."""
+        rng = random.Random("isomorphism oracle, moved entries")
+        found = missed = 0
+        for name, cat in iso_inputs.items():
+            if all(len(ms) < 2 for ms in bf_hom_sets(cat).values()):
+                continue  # no entry can move
+            for _ in range(3):
+                bad = _relabelled(rng, cat, moved=True)
+                again = _relabelled(rng, bad)
+                for a, b in ((bad, cat), (cat, bad), (bad, again)):
+                    w = category_isomorphic(a, b)
+                    assert (w is not None) == bf_isomorphic(a, b), name
+                    if w is not None:
+                        _assert_functor(w, a, b)
+                        found += 1
+                    else:
+                        missed += 1
+        assert found > 0 and missed > 0
+
     def test_size_guard(self):
-        from oracles import table_category
-        from phasecat.category import Morphism
         n = 65
         objs = [f"o{i}" for i in range(n)]
         mors = [Morphism(i, i, f"id{i}") for i in range(n)]
@@ -408,6 +482,59 @@ class TestCategoryIsomorphic:
                                match=r"over 65 objects exceeds "
                                      r"ISO_OBJECT_GUARD=64"):
                 category_isomorphic(a, b)
+
+
+@pytest.fixture(scope="module")
+def iso_inputs(groups):
+    """The two bundled strata categories, and the orbit category and the
+    point phase diagram of four small groups."""
+    cats = {name: strata_category(fx.load_stratified(name))
+            for name in sorted(fx.STRATIFIED)}
+    for name in ("trivial", "c2", "c4", "s3"):
+        G = groups[name]
+        orbit = build_orbit_category(G)
+        cats[f"orbit_{name}"] = orbit.category
+        cats[f"point_{name}"] = build_phase_diagram(
+            G, point_complex(G), orbit).category
+    return cats
+
+
+def _relabelled(rng, cat, moved=False):
+    """``cat`` with its objects and its morphisms shuffled, rebuilt from
+    a dict table; with ``moved``, one entry whose hom-set has another
+    morphism is moved to it."""
+    objs = rng.sample(range(len(cat.objects)), len(cat.objects))
+    mors = rng.sample(range(len(cat.morphisms)), len(cat.morphisms))
+    new_obj = {o: k for k, o in enumerate(objs)}
+    new = {m: k for k, m in enumerate(mors)}
+    morphisms = [Morphism(new_obj[a.src], new_obj[a.dst], a.label)
+                 for a in map(cat.morphisms.__getitem__, mors)]
+    table = {(new[m2], new[m1]): new[r]
+             for (m2, m1), r in cat.compose_table.items()}
+    if moved:
+        def hom(m2, m1):
+            ends = (morphisms[m1].src, morphisms[m2].dst)
+            return [m for m, a in enumerate(morphisms)
+                    if (a.src, a.dst) == ends]
+        key = rng.choice([k for k in sorted(table) if len(hom(*k)) > 1])
+        table[key] = rng.choice([m for m in hom(*key) if m != table[key]])
+    return table_category([cat.objects[o] for o in objs], morphisms,
+                          [new[cat.identity[o]] for o in objs], table)
+
+
+def _assert_functor(w, A, B):
+    """``w`` is bijective on objects and morphisms, keeps endpoints and
+    identities, and is functorial on every pair of A's table."""
+    assert sorted(w.object_map) == list(range(len(B.objects)))
+    assert sorted(w.morphism_map) == list(range(len(B.morphisms)))
+    for m, a in enumerate(A.morphisms):
+        b = B.morphisms[w.morphism_map[m]]
+        assert (b.src, b.dst) == (w.object_map[a.src], w.object_map[a.dst])
+    assert [w.morphism_map[e] for e in A.identity] \
+        == [B.identity[o] for o in w.object_map]
+    for (m2, m1), r in A.compose_table.items():
+        assert B.compose_table[w.morphism_map[m2], w.morphism_map[m1]] \
+            == w.morphism_map[r]
 
 
 # D6 and D4 x C2 on the benchmark's base generators, and the octahedron
