@@ -273,15 +273,20 @@ def category_isomorphic(A: FiniteCategory,
                         B: FiniteCategory) -> IsoWitness | None:
     """Search for an isomorphism of finite categories.
 
-    Objects are matched by backtracking, pruned by the hom-set sizes read
-    once from each category's index.  For each object bijection that keeps
-    every size, the identities are placed first; then only the generators
-    of A's law check (``_generators``, Light's test) branch, each over the
-    unused morphisms of B's hom-set between the images of its endpoints,
-    and placing a morphism places every composite whose two parts are
-    placed.  Every morphism is a generator after one reached before it, so
-    that places them all, and each composable pair is checked when the
-    second of its parts is placed.  Intended for desk-scale categories.
+    One backtracking search takes A's objects in index order.  Object i
+    goes, with its identity, to an unused object of B with the same
+    signature (endomorphism count, sorted in- and out-hom-set sizes;
+    the multisets must agree) and hom-set sizes to and from every object
+    placed before it.  Then the generators of A's law check
+    (``_generators``, Light's test) whose later endpoint is i branch over
+    the unused morphisms of B's hom-set between their endpoints' images.
+    Placing a morphism places every composite of two placed parts.  That
+    is exact: a conflict in a partial map is one in every extension, and
+    every morphism is a generator after one reached before it, so
+    placing the identities and generators places every morphism and
+    checks each composable pair.  Exponential in the worst case (it
+    decides graph isomorphism): a conflict that shows only at a late
+    object recurs for every placement of the objects before it.
     """
     most = max(len(A.objects), len(B.objects))
     if most > ISO_OBJECT_GUARD:
@@ -293,48 +298,38 @@ def category_isomorphic(A: FiniteCategory,
         return None
 
     n = len(A.objects)
-    # size[x][y] = |hom(x, y)|, and each object's sorted in- and out-sizes
+    # size[x][y] = |hom(x, y)|, and each object's signature
     size_a, size_b = ([[len(C._hom_sets.get((x, y), ())) for y in range(n)]
                        for x in range(n)] for C in (A, B))
-    sig_a, sig_b = ([(sorted(col), sorted(row))
-                     for row, col in zip(size, zip(*size))]
+    sig_a, sig_b = ([(size[x][x], sorted(col), sorted(row))
+                     for x, (row, col) in enumerate(zip(size, zip(*size)))]
                     for size in (size_a, size_b))
-    generators = A._generators()
-    obj_map: list[int] = []
-    used_obj = [False] * n
-
-    def objects_ok(i: int, j: int) -> bool:
-        return (sig_a[i] == sig_b[j] and size_a[i][i] == size_b[j][j]
-                and all(size_a[i][x] == size_b[j][y]
-                        and size_a[x][i] == size_b[y][j]
-                        for x, y in enumerate(obj_map)))
-
-    def assign_objects():
-        if len(obj_map) == n:
-            got = _find_morphism_map(A, B, obj_map, generators)
-            if got is not None:
-                yield got
-            return
-        for j in range(n):
-            if used_obj[j] or not objects_ok(len(obj_map), j):
-                continue
-            obj_map.append(j)
-            used_obj[j] = True
-            yield from assign_objects()
-            obj_map.pop()
-            used_obj[j] = False
-
-    for mmap in assign_objects():
-        return IsoWitness(object_map=list(obj_map), morphism_map=mmap)
-    return None
-
-
-def _find_morphism_map(A: FiniteCategory, B: FiniteCategory,
-                       obj_map: list[int],
-                       generators: list[int]) -> list[int] | None:
+    if sorted(sig_a) != sorted(sig_b):
+        return None
+    # each object's identity, then the generators whose later endpoint it is
+    steps = sorted(A.identity + A._generators(), key=lambda m: (
+        max(A.morphisms[m].src, A.morphisms[m].dst),
+        A.identity[A.morphisms[m].src] != m))
     mmap = [-1] * len(A.morphisms)
     used = [False] * len(B.morphisms)
     trail: list[int] = []
+
+    def image(x: int) -> int:
+        """Where placed object x went: its identity's endpoint."""
+        return B.morphisms[mmap[A.identity[x]]].src
+
+    def targets(m: int) -> list[int]:
+        a = A.morphisms[m]
+        if m != A.identity[a.src]:
+            return [t for t in B._hom_sets.get((image(a.src), image(a.dst)),
+                                               ()) if not used[t]]
+        i, placed = a.src, list(map(image, range(a.src)))
+        # B's object j is placed exactly when its identity is
+        return [B.identity[j] for j in range(n)
+                if not used[B.identity[j]] and sig_a[i] == sig_b[j]
+                and all(size_a[i][x] == size_b[j][y]
+                        and size_a[x][i] == size_b[y][j]
+                        for x, y in enumerate(placed))]
 
     def assign(m: int, target: int) -> bool:
         """Set mmap[m] = target and every composite that forces."""
@@ -363,23 +358,20 @@ def _find_morphism_map(A: FiniteCategory, B: FiniteCategory,
             used[mmap[trail[-1]]] = False
             mmap[trail.pop()] = -1
 
-    def search(i: int) -> bool:
+    def search(s: int) -> bool:
         # a generator placed by propagation does not branch
-        while i < len(generators) and mmap[generators[i]] >= 0:
-            i += 1
-        if i == len(generators):
+        while s < len(steps) and mmap[steps[s]] >= 0:
+            s += 1
+        if s == len(steps):
             return True
-        g = generators[i]
-        a = A.morphisms[g]
-        for t in B._hom_sets.get((obj_map[a.src], obj_map[a.dst]), ()):
-            if not used[t]:
-                mark = len(trail)
-                if assign(g, t) and search(i + 1):
-                    return True
-                undo(mark)
+        for t in targets(steps[s]):
+            mark = len(trail)
+            if assign(steps[s], t) and search(s + 1):
+                return True
+            undo(mark)
         return False
 
-    if all(assign(e, B.identity[obj_map[o]])
-           for o, e in enumerate(A.identity)) and search(0):
-        return mmap
+    if search(0):
+        return IsoWitness(object_map=list(map(image, range(n))),
+                          morphism_map=mmap)
     return None

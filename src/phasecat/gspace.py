@@ -181,23 +181,22 @@ class FixPresheaf:
     representative H_c; component ids are positions in that list, and
     ``vertex_component[c]`` maps each vertex of Fix(H_c) to its id.
     """
-    __slots__ = ("X", "classes", "fixed", "comps", "vertex_component")
+    __slots__ = ("X", "comps", "vertex_component")
 
-    def __init__(self, X: GComplex, classes: list[SubgroupClass],
-                 fixed: list[frozenset[Simplex]],
-                 comps: list[list[tuple[int, ...]]]):
+    def __init__(self, X: GComplex, comps: list[list[tuple[int, ...]]]):
         self.X = X
-        self.classes = classes
-        self.fixed = fixed
         self.comps = comps
         self.vertex_component = [component_index(c) for c in comps]
 
     def component_of_vertex(self, class_index: int, vertex: int) -> int:
+        # a negative index wraps around; one past the end is an IndexError
         try:
-            return self.vertex_component[class_index][vertex]
-        except KeyError:
-            raise ValidationError(
-                f"vertex {vertex} not in Fix of class {class_index}") from None
+            if class_index >= 0:
+                return self.vertex_component[class_index][vertex]
+        except (IndexError, KeyError):
+            pass
+        raise ValidationError(
+            f"vertex {vertex} not in Fix of class {class_index}")
 
     def induced_map(self, source_class: int, target_class: int,
                     g: int) -> list[int]:
@@ -207,21 +206,29 @@ class FixPresheaf:
         Returned as a list over target-class component ids giving
         source-class component ids.
         """
-        X = self.X
-        ginv = X.group.inv(g)
-        out = []
-        for comp in self.comps[target_class]:
-            v = comp[0]
-            out.append(self.component_of_vertex(
-                source_class, X.element_maps[ginv][v]))
-        return out
+        # a negative index wraps around; one past the end is an IndexError
+        try:
+            if source_class >= 0 and target_class >= 0 and g >= 0:
+                source = self.vertex_component[source_class]
+                act = self.X.element_maps[self.X.group.inv(g)]
+                # not a comprehension: its own call doubled this on 3.11
+                out = []
+                for comp in self.comps[target_class]:
+                    out.append(source[act[comp[0]]])
+                return out
+        except IndexError:
+            pass
+        except KeyError as e:
+            raise ValidationError(f"vertex {e.args[0]} not in Fix of class "
+                                  f"{source_class}") from None
+        raise ValidationError(f"class {source_class} or {target_class}, or "
+                              f"element {g}, out of range")
 
 
 def pi0_fix_presheaf(X: GComplex,
                      classes: list[SubgroupClass]) -> FixPresheaf:
-    fixed = [fixed_subcomplex(X, c.representative) for c in classes]
-    comps = [components(f) for f in fixed]
-    return FixPresheaf(X, classes, fixed, comps)
+    return FixPresheaf(X, [components(fixed_subcomplex(X, c.representative))
+                           for c in classes])
 
 
 def subdivide(X: GComplex) -> GComplex:

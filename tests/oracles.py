@@ -328,6 +328,38 @@ def table_category(objects, morphisms, identity, table):
                           [records[e][3] for e in identity], fill)
 
 
+def lookalike_category(kinds):
+    """One object per entry of ``kinds``, each with a two-element
+    endomorphism monoid and no other morphism: C2 for a true entry, {1, e}
+    with e o e = e for a false one.  Every hom-set size matches between
+    any two objects, so only the monoids tell them apart."""
+    from phasecat.category import Morphism
+    morphisms, table = [], {}
+    for i, group in enumerate(kinds):
+        e, a = 2 * i, 2 * i + 1
+        morphisms += [Morphism(i, i, f"id{i}"), Morphism(i, i, f"a{i}")]
+        table.update({(e, e): e, (a, e): a, (e, a): a,
+                      (a, a): e if group else a})
+    return table_category([f"o{i}" for i in range(len(kinds))], morphisms,
+                          range(0, 2 * len(kinds), 2), table)
+
+
+def one_arrow_category(n, src, dst):
+    """n objects with only their identities, and one more arrow from
+    object ``src`` to object ``dst``; when they are equal it is an
+    idempotent endomorphism.  Any two such categories of n objects have
+    equal object and morphism counts."""
+    from phasecat.category import Morphism
+    morphisms = [Morphism(i, i, f"id{i}") for i in range(n)]
+    morphisms.append(Morphism(src, dst, "a"))
+    table = {(i, i): i for i in range(n)}
+    table.update({(dst, n): n, (n, src): n})
+    if src == dst:
+        table[n, n] = n
+    return table_category([f"o{i}" for i in range(n)], morphisms,
+                          range(n), table)
+
+
 def is_identity(cat, m):
     return cat.identity[cat.morphisms[m].src] == m
 

@@ -237,6 +237,32 @@ class TestFixPresheaf:
                     with pytest.raises(ValidationError, match="not in Fix"):
                         pre.component_of_vertex(c, v)
 
+    def test_out_of_range_indices(self, c2, square_reflection,
+                                  square_halfturn):
+        """-1 and one past the end of the classes, the vertices and the
+        group are refused: a negative index would wrap around to the last
+        entry, and one past the end would raise IndexError."""
+        classes = conjugacy_classes_of_subgroups(c2)
+        pre = pi0_fix_presheaf(square_reflection, classes)
+        n_classes, n_verts = len(classes), square_reflection.vertex_count
+        assert pre.component_of_vertex(0, 0) == 0
+        for c, v in ((-1, 0), (n_classes, 0), (0, -1), (0, n_verts)):
+            with pytest.raises(ValidationError,
+                               match=f"vertex {v} not in Fix of class {c}$"):
+                pre.component_of_vertex(c, v)
+        assert pre.induced_map(0, 1, 0) == [0, 0]
+        for c0, c1, g in ((-1, 1, 0), (n_classes, 1, 0), (0, -1, 0),
+                          (0, n_classes, 0), (0, 1, -1), (0, 1, c2.order)):
+            with pytest.raises(ValidationError,
+                               match=f"class {c0} or {c1}, or element {g}, "
+                                     f"out of range"):
+                pre.induced_map(c0, c1, g)
+        # in range, but the half turn fixes no vertex of the square
+        free = pi0_fix_presheaf(square_halfturn, classes)
+        with pytest.raises(ValidationError,
+                           match="vertex 0 not in Fix of class 1$"):
+            free.induced_map(1, 0, 0)
+
     def test_weyl_action_well_defined(self, c2, square_reflection):
         # elements of H act trivially on Fix(H), so the normalizer action
         # on components factors through W(H)

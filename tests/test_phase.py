@@ -14,7 +14,8 @@ from phasecat.errors import CapExceededError
 from phasecat.phase import PhaseObject, QuotientFunctor, _poset_closure
 
 from oracles import (bf_hom_sets, bf_iso_cost, bf_isomorphic, is_identity,
-                     phase_fiber, table_category, warshall_closure,
+                     lookalike_category, one_arrow_category, phase_fiber,
+                     table_category, warshall_closure,
                      weyl_component_action)
 
 GROUP_NAMES = ["trivial", "c2", "c4", "s3", "d4", "a4", "s4"]
@@ -486,10 +487,17 @@ class TestCategoryIsomorphic:
 
 @pytest.fixture(scope="module")
 def iso_inputs(groups):
-    """The two bundled strata categories, and the orbit category and the
-    point phase diagram of four small groups."""
+    """The two bundled strata categories, the orbit category and the
+    point phase diagram of four small groups, two five-object look-alike
+    categories, every endomorphism monoid C2 in one and {1, e} in the
+    other, and seven objects with one more arrow, 0 -> 6 in one and an
+    idempotent on 0 in the other."""
     cats = {name: strata_category(fx.load_stratified(name))
             for name in sorted(fx.STRATIFIED)}
+    cats["lookalike_c2"] = lookalike_category([True] * 5)
+    cats["lookalike_idempotent"] = lookalike_category([False] * 5)
+    cats["one_arrow"] = one_arrow_category(7, 0, 6)
+    cats["one_loop"] = one_arrow_category(7, 0, 0)
     for name in ("trivial", "c2", "c4", "s3"):
         G = groups[name]
         orbit = build_orbit_category(G)
