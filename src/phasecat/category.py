@@ -358,20 +358,35 @@ def category_isomorphic(A: FiniteCategory,
             used[mmap[trail[-1]]] = False
             mmap[trail.pop()] = -1
 
-    def search(s: int) -> bool:
-        # a generator placed by propagation does not branch
+    def unplaced(s: int) -> int:
+        """The first step from s on that is not placed yet: a generator
+        placed by propagation does not branch."""
         while s < len(steps) and mmap[steps[s]] >= 0:
             s += 1
-        if s == len(steps):
-            return True
-        for t in targets(steps[s]):
-            mark = len(trail)
-            if assign(steps[s], t) and search(s + 1):
-                return True
-            undo(mark)
-        return False
+        return s
 
-    if search(0):
+    def search() -> bool:
+        """Depth first over the steps, on a stack of (step, targets left
+        to try, trail mark) rather than one call per step, so a thousand
+        generators do not exhaust the recursion limit."""
+        stack = []
+        s = unplaced(0)
+        while s < len(steps):
+            stack.append((s, iter(targets(steps[s])), len(trail)))
+            while True:
+                if not stack:
+                    return False
+                s, left, mark = stack[-1]
+                undo(mark)
+                t = next(left, None)
+                if t is None:
+                    stack.pop()
+                elif assign(steps[s], t):
+                    break
+            s = unplaced(s + 1)
+        return True
+
+    if search():
         return IsoWitness(object_map=list(map(image, range(n))),
                           morphism_map=mmap)
     return None

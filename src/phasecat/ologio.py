@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import json
 import os
+import stat
+from collections.abc import Sequence
 from json.encoder import encode_basestring_ascii as _encode_str
 from itertools import chain
-from operator import getitem, itemgetter
+from operator import add, getitem, index, itemgetter
 from typing import TYPE_CHECKING
 
 from .errors import ValidationError
@@ -64,8 +66,12 @@ def export_olog(category: FiniteCategory,
     triples over composable non-identity pairs.
 
     Each morphism gets one name, its arrow id or ``id:o<k>`` for the
-    identity of object k; a walk over the columns writes the triples in
-    ascending (m2, m1)."""
+    identity of object k.  ``objects`` and ``arrows`` are lists of dicts;
+    ``compositions`` is a read-only sequence over the category's columns
+    that yields a fresh ``{"left", "right", "result"}`` dict per triple,
+    in ascending (m2, m1), and compares equal to the list of those dicts.
+    ``olog_json`` is its writer (``json.dumps`` rejects it), and
+    ``json.loads(olog_json(...))`` gives plain, mutable data."""
     identities = set(category.identity)
     name = []
     arrows = []
@@ -76,14 +82,89 @@ def export_olog(category: FiniteCategory,
         name.append(f"m{len(arrows)}")
         arrows.append({"id": name[m], "src": f"o{mor.src}",
                        "dst": f"o{mor.dst}", "label": mor.label})
-    compositions = [{"left": name[m2], "right": name[m1], "result": name[r]}
-                    for m2, column in enumerate(category.columns)
-                    if m2 not in identities for m1, r in zip(
-                        category.into[category.morphisms[m2].src], column)
-                    if m1 not in identities]
     return {"objects": _object_meta(category, phase),
             "arrows": arrows,
-            "compositions": compositions}
+            "compositions": _Compositions(category, name)}
+
+
+class _Compositions(Sequence):
+    """The composition triples of an olog export, read from the columns:
+    non-identity m2 ascending, then non-identity m1 into its source
+    ascending.  It stores the category and the morphism names; reading
+    builds one record per triple, and ``_text`` builds none."""
+
+    def __init__(self, category: FiniteCategory, name: list[str]):
+        self._cat = category
+        self._name = name
+        self._len = sum(len(results) for _, _, results in self._rows())
+
+    def _rows(self):
+        """(m2, its source x, m2 o m1 for each non-identity m1 into x) for
+        each non-identity m2 with such an m1, ascending."""
+        cat = self._cat
+        identities = set(cat.identity)
+        # the identity's place in each object's column
+        cut = [cat.position[e] for e in cat.identity]
+        for m2, column in enumerate(cat.columns):
+            if m2 not in identities and len(column) > 1:
+                x = cat.morphisms[m2].src
+                yield m2, x, column[:cut[x]] + column[cut[x] + 1:]
+
+    def _arrows_into(self) -> list[list[int]]:
+        """The non-identity morphisms into each object, ascending."""
+        cat = self._cat
+        return [[m for m in into if m != e]
+                for into, e in zip(cat.into, cat.identity)]
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        name, arrows_into = self._name, self._arrows_into()
+        for m2, x, results in self._rows():
+            for m1, r in zip(arrows_into[x], results):
+                yield {"left": name[m2], "right": name[m1],
+                       "result": name[r]}
+
+    def __getitem__(self, i: int) -> dict:
+        i = index(i)
+        k = i + self._len if i < 0 else i
+        if not 0 <= k < self._len:
+            raise IndexError("compositions index out of range")
+        name, arrows_into = self._name, self._arrows_into()
+        for m2, x, results in self._rows():
+            if k < len(results):
+                return {"left": name[m2], "right": name[arrows_into[x][k]],
+                        "result": name[results[k]]}
+            k -= len(results)
+
+    def __eq__(self, other):
+        if isinstance(other, (list, _Compositions)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def _text(self, pad: str) -> str:
+        """The triples as ``json.dumps(list(self), indent=2,
+        sort_keys=True)`` writes them nested at indent ``pad``: one block
+        per m2 of records that share its prefix, each record ended by its
+        m1's suffix, and the blocks and brackets in one join."""
+        if not self._len:
+            return "[]"
+        inner = pad + "  "
+        field = inner + "  "
+        enc = list(map(_encode_str, self._name))
+        prefix = [f'{{\n{field}"left": {e},\n{field}"result": '
+                  for e in enc]
+        suffix = [f',\n{field}"right": {e}\n{inner}}}' for e in enc]
+        suffixes = [list(map(suffix.__getitem__, ms))
+                    for ms in self._arrows_into()]
+        sep = f",\n{inner}"
+        pieces = [f"[\n{inner}"]
+        for m2, x, results in self._rows():
+            pieces += (prefix[m2], (sep + prefix[m2]).join(
+                map(add, map(enc.__getitem__, results), suffixes[x])), sep)
+        pieces[-1] = f"\n{pad}]"
+        return "".join(pieces)
 
 
 def _records(data, key: str,
@@ -94,6 +175,8 @@ def _records(data, key: str,
     if not isinstance(data, dict):
         raise ValidationError("olog: expected a JSON object at top level")
     records = data.get(key, [])
+    if type(records) is _Compositions:
+        records = list(records)
     if not isinstance(records, list):
         raise ValidationError(f"{key}: expected a list of objects")
     try:
@@ -218,14 +301,17 @@ _SCALARS = {str, int, float, bool, type(None)}
 def olog_json(data: dict) -> str:
     """The package's one JSON text form (olog exports, ``quiver`` output,
     fixture files): exactly ``json.dumps(data, indent=2, sort_keys=True)``
-    plus a final newline.
+    plus a final newline, where ``export_olog``'s compositions view is
+    written as the list of its records.
 
     ``json.dumps`` with ``indent`` runs the pure-Python encoder, so the
-    two shapes that make up an olog are written here with the C string
-    encoder: dicts with ``str`` keys, and lists of flat records (dicts
-    sharing one ``str`` key set, scalar values only), encoded column by
-    column.  Every other value is handed to ``json.dumps`` and indented,
-    which is exact because JSON text holds no raw newline in a string.
+    shapes that make up an olog are written here with the C string
+    encoder: dicts with ``str`` keys, an export's compositions straight
+    from the category's columns, and lists of flat records (dicts
+    sharing one ``str`` key set, scalar values only, such as a loaded
+    olog), encoded column by column.  Every other value is handed to
+    ``json.dumps`` and indented, which is exact because JSON text holds
+    no raw newline in a string.
     """
     return _json_text(data, "", ()) + "\n"
 
@@ -234,6 +320,8 @@ def _json_text(value, pad: str, path: tuple[int, ...]) -> str:
     """``value`` as JSON text nested at indent ``pad``.  ``path`` holds the
     ids of the dicts being written, so a cycle is left to ``json.dumps``,
     which reports it."""
+    if type(value) is _Compositions:
+        return value._text(pad)
     inner = pad + "  "
     if (type(value) is dict and id(value) not in path
             and set(map(type, value)) == {str}):
@@ -269,12 +357,13 @@ def _records_text(records: list[dict], pad: str) -> str | None:
             return None
         kinds = set(map(type, column))
         if kinds == {str}:
-            # triples repeat each id many times: encode each one once;
-            # mostly distinct ids and labels are faster one by one.  On
-            # the C2xS4 orbit olog (minimum of 15 runs, same text either
-            # way), the dict on every column slows the arrows from 0.6
-            # to 0.9-1.3 ms, and one encode per value slows the
-            # compositions from 21 to 28-30 ms.
+            # the triple columns of a loaded olog repeat each id many
+            # times: encode each one once; mostly distinct ids and labels
+            # are faster one by one.  On the C2xS4 orbit olog's records
+            # (minimum of 15 runs, same text either way), the dict on
+            # every column slows the arrows from 0.6 to 0.9-1.3 ms, and
+            # one encode per value slows the compositions from 21 to
+            # 28-30 ms.
             distinct = set(column)
             encode = (dict(zip(distinct, map(_encode_str, distinct)))
                       .__getitem__ if 2 * len(distinct) < n else _encode_str)
@@ -290,13 +379,24 @@ def _records_text(records: list[dict], pad: str) -> str | None:
 
 
 def atomic_write(path: str, text: str):
-    """Write-temp-then-rename so partial output is never observed."""
+    """Write-temp-then-rename so partial output is never observed.  The
+    file gets the mode ``open(path, "w")`` would leave: an existing
+    file's own, else 0o666 less the umask."""
     import tempfile
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".phasecat-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp creates the file at 0o600
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            # the umask is read by setting it
+            umask = os.umask(0o022)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

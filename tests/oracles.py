@@ -344,6 +344,18 @@ def lookalike_category(kinds):
                           range(0, 2 * len(kinds), 2), table)
 
 
+def parallel_arrows_category(n):
+    """Two objects and n parallel arrows 0 -> 1 that compose only with
+    the identities, so each arrow is a generator of the law check."""
+    from phasecat.category import Morphism
+    morphisms = [Morphism(0, 0, "id0"), Morphism(1, 1, "id1")]
+    morphisms += [Morphism(0, 1, f"a{k}") for k in range(n)]
+    table = {(0, 0): 0, (1, 1): 1}
+    for a in range(2, n + 2):
+        table[1, a] = table[a, 0] = a
+    return table_category(["x", "y"], morphisms, [0, 1], table)
+
+
 def one_arrow_category(n, src, dst):
     """n objects with only their identities, and one more arrow from
     object ``src`` to object ``dst``; when they are equal it is an

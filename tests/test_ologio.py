@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import random
 import re
+import stat
 
 import pytest
 
@@ -112,6 +114,70 @@ class TestExportOlog:
         assert a == b
         assert a.endswith("\n")
         json.loads(a)  # valid JSON
+
+
+class TestCompositionsView:
+    """``export_olog``'s compositions: a read-only view over the columns,
+    written by ``olog_json`` with the bytes of the record-by-record
+    export."""
+
+    @pytest.fixture(scope="class")
+    def exports(self):
+        """(name, category, phase) for every bundled group's orbit
+        category, every bundled phase diagram subdivided once, both
+        strata fixtures, an imported olog and a category with identities
+        only."""
+        cats = [(f"orbit_{name}",
+                 build_orbit_category(fx.load_group(name)).category, None)
+                for name in sorted(fx.GROUPS)]
+        with pytest.warns(UserWarning, match="setwise"):
+            complexes = {n: fx.load_complex(n) for n in sorted(fx.COMPLEXES)}
+        for name, x in complexes.items():
+            ph = build_phase_diagram(x.group, subdivide(x))
+            cats.append((f"phase_{name}", ph.category, ph))
+        for name in sorted(fx.STRATIFIED):
+            cats.append((f"strata_{name}",
+                         strata_category(fx.load_stratified(name)), None))
+        cats.append(("imported", import_olog(json.loads(olog_json(
+            export_olog(cats[-1][1])))), None))
+        cats.append(("identities_only", table_category(
+            ["a", "b"], [Morphism(0, 0, "1a"), Morphism(1, 1, "1b")],
+            [0, 1], {(0, 0): 0, (1, 1): 1}), None))
+        return cats
+
+    def test_text_equals_the_oracle(self, exports):
+        for name, cat, phase in exports:
+            assert olog_json(export_olog(cat, phase)) == \
+                bf_olog_json(bf_export_olog(cat, phase)), name
+
+    def test_sequence_semantics(self, exports):
+        for name, cat, phase in exports:
+            view = export_olog(cat, phase)["compositions"]
+            want = bf_export_olog(cat, phase)["compositions"]
+            assert len(view) == len(want), name
+            assert list(view) == want and view == want and want == view, \
+                name
+            if not want:  # the identities-only category, trivial orbits
+                continue
+            assert (view[0], view[-1], view[-len(want)]) == \
+                (want[0], want[-1], want[0]), name
+            k = len(want) // 2
+            assert view[k] == want[k], name
+            for past in (len(want), -len(want) - 1):
+                with pytest.raises(IndexError):
+                    view[past]
+            assert view != want[:-1] and view != want + want[:1], name
+
+    def test_records_are_fresh(self):
+        view = export_olog(one_object_monoid())["compositions"]
+        view[0]["left"] = "changed"
+        next(iter(view))["result"] = "changed"
+        assert view == [{"left": "m0", "right": "m0", "result": "id:o0"}]
+
+    def test_stdlib_encoder_rejects_the_export(self, s3):
+        data = export_olog(build_orbit_category(s3).category)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            json.dumps(data)
 
 
 def outcome(write, value):
@@ -233,6 +299,7 @@ class TestOlogJson:
         for name in sorted(fx.STRATIFIED):
             exports.append(export_olog(
                 strata_category(fx.load_stratified(name))))
+        exports = [json.loads(olog_json(data)) for data in exports]
         for data in exports:
             assert olog_json(data) == bf_olog_json(data)
 
@@ -330,7 +397,7 @@ class TestKeyedImport:
 
 class TestImportErrors:
     def base(self):
-        return export_olog(one_object_monoid())
+        return json.loads(olog_json(export_olog(one_object_monoid())))
 
     def test_dangling_arrow(self):
         data = self.base()
@@ -608,7 +675,7 @@ class TestImportOracle:
                 name
 
     def test_mutated_ologs(self, sources):
-        ologs = {name: export_olog(cat, phase)
+        ologs = {name: json.loads(olog_json(export_olog(cat, phase)))
                  for name, (cat, phase) in sources.items()}
         rng = random.Random("mutated ologs")
         seen = []
@@ -637,3 +704,26 @@ class TestAtomicWrite:
         assert target.read_text() == "second\n"
         leftovers = [p for p in tmp_path.iterdir() if p != target]
         assert leftovers == []
+
+    def test_mode_as_open_leaves_it(self, tmp_path):
+        """A new file and an overwritten one get the mode ``open(path,
+        "w")`` leaves, not the temporary file's 0o600: the umask's for a
+        new file, and an existing file keeps its own."""
+        target, private = tmp_path / "out.json", tmp_path / "private.json"
+        private.write_text("")
+        private.chmod(0o600)
+        old = os.umask(0o022)
+        try:
+            atomic_write(str(target), "first\n")
+            new_mode = stat.S_IMODE(target.stat().st_mode)
+            atomic_write(str(target), "second\n")
+            replaced_mode = stat.S_IMODE(target.stat().st_mode)
+            atomic_write(str(private), "kept\n")
+            os.umask(0o027)
+            atomic_write(str(tmp_path / "group.json"), "")
+        finally:
+            umask = os.umask(old)
+        assert (new_mode, replaced_mode) == (0o644, 0o644)
+        assert stat.S_IMODE(private.stat().st_mode) == 0o600
+        assert stat.S_IMODE((tmp_path / "group.json").stat().st_mode) == 0o640
+        assert umask == 0o027  # restored after reading it

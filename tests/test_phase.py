@@ -14,7 +14,8 @@ from phasecat.errors import CapExceededError
 from phasecat.phase import PhaseObject, QuotientFunctor, _poset_closure
 
 from oracles import (bf_hom_sets, bf_iso_cost, bf_isomorphic, is_identity,
-                     lookalike_category, one_arrow_category, phase_fiber,
+                     lookalike_category, one_arrow_category,
+                     parallel_arrows_category, phase_fiber,
                      table_category, warshall_closure,
                      weyl_component_action)
 
@@ -470,6 +471,17 @@ class TestCategoryIsomorphic:
                     else:
                         missed += 1
         assert found > 0 and missed > 0
+
+    @pytest.mark.parametrize("n", [1000, 3000])
+    def test_thousands_of_generators(self, n):
+        """One search step per generator, with no recursion to run out
+        of: n parallel arrows against themselves give a functor."""
+        cat = parallel_arrows_category(n)
+        assert len(cat._generators()) == n
+        other = parallel_arrows_category(n)
+        w = category_isomorphic(cat, other)
+        assert w is not None
+        _assert_functor(w, cat, other)
 
     def test_size_guard(self):
         n = 65
