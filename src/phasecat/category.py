@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Callable, Hashable, Iterable, Mapping
 from itertools import compress, count
-from operator import itemgetter
+from operator import itemgetter, ne
 from typing import Any
 
 from .errors import CapExceededError, Frozen, ValidationError
@@ -275,9 +275,9 @@ def category_isomorphic(A: FiniteCategory,
 
     One backtracking search takes A's objects in index order.  Object i
     goes, with its identity, to an unused object of B with the same
-    signature (endomorphism count, sorted in- and out-hom-set sizes;
-    the multisets must agree) and hom-set sizes to and from every object
-    placed before it.  Then the generators of A's law check
+    signature (endomorphism, idempotent and unfixed-by-identity counts,
+    sorted in- and out-hom-set sizes; the multisets must agree) and
+    hom-set sizes to and from every object placed before it.  Then the generators of A's law check
     (``_generators``, Light's test) whose later endpoint is i branch over
     the unused morphisms of B's hom-set between their endpoints' images.
     Placing a morphism places every composite of two placed parts.  That
@@ -301,9 +301,10 @@ def category_isomorphic(A: FiniteCategory,
     # size[x][y] = |hom(x, y)|, and each object's signature
     size_a, size_b = ([[len(C._hom_sets.get((x, y), ())) for y in range(n)]
                        for x in range(n)] for C in (A, B))
-    sig_a, sig_b = ([(size[x][x], sorted(col), sorted(row))
+    sig_a, sig_b = ([(size[x][x], _endomorphism_counts(C, x),
+                      sorted(col), sorted(row))
                      for x, (row, col) in enumerate(zip(size, zip(*size)))]
-                    for size in (size_a, size_b))
+                    for C, size in ((A, size_a), (B, size_b)))
     if sorted(sig_a) != sorted(sig_b):
         return None
     # each object's identity, then the generators whose later endpoint it is
@@ -390,3 +391,14 @@ def category_isomorphic(A: FiniteCategory,
         return IsoWitness(object_map=list(map(image, range(n))),
                           morphism_map=mmap)
     return None
+
+
+def _endomorphism_counts(C: FiniteCategory, x: int) -> tuple[int, int]:
+    """Counts at object x that an isomorphism keeps: its idempotents
+    (e o e = e), and the morphisms into or out of x that its identity
+    does not fix, which only a table breaking a unit law has."""
+    e = C.identity[x]
+    return (sum(C.columns[m][C.position[m]] == m
+                for m in C._hom_sets.get((x, x), ())),
+            sum(map(ne, C.columns[e], C.into[x]))
+            + sum(C.columns[m][C.position[e]] != m for m in C.outgoing[x]))

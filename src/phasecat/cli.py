@@ -289,6 +289,9 @@ def main(argv=None) -> int:
     except (PhasecatError, OSError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError as exc:
+        print(f"error: input nested too deeply: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -16,9 +16,9 @@ from math import lcm
 from .errors import CapExceededError, Frozen, ValidationError
 
 MAX_VARIABLES = 3
-#: Largest exponent times base degree a power may have (a constant base
-#: counts as degree 1); powers are expanded binomially on integer
-#: coefficients.
+#: Largest degree of a power (exponent times base degree, a constant base
+#: counting as 1) or a product (its factors' degrees added up), checked
+#: before either is multiplied out on integer coefficients.
 DEGREE_CAP = 200
 VAR_NAMES = ("x", "y", "z")
 
@@ -51,40 +51,21 @@ class PolyGerm(Frozen):
         object.__setattr__(self, "terms", tuple(canon.items()))
 
     def derivative(self, var: int) -> dict[tuple[int, ...], Fraction]:
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.terms:
-            if exps[var] == 0:
-                continue
-            e = list(exps)
-            e[var] -= 1
-            out[tuple(e)] = out.get(tuple(e), Fraction(0)) \
-                + coeff * exps[var]
-        return {e: c for e, c in out.items() if c != 0}
+        # distinct terms have distinct derivatives, none of them zero
+        return {e[:var] + (e[var] - 1,) + e[var + 1:]: c * e[var]
+                for e, c in self.terms if e[var]}
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
+        parts = []  # a sign, then a monomial, per term
         for exps, coeff in self.terms:
-            factors = []
-            if abs(coeff) != 1 or not any(exps):
-                factors.append(str(coeff))
-            for v, e in enumerate(exps):
-                if e == 1:
-                    factors.append(VAR_NAMES[v])
-                elif e > 1:
-                    factors.append(f"{VAR_NAMES[v]}^{e}")
-            mono = "*".join(factors) or "1"
-            if coeff < 0 and factors and factors[0] == str(coeff):
-                parts.append(mono)
-            elif coeff < 0:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(mono)
-        text = parts[0]
-        for p in parts[1:]:
-            text += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return text
+            factors = [str(abs(coeff))] if abs(coeff) != 1 or not any(exps) \
+                else []
+            factors += [VAR_NAMES[v] + (f"^{e}" if e > 1 else "")
+                        for v, e in enumerate(exps) if e]
+            parts += ["-" if coeff < 0 else "+", "*".join(factors)]
+        if not parts:
+            return "0"
+        return ("-" if parts[0] == "-" else "") + " ".join(parts[1:])
 
 
 class ParseError(ValidationError):
@@ -128,25 +109,35 @@ class _Parser:
         return tok[0]
 
     def expr(self) -> dict[tuple[int, int, int], Fraction]:
-        sign = Fraction(1)
+        sign = 1
         while self.peek() in ("+", "-"):
             if self.take() == "-":
                 sign = -sign
         total = self.term()
         if sign < 0:
-            total = _scale(total, sign)
+            total = _add({}, total, sign)
         while self.peek() in ("+", "-"):
-            op = self.take()
-            t = self.term()
-            total = _add(total, _scale(t, Fraction(-1)) if op == "-" else t)
+            sign = 1 if self.take() == "+" else -1
+            total = _add(total, self.term(), sign)
         return total
 
     def term(self) -> dict[tuple[int, int, int], Fraction]:
-        out = self.factor()
+        pos, factors = self.here(), [self.factor()]
+        degree = max(map(sum, factors[0]), default=0)
         while self.peek() == "*":
             self.take()
-            out = _mul(out, self.factor())
-        return out
+            factors.append(self.factor())
+            degree += max(map(sum, factors[-1]), default=0)
+            if degree > DEGREE_CAP:
+                raise CapExceededError(
+                    f"product of degree {degree} or more at position {pos} "
+                    f"exceeds DEGREE_CAP={DEGREE_CAP}")
+        if len(factors) == 1:
+            return factors[0]
+        out, den = {(0, 0, 0): 1}, 1
+        for d, scaled in map(integer_terms, factors):
+            out, den = _mul(out, scaled), den * d
+        return {e: Fraction(c, den) for e, c in out.items()}
 
     def factor(self) -> dict[tuple[int, int, int], Fraction]:
         base = self.atom()
@@ -169,9 +160,7 @@ class _Parser:
                 raise CapExceededError(
                     f"power {power} of a degree-{degree} base at position "
                     f"{pos} exceeds DEGREE_CAP={DEGREE_CAP}")
-            den = lcm(*(c.denominator for c in base.values()))
-            scaled = {e: c.numerator * (den // c.denominator)
-                      for e, c in base.items()}
+            den, scaled = integer_terms(base)
             return {e: Fraction(c, den ** power)
                     for e, c in _power(scaled, power).items()}
         return base
@@ -209,24 +198,30 @@ class _Parser:
         raise ParseError(f"unexpected token {tok!r}", pos)
 
 
-def _add(a, b):
+def _add(a, b, sign: int):
+    """a + sign * b."""
     out = dict(a)
     for e, c in b.items():
-        out[e] = out.get(e, Fraction(0)) + c
+        out[e] = out.get(e, 0) + sign * c
     return {e: c for e, c in out.items() if c != 0}
 
 
-def _scale(a, s: Fraction):
-    return {e: c * s for e, c in a.items() if c * s != 0}
+def integer_terms(terms) -> tuple[int, dict]:
+    """(den, N) with terms = N / den: integer coefficients over the lcm
+    of the Fraction coefficients' denominators."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, {e: c.numerator * (den // c.denominator)
+                 for e, c in terms.items()}
 
 
 def _mul(a, b):
     """Product of two term dicts; coefficients may be Fractions or ints."""
     out: dict[tuple[int, int, int], Fraction | int] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2])
-            out[e] = out.get(e, 0) + ca * cb
+    get = out.get
+    for (b0, b1, b2), cb in b.items():
+        for (a0, a1, a2), ca in a.items():
+            e = (a0 + b0, a1 + b1, a2 + b2)
+            out[e] = get(e, 0) + ca * cb
     return {e: c for e, c in out.items() if c != 0}
 
 

@@ -200,9 +200,10 @@ def import_olog(data: dict) -> FiniteCategory:
 
     Objects keep their exported order; identities are re-synthesized.  Each
     morphism's data is its olog id (``id:<object id>`` for an identity), so
-    ``find`` returns it.  A record without its string ids, dangling arrow
-    endpoints, unknown ids and inconsistent composition triples are
-    rejected with the offending field or ids.
+    ``find`` returns it.  A record without its string ids or with a label
+    that is not a string, dangling arrow endpoints, unknown ids and
+    inconsistent composition triples are rejected with the offending
+    field or ids.
 
     The columns are filled by morphism index: each triple's result goes
     to ``columns[left][position[right]]``, and then the unit laws fill
@@ -215,6 +216,11 @@ def import_olog(data: dict) -> FiniteCategory:
     arrows, (arrow_ids, srcs, dsts) = _records(data, "arrows",
                                                ("id", "src", "dst"))
     _, triples = _records(data, "compositions", ("left", "right", "result"))
+    for key, listed in (("objects", records), ("arrows", arrows)):
+        for i, record in enumerate(listed):
+            if not isinstance(record.get("label", ""), str):
+                raise ValidationError(f"{key}[{i}]: expected a string "
+                                      f"'label'")
     objects = {o["id"]: o.get("label", o["id"]) for o in records}
     if len(objects) != len(records):
         raise ValidationError("duplicate object ids")

@@ -9,10 +9,10 @@ eliminations run on integer rows; ``form`` and ``to_mat`` cross between
 the two forms, and each returned Fraction is built once at the end.
 
 ``echelon`` is the package's one fraction-free elimination, on sparse
-integer rows keyed by column.  The Milnor truncations of ``singularity``
-call it directly; Gauss-Jordan (``reduce_rows``), kernels, ranks and
-subspace intersections are built on it, so the a * row - b * kept step
-is written once.  Idempotence and dimension bookkeeping downstream are
+integer rows keyed by column.  The Milnor elimination of ``singularity``
+extends its kept rows once per total degree; Gauss-Jordan
+(``reduce_rows``), kernels, ranks and subspace intersections are built
+on it, so the a * row - b * kept step is written once.  Idempotence and dimension bookkeeping downstream are
 asserted as equalities, so no floating point is allowed here.
 """
 
@@ -104,15 +104,17 @@ def _step(row: dict[int, int], kept: dict[int, int],
     return _primitive({e: x for e, x in out.items() if x})
 
 
-def echelon(rows) -> dict[int, dict[int, int]]:
-    """Fraction-free elimination of sparse integer rows ({column: value}):
+def echelon(rows, kept=None) -> dict:
+    """Fraction-free elimination of sparse integer rows ({column: value},
+    any ordered columns) into ``kept``, an earlier call's result or none:
     the kept rows, each keyed by its lead, its lowest column.
 
     A row meeting a kept row at its lead takes one elimination step; a
-    lead is never normalised, since scaling a row does not move it.  Kept
-    rows are primitive when the rows given are.
+    lead is never normalised, since scaling a row does not move it, and a
+    kept row never changes.  Kept rows are primitive when the rows given
+    are.
     """
-    kept: dict[int, dict[int, int]] = {}
+    kept = {} if kept is None else kept
     for row in sorted(rows, key=len):
         while row:
             lead = min(row)

@@ -2,15 +2,16 @@
 
 The Milnor number mu is the dimension of the local algebra, the quotient
 of the local ring at the origin by the Jacobian ideal J of the germ.  It
-is computed Macaulay-style: truncate at a total degree D (work modulo the
-D+1st power of the maximal ideal m), row reduce the multiples of the
-partials with the lowest monomial in graded-lex order as the leading
-term, and read off the standard (non-leading) monomials.  The monomials
-are numbered as columns, so the reduction is ``ratmat.echelon``, the
-package's one fraction-free elimination.  When no standard monomial has
-degree D, m^D lies in J + m^(D+1), so Nakayama's lemma gives m^D in J and
-mu is exactly the number of standard monomials.  The degrees D = 1, 2, 4,
-8, then 25 % more each step, are tried up to TRUNCATION_CAP.
+is computed Macaulay-style, one total degree at a time (Lazard): at D =
+0, 1, 2, ... the rows m * df_i whose lowest term has degree D join one
+``ratmat.echelon`` elimination, each row's lead its lowest monomial in
+graded-lex order.  The leads of degree <= D are those of the elimination
+truncated at D (modulo m^(D+1)): truncating the row space gives the span
+of the truncated rows, the later rows vanishing there, and truncation
+keeps the lowest monomials of the span up to degree D.  When no standard
+(non-leading) monomial has degree D, m^D lies in J + m^(D+1), so
+Nakayama's lemma gives m^D in J and mu is exactly the number of standard
+monomials.
 
 NonIsolated is raised only with a proof: a coordinate subspace of
 positive dimension on which every partial vanishes, so that it lies in
@@ -25,13 +26,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
 from operator import add
 
 from . import ratmat
 from .errors import (CapExceededError, Frozen, PhasecatError,
                      ValidationError)
-from .germs import VAR_NAMES, PolyGerm, parse_germ
+from .germs import VAR_NAMES, PolyGerm, integer_terms, parse_germ
 
 TRUNCATION_CAP = 40
 
@@ -83,47 +83,27 @@ def _graded_lex(nvars: int, total: int) -> list[tuple[int, ...]]:
 
 
 def _truncations(partials, nvars: int):
-    """Yield (D, standard monomials of span{m * df_i} modulo degree > D
-    terms) for each D of the ladder up to TRUNCATION_CAP.
-
-    The monomials are numbered in graded-lex order, so ``ratmat.echelon``
-    keys each row by its lowest monomial, and a row whose lead has degree
-    D has no other degree; the standard (non-leading) monomials, in
-    graded-lex order, form a basis of the quotient by the truncated
-    Jacobian ideal.  One monomial list grows a total degree at a time as
-    the ladder climbs.  The rows are the partials, scaled to integers
-    once, times each monomial that keeps their lowest term within D.
-    """
-    scaled = []
-    for p in partials:
-        if p:
-            den = lcm(*(c.denominator for c in p.values()))
-            scaled.append([(e, sum(e), c.numerator * (den // c.denominator))
-                           for e, c in p.items()])
-    # the monomials of total degree d are monomials[starts[d]:starts[d+1]]
-    monomials, column, starts = [], {}, [0]
-    degree = 1
-    while True:
-        for total in range(len(starts) - 1, degree + 1):
-            for m in _graded_lex(nvars, total):
-                column[m] = len(monomials)
-                monomials.append(m)
-            starts.append(len(monomials))
-        rows = []
-        for terms in scaled:
-            room = degree - min(d for _, d, _ in terms)
-            for dm in range(room + 1):
-                for m in monomials[starts[dm]:starts[dm + 1]]:
-                    rows.append({column[tuple(map(add, e, m))]: c
-                                 for e, d, c in terms if d + dm <= degree})
-        leads = ratmat.echelon(rows)
-        standard = [m for i, m in enumerate(monomials) if i not in leads]
-        del rows, leads  # each rung eliminates afresh; hold no old rows
+    """Yield (D, the standard monomials of degree <= D, in graded-lex
+    order) for D = 0, 1, ... up to TRUNCATION_CAP.  A column is (total
+    degree, exponents), so a row's lead is its graded-lex lowest
+    monomial; each row is built once, on the partial scaled to integers,
+    and kept up to degree TRUNCATION_CAP."""
+    # (lowest degree, [(exponents, degree, integer coefficient)])
+    scaled = [(min(map(sum, p)), [(e, sum(e), c) for e, c in
+                                  integer_terms(p)[1].items()])
+              for p in partials if p]
+    monomials, kept, standard = [], {}, []
+    for degree in range(TRUNCATION_CAP + 1):
+        # monomials[d]: the monomials of total degree d
+        monomials.append(_graded_lex(nvars, degree))
+        rows = [{(d + degree - low, tuple(map(add, e, m))): c
+                 for e, d, c in terms if d + degree - low <= TRUNCATION_CAP}
+                for low, terms in scaled if low <= degree
+                for m in monomials[degree - low]]
+        ratmat.echelon(rows, kept)
+        standard = standard + [m for m in monomials[degree]
+                               if (degree, m) not in kept]
         yield degree, standard
-        if degree >= TRUNCATION_CAP:
-            return
-        degree = min(TRUNCATION_CAP,
-                     degree + (degree if degree < 8 else degree // 4))
 
 
 def local_algebra(f: PolyGerm) -> LocalAlgebra:
@@ -140,14 +120,23 @@ def local_algebra(f: PolyGerm) -> LocalAlgebra:
             if all(any(e[i] for i in zeros) for p in partials for e in p):
                 where = (" = ".join([VAR_NAMES[i] for i in zeros] + ["0"])
                          if zeros else "the whole space")
-                raise NonIsolated(f"{f}: every partial vanishes on {where}")
+                raise NonIsolated(f"{_excerpt(f)}: every partial vanishes "
+                                  f"on {where}")
     for degree, standard in _truncations(partials, n):
-        # no standard monomial of degree D: m^D lies in J + m^(D+1), so in
-        # J by Nakayama, and every larger D would give the same basis
-        if all(sum(m) < degree for m in standard):
+        # no standard monomial of degree D (the last is the highest): m^D
+        # lies in J + m^(D+1), so in J by Nakayama, and every larger D
+        # would give the same basis
+        if not standard or sum(standard[-1]) < degree:
             return LocalAlgebra(f, standard)
-    raise CapExceededError(f"{f}: mu not certified up to truncation "
-                           f"degree TRUNCATION_CAP={TRUNCATION_CAP}")
+    raise CapExceededError(f"{_excerpt(f)}: mu not certified up to truncation"
+                           f" degree TRUNCATION_CAP={TRUNCATION_CAP}")
+
+
+def _excerpt(f: PolyGerm) -> str:
+    """The germ's text, cut after 60 characters: one short line."""
+    text = str(f)
+    return text if len(text) <= 60 else \
+        f"{text[:60]}... ({len(f.terms)} terms)"
 
 
 def milnor_number(f: PolyGerm) -> int:

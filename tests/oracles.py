@@ -453,15 +453,67 @@ def bf_hom_sets(cat):
 
 def bf_iso_cost(cat):
     """The product of the hom-set factorials: how many morphism maps
-    ``bf_isomorphic`` tries for each object bijection."""
+    ``bf_isomorphic_connected`` tries for each object bijection."""
     return math.prod(map(math.factorial, map(len, bf_hom_sets(cat).values())))
+
+
+def bf_components(cat):
+    """The connected components of ``cat``, each a category of its own:
+    the classes of objects joined by a chain of morphisms, found by
+    merging the endpoints of every morphism, with their morphisms and
+    the table between them."""
+    from phasecat.category import Morphism
+    root = list(range(len(cat.objects)))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for mor in cat.morphisms:
+        root[find(mor.src)] = find(mor.dst)
+    parts = {}
+    for x in range(len(cat.objects)):
+        parts.setdefault(find(x), []).append(x)
+    out = []
+    for objs in parts.values():
+        obj = {x: k for k, x in enumerate(objs)}
+        mors = [m for m, mor in enumerate(cat.morphisms) if mor.src in obj]
+        new = {m: k for k, m in enumerate(mors)}
+        out.append(table_category(
+            [cat.objects[x] for x in objs],
+            [Morphism(obj[cat.morphisms[m].src], obj[cat.morphisms[m].dst],
+                      cat.morphisms[m].label) for m in mors],
+            [new[cat.identity[x]] for x in objs],
+            {(new[m2], new[m1]): new[r]
+             for (m2, m1), r in cat.compose_table.items() if m1 in new}))
+    return out
 
 
 def bf_isomorphic(A, B):
     """True when some functor A -> B is bijective on objects and on
-    morphisms.  Every object bijection that keeps each hom-set size, then
-    every choice of one bijection per hom-set, is checked on the
-    identities and on every composable pair of A."""
+    morphisms.  Such a functor maps each connected component of A onto
+    one of B, so each component of A is matched with the first unused
+    component of B isomorphic to it (isomorphism is an equivalence, so
+    any such match serves), by ``bf_isomorphic_connected``."""
+    if (len(A.objects), len(A.morphisms)) != (len(B.objects),
+                                              len(B.morphisms)):
+        return False
+    left = bf_components(B)
+    for part in bf_components(A):
+        match = next((k for k, other in enumerate(left)
+                      if bf_isomorphic_connected(part, other)), None)
+        if match is None:
+            return False
+        del left[match]
+    return True
+
+
+def bf_isomorphic_connected(A, B):
+    """``bf_isomorphic`` by trying everything: every object bijection
+    that keeps each hom-set size, then every choice of one bijection per
+    hom-set, is checked on the identities and on every composable pair
+    of A."""
     if (len(A.objects), len(A.morphisms)) != (len(B.objects),
                                               len(B.morphisms)):
         return False
@@ -557,6 +609,11 @@ def bf_import_olog(data):
     arrows = _bf_records(data, "arrows", ("id", "src", "dst"))
     compositions = _bf_records(data, "compositions",
                                ("left", "right", "result"))
+    for key, listed in (("objects", records), ("arrows", arrows)):
+        for i, record in enumerate(listed):
+            if not isinstance(record.get("label", ""), str):
+                raise ValidationError(f"{key}[{i}]: expected a string "
+                                      f"'label'")
     objects = {o["id"]: o.get("label", o["id"]) for o in records}
     if len(objects) != len(records):
         raise ValidationError("duplicate object ids")
@@ -835,8 +892,14 @@ def max_degree(germ):
 def bf_poly_power(terms, k):
     """k-fold product of an {exponents: Fraction} dict, one Fraction
     product at a time."""
-    out = {(0,) * len(next(iter(terms))): Fraction(1)}
-    for _ in range(k):
+    return bf_poly_product(len(next(iter(terms))), [terms] * k)
+
+
+def bf_poly_product(nvars, factors):
+    """The product of {exponents: Fraction} dicts in ``nvars`` variables,
+    one Fraction product at a time."""
+    out = {(0,) * nvars: Fraction(1)}
+    for terms in factors:
         nxt = {}
         for ea, ca in out.items():
             for eb, cb in terms.items():

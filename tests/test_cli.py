@@ -321,7 +321,8 @@ LDP = ["ldp", "--bernoulli", "0.3", "--grid"]
 SPECTRUM = ["sing", "spectrum", "--germ", "x^3", "--weights"]
 DIST = ["ldp", "--dist"]
 MALFORMED = {
-    # id: (argv, payload written to {bad}, text the message must contain)
+    # id: (argv, payload written to {bad} as JSON, or as it is if a str,
+    # text the message must contain)
     "simplices_int": (PHASE_C2, {"vertices": 4, "simplices": 5,
                                  "action": [[0, 3, 2, 1]]}, "simplices"),
     "group_top_list": (["group", "info", "-i", "{bad}"], [1, 2],
@@ -363,6 +364,18 @@ MALFORMED = {
                                        "(x+y+z)^1000"], None, "DEGREE_CAP"),
     "germ_zero_denominator": (["sing", "mu", "--germ", "1/0*x"], None,
                               "zero denominator at position 0"),
+    "germ_product_over_cap": (["sing", "mu", "--germ",
+                               "*".join(["(x+y+z)"] * 300)], None,
+                              "DEGREE_CAP"),
+    "germ_power_at_cap_uncertified": (["sing", "mu", "--germ",
+                                       "(x+y+z)^200"], None,
+                                      "TRUNCATION_CAP"),
+    "germ_nested_400_deep": (["sing", "mu", "--germ",
+                              "(" * 400 + "x^2" + ")" * 400], None,
+                             "nested too deeply"),
+    "group_nested_100000_deep": (["group", "info", "-i", "{bad}"],
+                                 "[" * 100000 + "]" * 100000,
+                                 "nested too deeply"),
     "grid_zero_step": (LDP + ["0.1:0.9:0"], None, "--grid"),
     "grid_missing_part": (LDP + ["0.1:0.9"], None, "--grid"),
     "grid_over_cap": (LDP + ["0.1:0.9:1e-9"], None, "--grid"),
@@ -388,7 +401,8 @@ def test_malformed_input_is_one_error_line(case, inputs, tmp_path):
     with a timeout, so an input that hangs fails the test."""
     argv, payload, field = MALFORMED[case]
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(payload))
+    bad.write_text(payload if isinstance(payload, str)
+                   else json.dumps(payload))
     src = os.path.dirname(os.path.dirname(phasecat.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
@@ -399,6 +413,7 @@ def test_malformed_input_is_one_error_line(case, inputs, tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert field in lines[0]
+    assert len(lines[0]) < 200, lines[0]
 
 
 class TestTwoFileErrors:

@@ -7,7 +7,8 @@ from phasecat import ParseError, PolyGerm, ValidationError, parse_germ
 from phasecat.errors import CapExceededError
 from phasecat.germs import DEGREE_CAP
 
-from oracles import bf_germ_terms, bf_poly_power, max_degree
+from oracles import (bf_germ_terms, bf_poly_power, bf_poly_product,
+                     max_degree)
 
 F = Fraction
 
@@ -109,6 +110,48 @@ class TestParseErrors:
     def test_power_past_cap(self, text):
         with pytest.raises(CapExceededError, match="DEGREE_CAP"):
             parse_germ(text)
+
+
+class TestProducts:
+    """A product's factor degrees are added up and checked against
+    DEGREE_CAP before any multiplication, and the factors are multiplied
+    on integer coefficients over one denominator."""
+
+    @pytest.mark.parametrize("text", [
+        f"x^{DEGREE_CAP - 50}*y^50", f"x*(y + z)^{DEGREE_CAP - 1}",
+        f"3*x^{DEGREE_CAP}*1/2"])
+    def test_product_at_cap(self, text):
+        assert max_degree(parse_germ(text)) == DEGREE_CAP
+
+    @pytest.mark.parametrize("text", [
+        f"x^{DEGREE_CAP - 50}*y^51", f"x*y*(y + z)^{DEGREE_CAP - 1}",
+        "*".join(["(x+y+z)"] * 300)])
+    def test_product_past_cap(self, text):
+        with pytest.raises(CapExceededError, match="DEGREE_CAP"):
+            parse_germ(text)
+
+    def test_two_hundred_factors_are_the_power(self):
+        product = parse_germ("*".join(["(x+y+z)"] * DEGREE_CAP))
+        assert product.terms == parse_germ(f"(x+y+z)^{DEGREE_CAP}").terms
+
+    def test_seeded_rational_factors(self):
+        """Oracle: the Fraction product of the factors parsed one by
+        one."""
+        rng = random.Random("germ-products")
+        monomials = ["x", "y", "z", "x*y", "y^2", "x*z^2", "2/7*x^3"]
+
+        def padded(text):
+            germ = parse_germ(text)
+            return {e + (0,) * (3 - len(e)): c for e, c in germ.terms}
+
+        for _ in range(40):
+            factors = [" ".join(
+                f"{rng.choice('+-')} {rng.randint(1, 9)}/{rng.randint(1, 9)}"
+                f"*{m}" for m in rng.sample(monomials, rng.randint(1, 3)))
+                for _ in range(rng.randint(2, 5))]
+            text = "*".join(f"({f})" for f in factors)
+            want = bf_poly_product(3, map(padded, factors))
+            assert padded(text) == want, text
 
 
 class TestIntegerPowers:

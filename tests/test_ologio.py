@@ -471,8 +471,12 @@ class TestImportErrors:
         (lambda d: d["compositions"][0].update(left=0),
          r"compositions\[0\].*'left'"),
         (lambda d: d.update(objects="abc"), "objects: expected a list"),
+        (lambda d: d["objects"][0].update(label=7),
+         r"objects\[0\]: expected a string 'label'"),
+        (lambda d: d["arrows"][0].update(label=["x"]),
+         r"arrows\[0\]: expected a string 'label'"),
     ], ids=["object_id", "arrow_dst", "composition_result", "int_left",
-            "objects_string"])
+            "objects_string", "int_object_label", "list_arrow_label"])
     def test_malformed_shape_names_field(self, mutate, field):
         data = self.base()
         mutate(data)

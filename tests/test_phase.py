@@ -502,12 +502,16 @@ def iso_inputs(groups):
     """The two bundled strata categories, the orbit category and the
     point phase diagram of four small groups, two five-object look-alike
     categories, every endomorphism monoid C2 in one and {1, e} in the
-    other, and seven objects with one more arrow, 0 -> 6 in one and an
-    idempotent on 0 in the other."""
+    other, two nine-object ones that differ only at the last object, and
+    seven objects with one more arrow, 0 -> 6 in one and an idempotent on
+    0 in the other."""
     cats = {name: strata_category(fx.load_stratified(name))
             for name in sorted(fx.STRATIFIED)}
     cats["lookalike_c2"] = lookalike_category([True] * 5)
     cats["lookalike_idempotent"] = lookalike_category([False] * 5)
+    cats["lookalike_c2_9"] = lookalike_category([True] * 9)
+    cats["lookalike_late_idempotent"] = lookalike_category([True] * 8
+                                                           + [False])
     cats["one_arrow"] = one_arrow_category(7, 0, 6)
     cats["one_loop"] = one_arrow_category(7, 0, 0)
     for name in ("trivial", "c2", "c4", "s3"):

@@ -130,6 +130,17 @@ class TestCertifiedMilnor:
                            match=f": every partial vanishes on {where}$"):
             milnor_number(parse_germ(text))
 
+    @pytest.mark.parametrize("text,error,suffix", [
+        ("(x+y+z)^200", CapExceededError,
+         ": mu not certified up to truncation degree TRUNCATION_CAP=40"),
+        ("(x+y)^150*z^2", NonIsolated, ": every partial vanishes on z = 0")])
+    def test_huge_germ_named_by_an_excerpt(self, text, error, suffix):
+        with pytest.raises(error) as exc:
+            milnor_number(parse_germ(text))
+        message = str(exc.value)
+        assert message.endswith(suffix) and len(message) < 200, message
+        assert message.startswith(str(parse_germ(text))[:60] + "... (")
+
     def test_cap_error_without_proof(self, monkeypatch):
         # (x-y)^2 is singular along x = y, which no coordinate test sees
         monkeypatch.setattr(singularity, "TRUNCATION_CAP", 6)
@@ -326,3 +337,56 @@ class TestIntegerElimination:
     def test_seeded_brieskorn_pham(self):
         for germ in seeded_brieskorn_pham("bp-oracle", 12):
             self.check(germ)
+
+
+class TestSingleElimination:
+    """One elimination grown a degree at a time: each degree only adds
+    standard monomials of that degree, and each row m * df_i is built and
+    handed to ``ratmat.echelon`` once."""
+
+    @staticmethod
+    def germs(corpus):
+        return ([entry.germ for entry in corpus.entries.values()]
+                + seeded_brieskorn_pham("bp-single-elimination", 12))
+
+    def test_each_degree_extends_the_last(self, corpus):
+        for germ in self.germs(corpus):
+            n = germ.variable_count
+            partials = [germ.derivative(v) for v in range(n)]
+            before = []
+            for want, (degree, standard) in enumerate(
+                    singularity._truncations(partials, n)):
+                assert degree == want, str(germ)
+                assert standard[:len(before)] == before, (str(germ), degree)
+                assert all(sum(m) == degree
+                           for m in standard[len(before):]), str(germ)
+                if all(sum(m) < degree for m in standard):
+                    break
+                before = standard
+            assert standard == local_algebra(germ).monomial_basis
+
+    def test_each_row_reaches_the_elimination_once(self, corpus,
+                                                    monkeypatch):
+        from math import comb
+        from phasecat import ratmat
+        eliminate, handed = ratmat.echelon, []
+
+        def counted(rows, *kept):
+            rows = list(rows)
+            handed.append(len(rows))
+            return eliminate(rows, *kept)
+
+        monkeypatch.setattr(ratmat, "echelon", counted)
+        for germ in self.germs(corpus):
+            handed.clear()
+            basis = local_algebra(germ).monomial_basis
+            # the certified D: one above the top basis degree, since the
+            # standard monomials are closed under division
+            top = max(map(sum, basis), default=-1) + 1
+            n = germ.variable_count
+            lows = [min(map(sum, p)) for p in
+                    (germ.derivative(v) for v in range(n)) if p]
+            # the monomials m of degree at most top - low number
+            # comb(top - low + n, n)
+            want = sum(comb(top - low + n, n) for low in lows if low <= top)
+            assert sum(handed) == want, (str(germ), handed)
