@@ -196,8 +196,8 @@ def _parse_grid(text: str) -> list[float]:
                               f"step, got {text!r}")
     span = (stop - start + 1e-12) / step
     if span >= GRID_CAP:
-        raise CapExceededError(f"--grid asks for {span + 1:.0f} points; "
-                               f"the cap is {GRID_CAP}")
+        raise CapExceededError(f"--grid asks for {span + 1:.0f} points, "
+                               f"more than GRID_CAP={GRID_CAP}")
     return [start + k * step for k in range(max(0, math.floor(span) + 1))]
 
 

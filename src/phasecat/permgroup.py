@@ -229,13 +229,7 @@ class Subgroup(Frozen):
     def generator_indices(self) -> tuple[int, ...]:
         """A generating tuple: each member, in order, that the earlier
         ones do not generate."""
-        gens: list[int] = []
-        span = {self.parent.identity_index}
-        for h in self.members:
-            if h not in span:
-                gens.append(h)
-                span = _generated(self.parent, gens)
-        return tuple(gens)
+        return _span(self.parent, self.members)[0]
 
     @cached_property
     def right_coset_min(self) -> tuple[int, ...]:
@@ -255,26 +249,32 @@ class Subgroup(Frozen):
 
 def subgroup_closure(G: FiniteGroup, seed) -> frozenset[int]:
     """The subgroup generated by a set of element indices."""
-    return frozenset(_generated(G, seed))
+    return _span(G, seed)[1]
 
 
-def _generated(G: FiniteGroup, seed) -> set[int]:
-    """Breadth-first search from the identity under left multiplication by
-    the seed elements; in a finite group the positive words already
-    contain every inverse."""
-    rows = [G.table[s] for s in set(seed)]
-    members = {G.identity_index}
-    frontier = list(members)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for row in rows:
-                y = row[x]
-                if y not in members:
-                    members.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return members
+def _span(G: FiniteGroup, seed) -> tuple[tuple[int, ...], frozenset[int]]:
+    """The seed elements the earlier ones do not generate, and their span."""
+    picks, span = (), frozenset({G.identity_index})
+    for g in seed:
+        if g not in span:
+            span, picks = _extend(G, span, picks, g), picks + (g,)
+    return picks, span
+
+
+def _extend(G: FiniteGroup, H: frozenset[int], gens, g: int):
+    """<H, g> for the subgroup H that ``gens`` generate: the union of the
+    cosets x H reached from H by left multiplication by ``gens`` and g,
+    which permutes the left cosets of H (Dimino's coset extension)."""
+    table = G.table
+    rows = [table[s] for s in (*gens, g)]
+    members, reps = set(H), [G.identity_index]
+    for x in reps:
+        for row in rows:
+            y = row[x]
+            if y not in members:
+                reps.append(y)
+                members.update([table[y][h] for h in H])
+    return frozenset(members)
 
 
 class SubgroupClass(Frozen):
@@ -307,9 +307,9 @@ def conjugacy_classes_of_subgroups(
     order, by cyclic extension of class representatives.
 
     One walk from the trivial subgroup.  Each class extends only the first
-    subgroup H found in it: the generators H was found with, plus one
-    element g per left coset gH (every element of gH gives the same
-    extension).  This reaches every class: if K = <K', g> and
+    subgroup H found in it, by one element g per left coset gH (every
+    element of gH gives the same extension), growing <H, g> from H by its
+    cosets.  This reaches every class: if K = <K', g> and
     K' = x H x^-1, then x^-1 K x = <H, x^-1 g x>.  A new subgroup's orbit
     is closed under conjugation by G's generators at once, so a conjugate
     found later is not taken for a new class.  Subconjugacy is the closure
@@ -340,7 +340,7 @@ def conjugacy_classes_of_subgroups(
                 continue
             row = table[g]
             tried.update([row[h] for h in H])
-            K = subgroup_closure(G, gens + (g,))
+            K = _extend(G, H, gens, g)
             if K not in seen:
                 seen[K] = len(walk)
                 conjugates = [K]

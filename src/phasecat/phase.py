@@ -158,17 +158,20 @@ def quotient_functor(phase: PhaseCategory) -> QuotientFunctor:
         for sub in c.orbit_of_subgroups:
             class_of_members[sub.members] = c.class_index
 
+    maps = X.element_maps
     vertex_object: list[int] = []
     conjugator: list[int] = []
     for v in range(X.vertex_count):
-        iso = isotropy(X, v)
-        c = class_of_members[iso.members]
-        rep = classes[c].representative
-        k = next(g for g in range(G.order)
-                 if rep.conjugate(g).members == iso.members)
+        c = class_of_members[isotropy(X, v).members]
+        gens = classes[c].representative.generator_indices
+        # k H k^-1 = Iso(v) exactly when H fixes k^-1 v, as both subgroups
+        # have the same order; H's generators suffice
+        for k in range(G.order):
+            v_rep = maps[G.inv(k)][v]
+            if all(maps[h][v_rep] == v_rep for h in gens):
+                break
         conjugator.append(k)
         # v lies in Fix(k H k^-1); k^-1 v lies in Fix(H)
-        v_rep = X.element_maps[G.inv(k)][v]
         comp = presheaf.component_of_vertex(c, v_rep)
         vertex_object.append(phase.object_index(c, comp))
     return QuotientFunctor(phase, vertex_object, conjugator)

@@ -378,7 +378,7 @@ MALFORMED = {
                                  "nested too deeply"),
     "grid_zero_step": (LDP + ["0.1:0.9:0"], None, "--grid"),
     "grid_missing_part": (LDP + ["0.1:0.9"], None, "--grid"),
-    "grid_over_cap": (LDP + ["0.1:0.9:1e-9"], None, "--grid"),
+    "grid_over_cap": (LDP + ["0.1:0.9:1e-9"], None, "GRID_CAP=10000"),
     "weights_zero_denominator": (SPECTRUM + ["1/0"], None, "--weights"),
     "weights_not_rational": (SPECTRUM + ["abc"], None, "--weights"),
     "dist_value_not_number": (DIST + ["a:0.5,1:0.5"], None, "--dist"),

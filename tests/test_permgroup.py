@@ -181,6 +181,46 @@ class TestSubgroupClosure:
         assert subgroup_closure(s3, ()) == frozenset({s3.identity_index})
 
 
+class TestGeneratingSets:
+    """``generator_indices`` picks each member, in order, that the picks
+    before it do not generate."""
+
+    @pytest.mark.parametrize("name", sorted(fx.GROUPS) + ["d4c2"])
+    def test_picks_against_naive_closure(self, name):
+        G = named_group(name)
+        subs = all_subgroups(G)
+        for H in subs + [normalizer(G, s) for s in subs]:
+            picks = H.generator_indices
+            spans = [naive_subgroup_closure(G, picks[:i])
+                     for i in range(len(picks) + 1)]
+            n = 0  # the picks before h
+            for h in H.members:
+                if h in picks:
+                    assert h not in spans[n], (name, H.members, h)
+                    n += 1
+                else:
+                    assert h in spans[n], (name, H.members, h)
+            assert spans[-1] == H.member_set, (name, H.members)
+
+
+class TestWalkOnElementaryAbelian:
+    """Oracle: C2^k has [k, r]_2 subgroups of rank r, each its own class,
+    and one of rank r lies in [k - r, s]_2 subgroups of rank r + s."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_gaussian_binomial_counts(self, k):
+        G = closure(2 * k, [[j ^ 1 if j // 2 == i else j
+                             for j in range(2 * k)] for i in range(k)])
+        g = oracles.gaussian_binomial_2
+        classes = conjugacy_classes_of_subgroups(G)
+        assert len(classes) == sum(g(k, r) for r in range(k + 1))
+        for c in classes:
+            assert len(c.orbit_of_subgroups) == 1
+            r = c.order.bit_length() - 1
+            assert len(c.subconjugate_to) \
+                == sum(g(k - r, s) for s in range(k - r + 1))
+
+
 class TestSymmetricGroupS5:
     def test_lattice_classes_and_orbit_category(self):
         G = closure(5, [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]])
