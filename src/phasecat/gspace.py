@@ -8,11 +8,11 @@ full fixed-point presheaf over the subgroup classes.
 
 Every simplex set -- of a GComplex, of a subdivision and of a stratified
 complex -- is built by :func:`close_under_faces`.  Every GComplex is checked
-on its generator maps: each must carry simplices to simplices.  "Fixed"
-means vertex-wise fixed; the same check warns exactly when some element
-fixes a simplex setwise but not pointwise, which barycentric subdivision
-(:func:`subdivide`) rules out, after which setwise and pointwise fixing
-agree.
+on its given simplices, which each generator map must carry to simplices,
+and on the cycles of its element maps.  "Fixed" means vertex-wise fixed;
+building warns exactly when some cycle's vertices form a simplex, that is
+when some element fixes a simplex setwise but not pointwise, which
+barycentric subdivision (:func:`subdivide`) rules out.
 """
 
 from __future__ import annotations
@@ -64,52 +64,58 @@ class GComplex:
     ``generator_maps[i]`` is the vertex image array of ``group.generators[i]``;
     maps for every group element are derived by composing along the closure
     and checked for consistency (the generator maps must satisfy the group's
-    relations).  Building warns when some element fixes a simplex setwise
-    but not pointwise.
+    relations).  Every vertex must lie in a simplex, and each generator map
+    must carry each given simplex to a simplex.  Building warns when some
+    element fixes a simplex setwise but not pointwise.
     """
 
     def __init__(self, group: FiniteGroup, vertex_count: int, simplices,
                  generator_maps):
         self.group = group
         self.vertex_count = vertex_count
-        self.simplices = close_under_faces(simplices, vertex_count)
+        given = list(simplices)
+        self.simplices = close_under_faces(given, vertex_count)
+        # the 0-simplices are distinct and in range, so there are
+        # vertex_count of them exactly when every vertex lies in a simplex
+        points = sorted(v for s in self.simplices if len(s) == 1 for v in s)
+        if len(points) != vertex_count:
+            v = next((i for i, p in enumerate(points) if i != p), len(points))
+            raise ValidationError(f"vertex {v} lies in no simplex")
         self.generator_maps = tuple(
             check_perm(m, vertex_count) for m in generator_maps)
         self.element_maps = extend_generators(
             group, self.generator_maps, perm_mul, tuple(range(vertex_count)))
-        self._validate_simplicial()
+        self._validate_simplicial(given)
 
-    def _validate_simplicial(self):
-        # Walk each orbit of simplices as vertex tuples under the generator
-        # maps.  The tuple orbit of a simplex has |G| / |pointwise
-        # stabilizer| members and its simplex orbit |G| / |setwise
-        # stabilizer|, so the orbits hold more tuples than there are
-        # simplices exactly when some element fixes a simplex setwise but
-        # moves one of its vertices.
-        remaining = set(self.simplices)
-        tuple_count = 0
-        while remaining:
-            orbit = [tuple(remaining.pop())]
-            seen = set(orbit)
-            for t in orbit:
-                for vmap in self.generator_maps:
-                    image = tuple([vmap[v] for v in t])
-                    if image in seen:
-                        continue
-                    s = frozenset(image)
-                    if s not in self.simplices:
-                        raise ValidationError(
-                            f"vertex map {vmap} does not carry simplex "
-                            f"{sorted(t)} to a simplex")
-                    seen.add(image)
-                    orbit.append(image)
-                    remaining.discard(s)
-            tuple_count += len(orbit)
-        if tuple_count > len(self.simplices):
-            warnings.warn(
-                "an element fixes a simplex setwise but not pointwise; "
-                "fixed subcomplexes may miss topological fixed points -- "
-                "consider subdivide()", stacklevel=3)
+    def _validate_simplicial(self, given):
+        # Every simplex is a face of a given one, so the generators carry
+        # the face-closed complex into itself when they carry each given
+        # simplex to a simplex.
+        for vmap in self.generator_maps:
+            for s in given:
+                if frozenset([vmap[v] for v in s]) not in self.simplices:
+                    raise ValidationError(
+                        f"vertex map {vmap} does not carry simplex "
+                        f"{sorted(s)} to a simplex")
+        # If g s = s and g moves a vertex v of s, the <g>-orbit of v is a
+        # face of s; so some element fixes a simplex setwise but not
+        # pointwise exactly when some cycle of moved vertices is a simplex.
+        for vmap in self.element_maps:
+            walked = bytearray(len(vmap))
+            for v, w in enumerate(vmap):
+                if walked[v] or w == v:
+                    continue
+                cycle = [v]
+                while w != v:
+                    cycle.append(w)
+                    walked[w] = 1
+                    w = vmap[w]
+                if frozenset(cycle) in self.simplices:
+                    warnings.warn(
+                        "an element fixes a simplex setwise but not "
+                        "pointwise; fixed subcomplexes may miss topological "
+                        "fixed points -- consider subdivide()", stacklevel=3)
+                    return
 
 
 def fixed_subcomplex(X: GComplex, H: Subgroup) -> frozenset[Simplex]:

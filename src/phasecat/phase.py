@@ -211,12 +211,16 @@ class StratifiedComplex:
         raw = [frozenset(s) for s in simplices]
         if len(set(raw)) != len(raw):
             raise ValidationError("duplicate simplices")
-        closed = close_under_faces(raw, vertex_count)
-        if closed != frozenset(raw):
-            missing = next(iter(closed - set(raw)))
-            raise ValidationError(
-                f"simplex list not closed under faces: missing "
-                f"{sorted(missing)}")
+        # a list that misses a face misses a facet of some listed simplex
+        listed = set(raw)
+        for s in raw:
+            for v in s:
+                face = s - {v}
+                if face and face not in listed:
+                    raise ValidationError(
+                        f"simplex list not closed under faces: missing "
+                        f"{sorted(face)}")
+        close_under_faces(raw, vertex_count)
         if len(assignment) != len(raw):
             raise ValidationError("one stratum index per simplex required")
         self.simplices = raw

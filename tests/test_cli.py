@@ -358,6 +358,13 @@ MALFORMED = {
     "complex_vertices_zero": (PHASE_C2, {"vertices": 0, "simplices": [],
                                          "action": [[]]},
                               "vertex count must be positive"),
+    "complex_10e9_vertices": (PHASE_C2, {"vertices": 10 ** 9,
+                                         "simplices": [[0]],
+                                         "action": [[0]]},
+                              "vertex 1 lies in no simplex"),
+    "strata_unclosed_30_simplex": (["strata", "-i", "{bad}"], {
+        "vertices": 30, "simplices": [list(range(30))], "assignment": [0],
+        "poset": []}, "not closed under faces"),
     "germ_power_over_cap": (["sing", "mu", "--germ", "x^1000000000"], None,
                             "DEGREE_CAP"),
     "germ_trinomial_power_over_cap": (["sing", "mu", "--germ",

@@ -1,4 +1,5 @@
 import itertools
+import random
 import warnings
 
 import pytest
@@ -104,9 +105,82 @@ class TestValidation:
         with pytest.raises(ValidationError, match="empty simplex"):
             GComplex(c2, 2, [[0], []], [[1, 0]])
 
+    def test_rejects_vertex_in_no_simplex(self, groups, c2):
+        # building on would drop vertex 2 from every fixed subcomplex
+        with pytest.raises(ValidationError,
+                           match="^vertex 2 lies in no simplex$"):
+            GComplex(c2, 3, [[0], [1]], [[1, 0, 2]])
+        with pytest.raises(ValidationError,
+                           match="^vertex 1 lies in no simplex$"):
+            GComplex(c2, 4, [[0], [2, 3]], [[0, 1, 3, 2]])
+        # the least missing vertex is found from the simplices alone, so a
+        # huge vertex count costs no memory
+        with pytest.raises(ValidationError,
+                           match="^vertex 1 lies in no simplex$"):
+            GComplex(groups["trivial"], 10 ** 9, [[0]], [])
+
     def test_faces_added_automatically(self, square_reflection):
         sizes = sorted(len(s) for s in square_reflection.simplices)
         assert sizes == [1, 1, 1, 1, 2, 2, 2, 2]
+
+
+D4C2 = [[1, 2, 3, 0, 4, 5], [1, 0, 3, 2, 4, 5], [0, 1, 2, 3, 5, 4]]
+#: the bundled groups and D4 x C2, each acting on its own points
+CHECKED_GROUPS = sorted(fx.GROUPS) + ["d4c2"]
+
+
+def random_given(rng, G):
+    """Random simplices on the points of G, every point among them; with
+    probability 1/2 closed under G's generators, so some lists are
+    invariant and some are not."""
+    n = G.degree
+    given = [[v] for v in range(n)] + [
+        rng.sample(range(n), rng.randint(1, min(n, 4)))
+        for _ in range(rng.randint(0, 4))]
+    if rng.random() < 0.5:
+        for s in given:
+            for g in G.generators:
+                image = sorted(g[v] for v in s)
+                if image not in given:
+                    given.append(image)
+    return given
+
+
+class TestChecksMatchBruteForce:
+    """On seeded random complexes, GComplex refuses a map exactly when
+    some element carries some simplex of the face closure outside it, and
+    warns exactly when some element fixes a simplex setwise but not
+    pointwise."""
+
+    @pytest.mark.parametrize("name", CHECKED_GROUPS)
+    def test_random_complexes(self, groups, name):
+        G = closure(6, D4C2) if name == "d4c2" else groups[name]
+        elements = oracles.bf_closure(G.degree, G.generators)
+        rng = random.Random(name)
+        seen = set()
+        for _ in range(40):
+            given = random_given(rng, G)
+            faces = {frozenset(f) for s in given
+                     for r in range(1, len(s) + 1)
+                     for f in itertools.combinations(s, r)}
+            carried = all(frozenset(g[v] for v in s) in faces
+                          for g in elements for s in faces)
+            try:
+                X, warned = build_recording_warning(
+                    lambda: GComplex(G, G.degree, iter(given),
+                                     G.generators))
+            except ValidationError as exc:
+                assert "does not carry" in str(exc) and not carried
+                seen.add("refused")
+                continue
+            assert carried and X.simplices == faces
+            assert warned == oracles.bf_setwise_moved(faces, elements)
+            seen.add("warned" if warned else "accepted")
+            _, warned = build_recording_warning(lambda: subdivide(X))
+            assert not warned
+        # every outcome occurs where the points allow it: one point is
+        # fixed by every element, and every complex on two is invariant
+        assert len(seen) == min(G.degree, 3)
 
 
 class TestFixedSubcomplex:

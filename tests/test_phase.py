@@ -345,6 +345,13 @@ class TestStrataCategory:
         with pytest.raises(ValidationError, match="closure condition"):
             StratifiedComplex(2, [[0], [1], [0, 1]], [0, 1, 0], [(0, 1)])
 
+    def test_unclosed_list_names_the_first_missing_facet(self):
+        # [0, 2] is the first listed simplex with a facet not listed
+        with pytest.raises(ValidationError,
+                           match=r"not closed under faces: missing \[2\]$"):
+            StratifiedComplex(4, [[0], [1], [0, 2], [0, 1, 3]],
+                              [0, 0, 0, 0], [])
+
     def test_frontier_violation_rejected(self):
         # declared 0 <= 1 but stratum 0 is nowhere near stratum 1
         with pytest.raises(ValidationError, match="frontier"):
