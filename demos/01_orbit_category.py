@@ -9,9 +9,9 @@
 #
 #     python3 demos/01_orbit_category.py
 
-from phasecat import (all_subgroups, build_orbit_category, closure,
+from phasecat import (build_orbit_category, closure,
                       conjugacy_classes_of_subgroups, export_dot,
-                      weyl_group)
+                      subconjugacy, weyl_group)
 
 # S3 acting on three points, generated by a transposition and a 3-cycle.
 # Permutations are written as image arrays: [1, 0, 2] swaps 0 and 1.
@@ -19,27 +19,35 @@ from phasecat import (all_subgroups, build_orbit_category, closure,
 s3 = closure(3, [[1, 0, 2], [1, 2, 0]])
 print("group order:", s3.order)
 
-# Every subgroup, found by closing under products.  Lagrange's theorem
-# is visible in the order column.
+# One walk finds the conjugacy classes of subgroups: starting from the
+# trivial subgroup, it extends the first subgroup of each class by one
+# element at a time.  Conjugation merges the three reflection subgroups
+# into a single class.
 
-subs = all_subgroups(s3)
-print("\nsubgroups:")
-for sub in subs:
-    print("  order", sub.order, "members", sub.members)
-
-# Conjugation merges the three reflection subgroups into a single class.
-
-classes = conjugacy_classes_of_subgroups(s3, subs)
+classes = conjugacy_classes_of_subgroups(s3)
 print("\nconjugacy classes of subgroups:")
 for c in classes:
     w = weyl_group(s3, c.representative)
     print(f"  class {c.class_index}: order {c.order}, "
           f"{len(c.orbit_of_subgroups)} subgroup(s), |W| = {w.order}")
 
+# Every subgroup is a member of one class.  Lagrange's theorem is
+# visible in the order column.
+
+print("\nsubgroups:")
+for c in classes:
+    for sub in c.orbit_of_subgroups:
+        print("  order", sub.order, "members", sub.members)
+
+# The subconjugacy order, kept as the walk's extensions H -> <H, g>:
+# for each class, the classes that contain a conjugate of it.
+
+print("\nclasses at or above each class:", subconjugacy(classes))
+
 # The orbit category.  Hom-set sizes count equivariant maps G/H0 -> G/H1;
 # the diagonal entries are the Weyl group orders above.
 
-orbit = build_orbit_category(s3)
+orbit = build_orbit_category(s3, classes)
 print("\nhom-set sizes (row = source class, column = target class):")
 n = len(classes)
 print("     " + "  ".join(f"c{j}" for j in range(n)))

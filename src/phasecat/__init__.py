@@ -29,7 +29,7 @@ _EXPORTS = {
     "orbitcat": ("OrbitCategory", "OrbitMorphism", "build_orbit_category"),
     "permgroup": ("FiniteGroup", "Subgroup", "SubgroupClass", "all_subgroups",
                   "closure", "conjugacy_classes_of_subgroups", "normalizer",
-                  "transporter", "weyl_group"),
+                  "subconjugacy", "transporter", "weyl_group"),
     "phase": ("PhaseCategory", "StratifiedComplex", "build_phase_diagram",
               "forgetful_functor", "quotient_functor", "strata_category"),
     "singularity": ("AdjacencyCorpus", "NonIsolated", "QuasihomogeneousGerm",

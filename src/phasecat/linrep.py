@@ -16,7 +16,7 @@ from . import ratmat
 from .errors import CapExceededError, ValidationError
 from .permgroup import (FiniteGroup, Subgroup, SubgroupClass,
                         conjugacy_classes_of_subgroups, extend_generators,
-                        subgroup_closure, transporter)
+                        subconjugacy, subgroup_closure, transporter)
 from .ratmat import Form, Mat, Vec
 
 #: Hard cap on the dimension of a representation, checked before any
@@ -205,9 +205,7 @@ def subconjugacy_covers(G: FiniteGroup,
     """Covering relations of the subconjugacy order on classes, each with a
     minimal transporter witness.  Class b covers a when it is strictly
     above a and above no other class strictly above a."""
-    where = {c.representative.members: i for i, c in enumerate(classes)}
-    above = [{where[k] for k in c.subconjugate_to if k in where} - {a}
-             for a, c in enumerate(classes)]
+    above = [set(up) - {a} for a, up in enumerate(subconjugacy(classes))]
     covers = []
     for a, up in enumerate(above):
         for b in sorted(up.difference(*(above[c] for c in up))):

@@ -16,7 +16,8 @@ from typing import NamedTuple
 from .category import FiniteCategory
 from .errors import ValidationError
 from .permgroup import (FiniteGroup, Subgroup, SubgroupClass,
-                        conjugacy_classes_of_subgroups, transporter)
+                        conjugacy_classes_of_subgroups, subconjugacy,
+                        transporter)
 
 
 class OrbitMorphism(NamedTuple):
@@ -83,16 +84,15 @@ def _build(G: FiniteGroup, classes: list[SubgroupClass]):
     # index order
     hom: list[dict[int, list]] = [{} for _ in classes]
     blocks: list[list] = [[] for _ in classes]
-    for c0, cls0 in enumerate(classes):
-        for c1, cls1 in enumerate(classes):
-            if cls1.representative.members in cls0.subconjugate_to:
-                reps = transporter_coset_reps(G, cls0.representative,
-                                              cls1.representative)
-                at = dict(zip(reps, count(len(morphisms))))
-                hom[c0][c1] = list(map(at.get, canon[c1]))
-                blocks[c1].append((c0, reps))
-                morphisms.extend((c0, c1, f"g{g}:{c0}->{c1}",
-                                  OrbitMorphism(c0, c1, g)) for g in reps)
+    for c0, up in enumerate(subconjugacy(classes)):
+        for c1 in up:
+            reps = transporter_coset_reps(G, classes[c0].representative,
+                                          classes[c1].representative)
+            at = dict(zip(reps, count(len(morphisms))))
+            hom[c0][c1] = list(map(at.get, canon[c1]))
+            blocks[c1].append((c0, reps))
+            morphisms.extend((c0, c1, f"g{g}:{c0}->{c1}",
+                              OrbitMorphism(c0, c1, g)) for g in reps)
 
     def fill(cat) -> list[list[int]]:
         # (c1, c2, g2) o (c0, c1, g1) = (c0, c2, canon[c2][g2 g1])

@@ -6,8 +6,9 @@ closure walk that finds them keeps each generator's row of products, and
 data given on generators (the Cayley table, actions, representations)
 extends to the whole group along those rows.  The conjugacy classes of
 subgroups and their subconjugacy order come from one walk that extends a
-single subgroup per class; the lattice is the union of their orbits, and
-the orbit category and the degeneracy quiver read the order.  All subgroup
+single subgroup per class; the lattice is the union of their orbits, each
+class keeps the walk's edges out of it, and the orbit category and the
+degeneracy quiver search the order along them.  All subgroup
 machinery (lattice, conjugacy, transporters, normalizers, Weyl groups)
 works on the indices through a dense Cayley table and an inverse array,
 both built on first use.  Compact groups degenerate here to finite ones:
@@ -20,8 +21,6 @@ Everything is immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import re
-import sys
-import warnings
 from functools import cached_property
 
 from .errors import CapExceededError, Frozen, ValidationError
@@ -30,8 +29,6 @@ Perm = tuple[int, ...]
 
 #: Hard cap on group order; subgroup-lattice enumeration is exponential-ish.
 ORDER_CAP = 1024
-#: Orders above this trigger a runtime warning but still run.
-ORDER_WARN = 200
 #: Hard cap on the number of points acted on, checked before a permutation
 #: of that length is built; a Weyl group acts on up to ORDER_CAP cosets.
 DEGREE_CAP = 4 * ORDER_CAP
@@ -117,13 +114,6 @@ class FiniteGroup:
                             f"closure passed ORDER_CAP={ORDER_CAP}: "
                             f"{i + 1} elements found so far")
                 row.append(i)
-        if len(found) > ORDER_WARN:
-            # at the line of the first caller outside this module
-            frame, level = sys._getframe(), 1
-            while frame.f_globals is globals():
-                frame, level = frame.f_back, level + 1
-            warnings.warn(f"group order {len(found)} > {ORDER_WARN}; "
-                          "subgroup enumeration may be slow", stacklevel=level)
         self.elements: tuple[Perm, ...] = tuple(sorted(found))
         self._index: dict[Perm, int] = {
             p: i for i, p in enumerate(self.elements)}
@@ -278,18 +268,22 @@ def _extend(G: FiniteGroup, H: frozenset[int], gens, g: int):
 
 
 class SubgroupClass(Frozen):
-    """A conjugacy class of subgroups with a canonical representative, and
-    the representative members of each class of G it is subconjugate to."""
-    __slots__ = _fields = ("representative", "orbit_of_subgroups",
-                           "class_index", "subconjugate_to")
+    """A conjugacy class of subgroups with a canonical representative.
+
+    ``extensions`` are the classes of the subgroups <H, g> that the class
+    walk reached from its first subgroup H: the edges of the subconjugacy
+    order, which :func:`subconjugacy` searches.  They are left out of
+    equality and hashing, which would otherwise walk the order."""
+    _fields = ("representative", "orbit_of_subgroups", "class_index")
+    __slots__ = (*_fields, "extensions")
 
     def __init__(self, representative: Subgroup,
                  orbit_of_subgroups: tuple[Subgroup, ...], class_index: int,
-                 subconjugate_to: frozenset[tuple[int, ...]]):
+                 extensions: tuple[SubgroupClass, ...]):
         object.__setattr__(self, "representative", representative)
         object.__setattr__(self, "orbit_of_subgroups", orbit_of_subgroups)
         object.__setattr__(self, "class_index", class_index)
-        object.__setattr__(self, "subconjugate_to", subconjugate_to)
+        object.__setattr__(self, "extensions", extensions)
 
     @property
     def order(self) -> int:
@@ -312,14 +306,16 @@ def conjugacy_classes_of_subgroups(
     cosets.  This reaches every class: if K = <K', g> and
     K' = x H x^-1, then x^-1 K x = <H, x^-1 g x>.  A new subgroup's orbit
     is closed under conjugation by G's generators at once, so a conjugate
-    found later is not taken for a new class.  Subconjugacy is the closure
-    of the edges H -> <H, g>: for H < x K x^-1, the walk tries a g in
-    x K x^-1 - H up to gH, and <H, g> has smaller index in x K x^-1.
+    found later is not taken for a new class.  Each class keeps its edges
+    H -> <H, g> as ``extensions``, and subconjugacy is their closure: for
+    H < x K x^-1, the walk tries a g in x K x^-1 - H up to gH, and <H, g>
+    has smaller index in x K x^-1.
 
     Representatives are the subgroups with minimal member tuple in their
     orbit; classes are sorted by (order, representative members) and
     indexed in that order.  Given ``subgroups``, only the classes that
-    meet them are kept, indexed in the same order.
+    meet them are kept, indexed in the same order; the other classes of G
+    are reached only along ``extensions`` and are indexed after them.
     """
     table, inverse = G.table, G.inverse
     # conjugations[s][h] is the index of g h g^-1, g the s-th generator
@@ -356,18 +352,39 @@ def conjugacy_classes_of_subgroups(
               for _, orbit, _ in walk]
     order = sorted(range(len(walk)),
                    key=lambda w: (len(orbits[w][0]), orbits[w][0]))
-    above = {}  # an extension sorts later, so the largest class goes first
-    for w in reversed(order):
-        above[w] = frozenset([orbits[w][0]]).union(
-            *(above[r] for r in walk[w][2]))
+    kept = order
     if subgroups is not None:
         given = {frozenset(s.members) for s in subgroups}
-        order = [w for w in order if not given.isdisjoint(walk[w][1])]
-    classes = []
-    for i, w in enumerate(order):
+        kept = [w for w in order if not given.isdisjoint(walk[w][1])]
+    # the kept classes are indexed first, the others after them
+    index = {w: i for i, w in enumerate(kept)}
+    for w in order:
+        index.setdefault(w, len(index))
+    made = {}
+    for w in reversed(order):  # so each extension is made before its source
         orbit = tuple(Subgroup(G, m) for m in orbits[w])
-        classes.append(SubgroupClass(orbit[0], orbit, i, above[w]))
-    return classes
+        made[w] = SubgroupClass(orbit[0], orbit, index[w], tuple(
+            [made[r] for r in sorted(walk[w][2], key=index.get)]))
+    return [made[w] for w in kept]
+
+
+def subconjugacy(classes: list[SubgroupClass]) -> list[list[int]]:
+    """For each listed class, the ascending positions of the listed
+    classes at or above it in the subconjugacy order.  A search along
+    ``extensions`` through every class of G, listed or not, so a slice of
+    the classes or the classes of some subgroups keep their order."""
+    where = {c.representative.members: i for i, c in enumerate(classes)}
+    out = []
+    for c in classes:
+        seen = {c.representative.members}
+        reached = [c]
+        for d in reached:
+            for e in d.extensions:
+                if e.representative.members not in seen:
+                    seen.add(e.representative.members)
+                    reached.append(e)
+        out.append(sorted([where[k] for k in seen if k in where]))
+    return out
 
 
 def all_subgroups(G: FiniteGroup) -> list[Subgroup]:

@@ -153,16 +153,19 @@ def quotient_functor(phase: PhaseCategory) -> QuotientFunctor:
     presheaf = phase.presheaf
     X, G = presheaf.X, presheaf.X.group
     classes = phase.orbit.classes
-    class_of_members = {}
-    for c in classes:
-        for sub in c.orbit_of_subgroups:
-            class_of_members[sub.members] = c.class_index
+    class_of_members = {}  # subgroup -> position of its class in the list
+    for c, cls in enumerate(classes):
+        for sub in cls.orbit_of_subgroups:
+            class_of_members[sub.members] = c
 
     maps = X.element_maps
     vertex_object: list[int] = []
     conjugator: list[int] = []
     for v in range(X.vertex_count):
-        c = class_of_members[isotropy(X, v).members]
+        c = class_of_members.get(isotropy(X, v).members)
+        if c is None:
+            raise ValidationError(
+                f"the isotropy class of vertex {v} is not listed")
         gens = classes[c].representative.generator_indices
         # k H k^-1 = Iso(v) exactly when H fixes k^-1 v, as both subgroups
         # have the same order; H's generators suffice

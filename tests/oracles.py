@@ -192,17 +192,16 @@ def conjugation_partition(G, subgroups):
     return [(i, orbit[0], tuple(orbit)) for i, orbit in enumerate(orbits)]
 
 
-def bf_subconjugate_to(classes):
-    """Per class a, the representative member tuples of the classes b with
-    a member that contains a's representative."""
+def bf_subconjugacy(classes):
+    """Per class a, the ascending positions of the classes b with a member
+    that contains a's representative."""
     orbits = [[set(S.members) for S in b.orbit_of_subgroups]
               for b in classes]
     out = []
     for a in classes:
         rep = set(a.representative.members)
-        out.append(frozenset(b.representative.members
-                             for b, orbit in zip(classes, orbits)
-                             if any(rep <= S for S in orbit)))
+        out.append([i for i, orbit in enumerate(orbits)
+                    if any(rep <= S for S in orbit)])
     return out
 
 

@@ -240,6 +240,13 @@ class TestRelativeNormal:
 
 
 class TestDegeneracyQuiver:
+    def test_every_cover_is_a_walk_edge(self, groups, c2s4):
+        # if K covers H, the walk tries some g in K - H, and <H, g> = K
+        for G in [*groups.values(), c2s4]:
+            classes = conjugacy_classes_of_subgroups(G)
+            for a, b, _ in linrep.subconjugacy_covers(G, classes):
+                assert any(e is classes[b] for e in classes[a].extensions)
+
     def test_c2_quiver(self, c2_plane, c2):
         q = degeneracy_quiver(c2_plane)
         assert [n.fix_dimension for n in q.nodes] == [2, 1]

@@ -446,7 +446,7 @@ class TestSubconjugatePairsOnly:
         monkeypatch.setattr(orbitcat, "transporter",
                             lambda *a: calls.append(a) or transporter(*a))
         build_orbit_category(G, classes)
-        pairs = sum(map(len, oracles.bf_subconjugate_to(classes)))
+        pairs = sum(map(len, oracles.bf_subconjugacy(classes)))
         assert len(calls) == pairs == want
 
     @pytest.mark.parametrize("step", [1, 2])

@@ -3,11 +3,11 @@ import random
 import pytest
 
 import oracles
-from phasecat import (CapExceededError, FiniteGroup, GComplex,
+from phasecat import (CapExceededError, GComplex,
                       LinearAction, ValidationError, all_subgroups,
                       build_orbit_category, closure,
                       conjugacy_classes_of_subgroups, normalizer,
-                      transporter, weyl_group)
+                      subconjugacy, transporter, weyl_group)
 from phasecat import fixtures as fx
 from phasecat.permgroup import (DEGREE_CAP, ORDER_CAP, Subgroup,
                                 extend_generators, parse_cycles, perm_mul,
@@ -104,15 +104,6 @@ class TestClosure:
         with pytest.raises(CapExceededError, match=message):
             parse_cycles("(0 1)", DEGREE_CAP + 1)
 
-    @pytest.mark.parametrize("build", [closure, FiniteGroup])
-    def test_order_warning_names_the_callers_line(self, build):
-        # S6 has order 720 > ORDER_WARN
-        gens = [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]
-        with pytest.warns(UserWarning, match="group order 720 > 200") \
-                as record:
-            build(6, gens)
-        assert [w.filename for w in record] == [__file__]
-
 
 class TestCayleyTable:
     def test_table_matches_permutation_products(self, groups):
@@ -204,8 +195,10 @@ class TestGeneratingSets:
 
 
 class TestWalkOnElementaryAbelian:
-    """Oracle: C2^k has [k, r]_2 subgroups of rank r, each its own class,
-    and one of rank r lies in [k - r, s]_2 subgroups of rank r + s."""
+    """Oracle: C2^k has [k, r]_2 subgroups of rank r, each its own class;
+    one of rank r lies in [k - r, s]_2 subgroups of rank r + s, and the
+    walk extends it by one g per coset gH other than H, to
+    2^(k - r) - 1 distinct subgroups H u gH."""
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_gaussian_binomial_counts(self, k):
@@ -214,11 +207,25 @@ class TestWalkOnElementaryAbelian:
         g = oracles.gaussian_binomial_2
         classes = conjugacy_classes_of_subgroups(G)
         assert len(classes) == sum(g(k, r) for r in range(k + 1))
-        for c in classes:
+        for c, up in zip(classes, subconjugacy(classes)):
             assert len(c.orbit_of_subgroups) == 1
             r = c.order.bit_length() - 1
-            assert len(c.subconjugate_to) \
-                == sum(g(k - r, s) for s in range(k - r + 1))
+            assert len(c.extensions) == len(set(map(id, c.extensions))) \
+                == 2 ** (k - r) - 1
+            assert len(up) == sum(g(k - r, s) for s in range(k - r + 1))
+        edges = sum(g(k, r) * (2 ** (k - r) - 1) for r in range(k + 1))
+        assert sum(len(c.extensions) for c in classes) == edges
+        if k == 6:
+            assert edges == 23562
+
+    def test_two_walks_compare_equal_and_every_class_hashes(self):
+        # equality and hashing leave the extensions out, so neither walks
+        # the order
+        G = closure(10, MORE_GROUPS["c2^5"][1])
+        first = conjugacy_classes_of_subgroups(G)
+        second = conjugacy_classes_of_subgroups(G)
+        assert first == second
+        assert len(set(first) | set(second)) == len(first)
 
 
 class TestSymmetricGroupS5:
@@ -340,18 +347,29 @@ class TestConjugacyClasses:
         kept = conjugacy_classes_of_subgroups(G, given)
         assert class_data(kept) \
             == oracles.conjugation_partition(G, [s.members for s in given])
-        # the order still names every class of G, not only the kept ones
-        every = conjugacy_classes_of_subgroups(G)
-        above = dict(zip((c.representative.members for c in every),
-                         oracles.bf_subconjugate_to(every)))
-        assert [c.subconjugate_to for c in kept] \
-            == [above[c.representative.members] for c in kept]
+        assert subconjugacy(kept) == oracles.bf_subconjugacy(kept)
+        # the classes the given subgroups miss are reached only along the
+        # extensions, and are indexed after the kept ones
+        reached, seen = list(kept), set(map(id, kept))
+        for c in reached:
+            for e in c.extensions:
+                if id(e) not in seen:
+                    seen.add(id(e))
+                    reached.append(e)
+        assert all(c.class_index >= len(kept) for c in reached[len(kept):])
+        assert len({c.class_index for c in reached}) == len(reached)
 
     @pytest.mark.parametrize("name", sorted(fx.GROUPS) + sorted(MORE_GROUPS))
     def test_subconjugate_to_is_containment_in_a_conjugate(self, name):
         classes = conjugacy_classes_of_subgroups(named_group(name))
-        assert [c.subconjugate_to for c in classes] \
-            == oracles.bf_subconjugate_to(classes)
+        assert subconjugacy(classes) == oracles.bf_subconjugacy(classes)
+
+    @pytest.mark.parametrize("step", [2, 3])
+    @pytest.mark.parametrize("name", sorted(fx.GROUPS) + sorted(MORE_GROUPS))
+    def test_subconjugacy_of_a_slice_passes_through_unlisted_classes(
+            self, name, step):
+        classes = conjugacy_classes_of_subgroups(named_group(name))[::step]
+        assert subconjugacy(classes) == oracles.bf_subconjugacy(classes)
 
     def test_equal_order_within_class(self, groups):
         for G in groups.values():

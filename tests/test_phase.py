@@ -5,7 +5,8 @@ import pytest
 
 from phasecat import (GComplex, StratifiedComplex, ValidationError,
                       build_orbit_category, build_phase_diagram,
-                      category_isomorphic, closure, components, export_olog,
+                      category_isomorphic, closure, components,
+                      conjugacy_classes_of_subgroups, export_olog,
                       forgetful_functor, import_olog, quotient_functor,
                       strata_category, subdivide, weyl_group)
 from phasecat import fixtures as fx
@@ -101,6 +102,30 @@ class TestBuildPhaseDiagram:
 
 
 class TestQuotientFunctor:
+    def test_classes_are_keyed_by_list_position(self):
+        # the S3 point's isotropy is S3, class 3 of S3 and the only class
+        # in the slice [3:]
+        X = fx.load_complex("point_s3")
+        G = X.group
+        classes = conjugacy_classes_of_subgroups(G)
+        phase = build_phase_diagram(
+            G, X, build_orbit_category(G, classes[3:]))
+        qf = quotient_functor(phase)
+        assert phase.objects == [PhaseObject(0, 0)]
+        assert qf.vertex_object == [0]
+        assert qf.arrow_image(G.identity_index, 0) \
+            == phase.category.identity[0]
+
+    def test_unlisted_isotropy_class_is_refused(self):
+        X = fx.load_complex("point_s3")
+        G = X.group
+        classes = conjugacy_classes_of_subgroups(G)
+        phase = build_phase_diagram(
+            G, X, build_orbit_category(G, classes[:3]))
+        with pytest.raises(ValidationError,
+                           match="isotropy class of vertex 0 is not listed"):
+            quotient_functor(phase)
+
     def test_classical_pi0_for_trivial_group(self, groups):
         G = groups["trivial"]
         X = GComplex(G, 4, [[0, 1], [2, 3]], [])

@@ -18,8 +18,7 @@ H = Subgroup(C3, (2, 0, 1))
 VALUES = {
     "Subgroup": ("members", lambda v: Subgroup(C3, v), (0, 1, 2), (0,)),
     "SubgroupClass": ("class_index",
-                      lambda v: SubgroupClass(H, (H,), v,
-                                              frozenset({H.members})), 0, 1),
+                      lambda v: SubgroupClass(H, (H,), v, ()), 0, 1),
     "Morphism": ("data", lambda v: Morphism(0, 1, "f", v), None, (1, 2)),
     "PolyGerm": ("variable_count",
                  lambda v: PolyGerm(v, (((2,) + (0,) * (v - 1), 1),)), 1, 2),
