@@ -20,11 +20,17 @@ from __future__ import annotations
 import warnings
 from itertools import permutations
 
-from .errors import ValidationError
+from .errors import CapExceededError, ValidationError
 from .permgroup import (FiniteGroup, Subgroup, SubgroupClass, check_perm,
                         extend_generators, perm_mul)
 
 Simplex = frozenset[int]
+
+#: Hard cap on the simplices of a face closure, counted as it grows.  One
+#: 18-vertex simplex closes to 2^18 - 1 faces in about 2 s at about
+#: 220 MiB, and each added vertex doubles both; the largest complex the
+#: benchmark builds (a 3x subdivided octahedron) has 5,186 simplices.
+FACE_CAP = 2 ** 18
 
 
 def close_under_faces(simplices, vertex_count: int) -> frozenset[Simplex]:
@@ -33,7 +39,10 @@ def close_under_faces(simplices, vertex_count: int) -> frozenset[Simplex]:
     Rejects a non-positive vertex count, an empty simplex and a vertex
     outside ``0 .. vertex_count-1``; only the given simplices are checked,
     as their faces use the same vertices.  A face is marked when it is
-    pushed, so the stack holds each simplex at most once.
+    pushed, so the stack holds each simplex at most once.  More than
+    ``FACE_CAP`` simplices raise ``CapExceededError``; the count is read
+    before each simplex adds its facets, so it stops at most one
+    simplex's vertex count past the cap.
     """
     if vertex_count <= 0:
         raise ValidationError("vertex count must be positive")
@@ -50,6 +59,10 @@ def close_under_faces(simplices, vertex_count: int) -> frozenset[Simplex]:
             out.add(s)
             stack.append(s)
     for s in stack:
+        if len(out) > FACE_CAP:
+            raise CapExceededError(
+                f"face closure exceeds FACE_CAP={FACE_CAP} simplices "
+                f"({len(out)} so far)")
         for v in s:
             face = s - {v}
             if face and face not in out:
@@ -233,6 +246,9 @@ class FixPresheaf:
 
 def pi0_fix_presheaf(X: GComplex,
                      classes: list[SubgroupClass]) -> FixPresheaf:
+    if any(c.representative.parent is not X.group for c in classes):
+        raise ValidationError("subgroup classes must be of the complex's "
+                              "group")
     return FixPresheaf(X, [components(fixed_subcomplex(X, c.representative))
                            for c in classes])
 

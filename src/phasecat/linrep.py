@@ -10,8 +10,6 @@ subconjugacy covering relation with the dimension lost along it.
 
 from __future__ import annotations
 
-from math import lcm
-
 from . import ratmat
 from .errors import CapExceededError, ValidationError
 from .permgroup import (FiniteGroup, Subgroup, SubgroupClass,
@@ -70,12 +68,14 @@ def averaging_projector(action: LinearAction, H: Subgroup) -> Mat:
     return ratmat.to_mat(rows, den * H.order)
 
 
-def _fixed_space(forms, dimension: int) -> Form:
+def _fixed_space(forms, dimension: int, constraints=()) -> Form:
     """The form of the canonical basis of the vectors every N / den in
-    ``forms`` fixes: the kernel of the stacked N - den I, or of one zero
-    row when there is none."""
+    ``forms`` fixes and every integer row of ``constraints`` annihilates:
+    the kernel of the stacked N - den I and constraint rows, or of one
+    zero row when there is none."""
     stacked = [[x - den if i == j else x for j, x in enumerate(row)]
                for rows, den in forms for i, row in enumerate(rows)]
+    stacked += constraints
     return ratmat.kernel(stacked or [[0] * dimension])
 
 
@@ -116,19 +116,19 @@ def relative_normal(action: LinearAction, H0: Subgroup, H1: Subgroup,
     ker P_K, P_K the K-averaging projector, so it is canonical and
     K-stable where K acts.  ker P_K is the annihilator of the vectors that
     the transposes rho(s)^T fix, s running over the generators of K (kept
-    as integer rows), and the restricted matrices come from one left
-    inverse of the basis.
+    as integer rows), so the basis is one kernel: of H0's generator rows
+    stacked with the annihilator rows.  That basis is the identity on the
+    kernel's free columns, so each restricted matrix is the image of the
+    basis read at those columns.
     """
-    return _relative_normal(action, fix_subspace(action, H0),
-                            transporter(action.group, H0, H0), H0, H1,
-                            witness)
+    return _relative_normal(action, transporter(action.group, H0, H0), H0,
+                            H1, witness)
 
 
-def _relative_normal(action: LinearAction, fix0: list[Vec],
-                     normalizer0: frozenset[int], H0: Subgroup,
-                     H1: Subgroup, witness: int) -> RelativeNormal:
-    """relative_normal, given the basis fix0 of Fix(H0) and the members
-    of the normalizer of H0."""
+def _relative_normal(action: LinearAction, normalizer0: frozenset[int],
+                     H0: Subgroup, H1: Subgroup,
+                     witness: int) -> RelativeNormal:
+    """relative_normal, given the members of the normalizer of H0."""
     G = action.group
     # range check first: a negative witness would wrap around G.inverse
     K = H1.conjugate(G.inv(witness)) if 0 <= witness < G.order else None
@@ -141,32 +141,27 @@ def _relative_normal(action: LinearAction, fix0: list[Vec],
     transposes = [(ratmat.transpose(N), den)
                   for N, den in (action.forms[s] for s in gens)]
     annihilator, _ = _fixed_space(transposes, d)
-    basis = ratmat.intersect(fix0, annihilator)
+    rows, dc = _fixed_space([action.forms[s] for s in H0.generator_indices],
+                            d, annihilator)
+    basis = list(ratmat.to_mat(rows, dc))
 
     acting_members = tuple(sorted(K.member_set & normalizer0))
     acting = Subgroup(G, acting_members)
     if not basis:
         return RelativeNormal(basis, acting, {k: () for k in acting.members})
-    n = len(basis)
-    cols, dc = ratmat.form(ratmat.transpose(basis))
-    # the basis is independent, so row k < n of the reduced [cols | dc I]
-    # is s_k [e_k | L_k], L the left inverse of cols / dc; left = dl L
-    reduced, _ = ratmat.reduce_rows(
-        [[*row, *(dc if i == j else 0 for j in range(d))]
-         for i, row in enumerate(cols)])
-    dl = lcm(*(row[k] for k, row in enumerate(reduced[:n])))
-    left = [[x * (dl // row[k]) for x in row[n:]]
-            for k, row in enumerate(reduced[:n])]
+    cols = ratmat.transpose(rows)
+    # basis vector k is 1 at its free column, its last nonzero entry
+    free = [max(j for j, x in enumerate(row) if x) for row in rows]
     restricted: dict[int, Mat] = {}
     for k in acting.members:
         N, den = action.forms[k]
-        # rho(k) cols = image / (den dc), restricted[k] = r / (dl den dc)
+        # rho(k) cols = image / (den dc), restricted[k] = r / (den dc)
         image = ratmat.int_mul(N, cols)
-        r = ratmat.int_mul(left, image)
-        if ratmat.int_mul(cols, r) != [[dc * dl * x for x in row]
+        r = [image[f] for f in free]
+        if ratmat.int_mul(cols, r) != [[dc * x for x in row]
                                        for row in image]:
             raise ValidationError("inconsistent linear system")
-        restricted[k] = ratmat.to_mat(r, dl * den * dc)
+        restricted[k] = ratmat.to_mat(r, den * dc)
     return RelativeNormal(basis, acting, restricted)
 
 
@@ -226,6 +221,9 @@ def degeneracy_quiver(action: LinearAction,
     G = action.group
     if classes is None:
         classes = conjugacy_classes_of_subgroups(G)
+    if any(c.representative.parent is not G for c in classes):
+        raise ValidationError("subgroup classes must be of the action's "
+                              "group")
     nodes = []
     for c in classes:
         basis = fix_subspace(action, c.representative)
@@ -236,8 +234,7 @@ def degeneracy_quiver(action: LinearAction,
         H0 = classes[a].representative
         if a not in normalizers:
             normalizers[a] = transporter(G, H0, H0)
-        normal = _relative_normal(action, nodes[a].fix_basis,
-                                  normalizers[a], H0,
+        normal = _relative_normal(action, normalizers[a], H0,
                                   classes[b].representative, g)
         arrows.append(QuiverArrow(a, b, g, normal))
     return DegeneracyQuiver(nodes, arrows)

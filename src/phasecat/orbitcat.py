@@ -49,6 +49,8 @@ class OrbitCategory:
         self.group = G
         self.classes = (classes if classes is not None
                         else conjugacy_classes_of_subgroups(G))
+        if any(c.representative.parent is not G for c in self.classes):
+            raise ValidationError("subgroup classes must be of the group")
         self.category = _build(G, self.classes)
         self.orbit_morphisms = [m.data for m in self.category.morphisms]
 

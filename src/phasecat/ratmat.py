@@ -11,9 +11,10 @@ the two forms, and each returned Fraction is built once at the end.
 ``echelon`` is the package's one fraction-free elimination, on sparse
 integer rows keyed by column.  The Milnor elimination of ``singularity``
 extends its kept rows once per total degree; Gauss-Jordan
-(``reduce_rows``), kernels, ranks and subspace intersections are built
-on it, so the a * row - b * kept step is written once.  Idempotence and dimension bookkeeping downstream are
-asserted as equalities, so no floating point is allowed here.
+(``reduce_rows``), kernels and ranks are built on it, so the
+a * row - b * kept step is written once.  Idempotence and dimension
+bookkeeping downstream are asserted as equalities, so no floating point
+is allowed here.
 """
 
 from __future__ import annotations
@@ -151,7 +152,12 @@ def kernel(rows) -> Form:
     """The form of the canonical null-space basis of non-empty integer
     rows: for each free column f, the vector with 1 at f, 0 at the other
     free columns and -row[f] / row[p] at the pivot p of each reduced row.
-    Scaling a row leaves it unchanged."""
+
+    It is the one basis of the null space that is the identity on the free
+    columns, so it depends on the space alone: scaling, reordering or
+    adding rows that cut out the same space leaves it unchanged.  A reduced
+    row has no entry left of its pivot, so the vector of f is nonzero only
+    at f and at pivots left of f: its last nonzero entry is the 1 at f."""
     reduced, pivots = reduce_rows(rows)
     ncols = len(reduced[0])
     den = lcm(*(row[p] for row, p in zip(reduced, pivots)))
@@ -173,14 +179,3 @@ def rank(A: Mat) -> int:
 
 def is_invertible(A: Mat) -> bool:
     return len(A) == len(A[0]) and rank(A) == len(A)
-
-
-def intersect(basis_a: list[Vec], constraint) -> list[Vec]:
-    """Basis of {v in span(basis_a) | constraint @ v = 0}, for integer
-    constraint rows, expressed as ambient vectors: the kernel of
-    constraint @ A, A the integer columns of basis_a, carried back by A."""
-    if not basis_a or not constraint:
-        return list(basis_a)
-    a, den = form(basis_a)
-    k, dk = kernel(int_mul(constraint, transpose(a)))
-    return list(to_mat(int_mul(k, a), den * dk))

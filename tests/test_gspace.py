@@ -9,6 +9,8 @@ from phasecat import (GComplex, ValidationError, components,
                       conjugacy_classes_of_subgroups, fixed_subcomplex,
                       isotropy, orbit_of, pi0_fix_presheaf, subdivide)
 from phasecat import fixtures as fx
+from phasecat import gspace
+from phasecat.errors import CapExceededError
 from phasecat.permgroup import all_subgroups, closure
 
 
@@ -118,6 +120,19 @@ class TestValidation:
         with pytest.raises(ValidationError,
                            match="^vertex 1 lies in no simplex$"):
             GComplex(groups["trivial"], 10 ** 9, [[0]], [])
+
+    def test_face_closure_stops_at_the_cap(self, groups, monkeypatch):
+        # one 7-vertex simplex closes to 2^7 - 1 = 127 simplices
+        simplex = [list(range(7))]
+        monkeypatch.setattr(gspace, "FACE_CAP", 127)
+        assert len(GComplex(groups["trivial"], 7, simplex, []).simplices) \
+            == 127
+        monkeypatch.setattr(gspace, "FACE_CAP", 126)
+        with pytest.raises(CapExceededError, match="FACE_CAP=126 "):
+            GComplex(groups["trivial"], 7, simplex, [])
+        monkeypatch.setattr(gspace, "FACE_CAP", 20)
+        with pytest.raises(CapExceededError, match=r"\(2[1-7] so far\)$"):
+            gspace.close_under_faces(simplex, 7)
 
     def test_faces_added_automatically(self, square_reflection):
         sizes = sorted(len(s) for s in square_reflection.simplices)
@@ -257,6 +272,13 @@ class TestFixPresheaf:
         classes = conjugacy_classes_of_subgroups(s3)
         pre = pi0_fix_presheaf(X, classes)
         assert all(len(c) == 1 for c in pre.comps)
+
+    @pytest.mark.parametrize("other", ["c2", "s4"])
+    def test_classes_of_another_group_rejected(self, groups, s3, other):
+        X = GComplex(s3, 1, [[0]], [[0], [0]])
+        with pytest.raises(ValidationError,
+                           match="must be of the complex's group"):
+            pi0_fix_presheaf(X, conjugacy_classes_of_subgroups(groups[other]))
 
     def test_square_reflection_components(self, c2, square_reflection):
         classes = conjugacy_classes_of_subgroups(c2)

@@ -238,6 +238,22 @@ class TestRelativeNormal:
                                        match="does not conjugate H0 into H1"):
                         relative_normal(s3_standard, h0, h1, g)
 
+    def test_action_leaving_the_basis_is_inconsistent(self, s3):
+        # the identity acts (it lies in K and normalizes H0) but neither
+        # H0's generators nor K's read its form; given a rotation's form,
+        # it moves the reflection's -1 line off itself
+        action = fx.load_representation("s3_standard", s3)
+        triv = trivial_subgroup(s3)
+        refl = next(s for s in all_subgroups(s3) if s.order == 2)
+        rotation = next(g for g in range(s3.order)
+                        if len(subgroup_closure(s3, (g,))) == 3)
+        forms = list(action.forms)
+        forms[s3.identity_index] = forms[rotation]
+        action.forms = tuple(forms)
+        with pytest.raises(ValidationError,
+                           match="^inconsistent linear system$"):
+            relative_normal(action, triv, refl, s3.identity_index)
+
 
 class TestDegeneracyQuiver:
     def test_every_cover_is_a_walk_edge(self, groups, c2s4):
@@ -270,6 +286,15 @@ class TestDegeneracyQuiver:
                            (by_order[2], by_order[6]),
                            (by_order[3], by_order[6])])
         assert pairs == expected
+
+    def test_classes_of_another_group_rejected(self, s3_standard, groups):
+        # C2's members (0,) and (0, 1) are element indices of S3 too, and
+        # S4's run past them; both lists are refused
+        for name in ("c2", "s4"):
+            with pytest.raises(ValidationError,
+                               match="must be of the action's group"):
+                degeneracy_quiver(
+                    s3_standard, conjugacy_classes_of_subgroups(groups[name]))
 
     def test_arrow_dimension_bookkeeping(self, s3_standard, c2_plane):
         for action in (s3_standard, c2_plane):

@@ -424,6 +424,14 @@ class TestObjects:
     def test_s3_has_four_objects(self, orbit_cats):
         assert len(orbit_cats["s3"].category.objects) == 4
 
+    @pytest.mark.parametrize("group,other", [("s4", "s3"), ("s3", "s4")])
+    def test_classes_of_another_group_rejected(self, groups, group, other):
+        # S3's members are element indices of S4 too, and S4's run past
+        # S3's six elements; both lists are refused
+        with pytest.raises(ValidationError, match="must be of the group"):
+            build_orbit_category(
+                groups[group], conjugacy_classes_of_subgroups(groups[other]))
+
 
 def _c2k(k):
     """C2^k acting on 2k points, one swap of (2i, 2i+1) per factor."""

@@ -187,26 +187,3 @@ def test_echelon_rows_stay_primitive():
             assert gcd(*row.values()) == 1, row
             assert lead == min(row)
         assert set(echelon) == bf_leads(rows, lambda c: c)
-
-
-class TestIntersect:
-    def test_no_constraint_rows_keeps_basis_a(self):
-        basis_a = [(F(1), F(0)), (F(0), F(1))]
-        out = ratmat.intersect(basis_a, ())
-        assert ratmat.rank(tuple(out)) == 2
-        assert ratmat.rank(tuple(out) + tuple(basis_a)) == 2
-
-    def test_no_constraint_rows_spans_basis_a_in_general(self):
-        rng = random.Random("intersect-empty")
-        for _ in range(50):
-            n, d = rng.randint(1, 4), rng.randint(4, 6)
-            basis_a = list(_matrix(rng, n, d, "small"))
-            out = ratmat.intersect(basis_a, ())
-            r = ratmat.rank(tuple(basis_a))
-            assert ratmat.rank(tuple(out)) == r
-            assert ratmat.rank(tuple(out) + tuple(basis_a)) == r
-
-    def test_constraint_cuts_out_its_null_space(self):
-        basis_a = [(F(1), F(0), F(0)), (F(0), F(1), F(0))]
-        out = ratmat.intersect(basis_a, ((1, 1, 0),))
-        assert out == [(F(-1), F(1), F(0))]
