@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import warnings
 from itertools import permutations
+from math import factorial
 
 from .errors import CapExceededError, ValidationError
 from .permgroup import (FiniteGroup, Subgroup, SubgroupClass, check_perm,
@@ -260,12 +261,21 @@ def subdivide(X: GComplex) -> GComplex:
     new simplices are the flags of proper inclusions.  Only the complete
     flags of X's maximal simplices are passed on, one per ordering of a
     maximal simplex's vertices; :func:`close_under_faces` adds the rest.
+    The complete flags are distinct simplices, so when they number more
+    than ``FACE_CAP`` the closure would refuse them: the cap is checked
+    on their count, before any is built.
     """
     old = sorted(X.simplices, key=lambda s: (len(s), sorted(s)))
     where = {s: i for i, s in enumerate(old)}
     faces = {s - {v} for s in old for v in s}
+    maximal = [s for s in old if s not in faces]
+    count = sum(factorial(len(s)) for s in maximal)
+    if count > FACE_CAP:
+        raise CapExceededError(
+            f"subdivision exceeds FACE_CAP={FACE_CAP} simplices "
+            f"({count} complete flags)")
     flags = [[where[frozenset(order[:k])] for k in range(1, len(s) + 1)]
-             for s in old if s not in faces for order in permutations(s)]
+             for s in maximal for order in permutations(s)]
     gen_maps = [tuple(where[frozenset(vmap[v] for v in s)] for s in old)
                 for vmap in X.generator_maps]
     return GComplex(X.group, len(old), flags, gen_maps)

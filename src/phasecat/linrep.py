@@ -91,8 +91,8 @@ class RelativeNormal:
 
     ``basis`` spans ker(P_K) intersected with Fix(H0), where K is the
     H1-conjugate containing H0; ``restricted`` maps each element of
-    K meeting the normalizer of H0 (the part of the gained symmetry that
-    acts on Fix(H0)) to its matrix in ``basis`` coordinates.
+    K that normalizes H0 (the part of the gained symmetry that acts on
+    Fix(H0)) to its matrix in ``basis`` coordinates.
     """
     __slots__ = ("basis", "acting_subgroup", "restricted")
 
@@ -120,15 +120,11 @@ def relative_normal(action: LinearAction, H0: Subgroup, H1: Subgroup,
     stacked with the annihilator rows.  That basis is the identity on the
     kernel's free columns, so each restricted matrix is the image of the
     basis read at those columns.
+
+    The acting elements are the k in K that conjugate each generator of
+    H0 into H0: conjugation by k is a homomorphism, so k H0 k^-1 <= H0,
+    and H0 is finite, so k H0 k^-1 = H0 and k normalizes H0.
     """
-    return _relative_normal(action, transporter(action.group, H0, H0), H0,
-                            H1, witness)
-
-
-def _relative_normal(action: LinearAction, normalizer0: frozenset[int],
-                     H0: Subgroup, H1: Subgroup,
-                     witness: int) -> RelativeNormal:
-    """relative_normal, given the members of the normalizer of H0."""
     G = action.group
     # range check first: a negative witness would wrap around G.inverse
     K = H1.conjugate(G.inv(witness)) if 0 <= witness < G.order else None
@@ -145,8 +141,10 @@ def _relative_normal(action: LinearAction, normalizer0: frozenset[int],
                             d, annihilator)
     basis = list(ratmat.to_mat(rows, dc))
 
-    acting_members = tuple(sorted(K.member_set & normalizer0))
-    acting = Subgroup(G, acting_members)
+    h0 = H0.member_set
+    acting = Subgroup(G, tuple(
+        k for k in K.members
+        if all(G.conj(k, h) in h0 for h in H0.generator_indices)))
     if not basis:
         return RelativeNormal(basis, acting, {k: () for k in acting.members})
     cols = ratmat.transpose(rows)
@@ -228,15 +226,9 @@ def degeneracy_quiver(action: LinearAction,
     for c in classes:
         basis = fix_subspace(action, c.representative)
         nodes.append(QuiverNode(c, len(basis), basis))
-    arrows = []
-    normalizers: dict[int, frozenset[int]] = {}
-    for (a, b, g) in subconjugacy_covers(G, classes):
-        H0 = classes[a].representative
-        if a not in normalizers:
-            normalizers[a] = transporter(G, H0, H0)
-        normal = _relative_normal(action, normalizers[a], H0,
-                                  classes[b].representative, g)
-        arrows.append(QuiverArrow(a, b, g, normal))
+    arrows = [QuiverArrow(a, b, g, relative_normal(
+        action, classes[a].representative, classes[b].representative, g))
+        for (a, b, g) in subconjugacy_covers(G, classes)]
     return DegeneracyQuiver(nodes, arrows)
 
 

@@ -14,10 +14,16 @@ from itertools import count
 from typing import NamedTuple
 
 from .category import FiniteCategory
-from .errors import ValidationError
+from .errors import CapExceededError, ValidationError
 from .permgroup import (FiniteGroup, Subgroup, SubgroupClass,
                         conjugacy_classes_of_subgroups, subconjugacy,
                         transporter)
+
+#: Hard cap on the entries of the composition table, one per composable
+#: pair, checked once every hom-set is known and before any is filled.
+#: S6 has 4,686,038 and builds in about 6 s at about 840 MiB; C2^6 would
+#: need 38,729,665.
+ENTRY_CAP = 2 ** 23
 
 
 class OrbitMorphism(NamedTuple):
@@ -86,6 +92,7 @@ def _build(G: FiniteGroup, classes: list[SubgroupClass]):
     # index order
     hom: list[dict[int, list]] = [{} for _ in classes]
     blocks: list[list] = [[] for _ in classes]
+    into, out = [0] * len(classes), [0] * len(classes)
     for c0, up in enumerate(subconjugacy(classes)):
         for c1 in up:
             reps = transporter_coset_reps(G, classes[c0].representative,
@@ -95,6 +102,14 @@ def _build(G: FiniteGroup, classes: list[SubgroupClass]):
             blocks[c1].append((c0, reps))
             morphisms.extend((c0, c1, f"g{g}:{c0}->{c1}",
                               OrbitMorphism(c0, c1, g)) for g in reps)
+            out[c0] += len(reps)
+            into[c1] += len(reps)
+    # a morphism out of c has one entry per morphism into c
+    entries = sum(i * o for i, o in zip(into, out))
+    if entries > ENTRY_CAP:
+        raise CapExceededError(
+            f"orbit category needs {entries} composition entries for "
+            f"{len(morphisms)} morphisms, past ENTRY_CAP={ENTRY_CAP}")
 
     def fill(cat) -> list[list[int]]:
         # (c1, c2, g2) o (c0, c1, g1) = (c0, c2, canon[c2][g2 g1])

@@ -32,6 +32,10 @@ ORDER_CAP = 1024
 #: Hard cap on the number of points acted on, checked before a permutation
 #: of that length is built; a Weyl group acts on up to ORDER_CAP cosets.
 DEGREE_CAP = 4 * ORDER_CAP
+#: Hard cap on the subgroup classes of one class walk, checked as each new
+#: class is found.  C2^7 has 29,212 classes, each a single subgroup, and
+#: ``group info`` on it takes 2 to 4 s at about 104 MiB; C2^8 has 417,199.
+CLASS_CAP = 2 ** 16
 
 
 def identity_perm(degree: int) -> Perm:
@@ -338,6 +342,10 @@ def conjugacy_classes_of_subgroups(
             tried.update([row[h] for h in H])
             K = _extend(G, H, gens, g)
             if K not in seen:
+                if len(walk) >= CLASS_CAP:
+                    raise CapExceededError(
+                        f"subgroup class walk passed CLASS_CAP={CLASS_CAP}: "
+                        f"{len(walk) + 1} classes found so far")
                 seen[K] = len(walk)
                 conjugates = [K]
                 for S in conjugates:

@@ -166,17 +166,17 @@ def quotient_functor(phase: PhaseCategory) -> QuotientFunctor:
         if c is None:
             raise ValidationError(
                 f"the isotropy class of vertex {v} is not listed")
-        gens = classes[c].representative.generator_indices
+        # the vertices of Fix(H), each with its component
+        fixed = presheaf.vertex_component[c]
         # k H k^-1 = Iso(v) exactly when H fixes k^-1 v, as both subgroups
-        # have the same order; H's generators suffice
+        # have the same order
         for k in range(G.order):
             v_rep = maps[G.inv(k)][v]
-            if all(maps[h][v_rep] == v_rep for h in gens):
+            if v_rep in fixed:
                 break
         conjugator.append(k)
         # v lies in Fix(k H k^-1); k^-1 v lies in Fix(H)
-        comp = presheaf.component_of_vertex(c, v_rep)
-        vertex_object.append(phase.object_index(c, comp))
+        vertex_object.append(phase.object_index(c, fixed[v_rep]))
     return QuotientFunctor(phase, vertex_object, conjugator)
 
 

@@ -134,6 +134,15 @@ class TestValidation:
         with pytest.raises(CapExceededError, match=r"\(2[1-7] so far\)$"):
             gspace.close_under_faces(simplex, 7)
 
+    def test_subdivision_counts_flags_before_building_them(self, groups):
+        # one 11-vertex simplex has 2,047 faces but 11! complete flags,
+        # which would take gigabytes to build
+        X = GComplex(groups["trivial"], 11, [range(11)], [])
+        with pytest.raises(CapExceededError,
+                           match=r"^subdivision exceeds FACE_CAP=262144 "
+                                 r"simplices \(39916800 complete flags\)$"):
+            subdivide(X)
+
     def test_faces_added_automatically(self, square_reflection):
         sizes = sorted(len(s) for s in square_reflection.simplices)
         assert sizes == [1, 1, 1, 1, 2, 2, 2, 2]

@@ -4,10 +4,10 @@ import random
 import pytest
 
 import oracles
-from phasecat import (ValidationError, build_orbit_category,
-                      build_phase_diagram, conjugacy_classes_of_subgroups,
-                      export_olog, import_olog, strata_category, subdivide,
-                      weyl_group)
+from phasecat import (CapExceededError, ValidationError,
+                      build_orbit_category, build_phase_diagram,
+                      conjugacy_classes_of_subgroups, export_olog,
+                      import_olog, strata_category, subdivide, weyl_group)
 from phasecat import fixtures as fx
 from phasecat import orbitcat
 from phasecat.category import FiniteCategory, Morphism
@@ -479,6 +479,35 @@ class TestSizeOracle:
     def test_unbuilt_sizes(self):
         assert oracles.c2k_orbit_sizes(5)[1] == 821_132
         assert oracles.c2k_orbit_sizes(6)[1] == 38_729_665
+
+
+class TestEntryCap:
+    """The composition table's size is known before any column is filled:
+    a morphism out of class c has one entry per morphism into c."""
+
+    # D6, D4 x C2 and S5; C2 x S4 is the c2s4 fixture
+    MORE = {"d6": (6, [[1, 2, 3, 4, 5, 0], [0, 5, 4, 3, 2, 1]]),
+            "d4c2": (6, [[1, 2, 3, 0, 4, 5], [1, 0, 3, 2, 4, 5],
+                         [0, 1, 2, 3, 5, 4]]),
+            "s5": (5, [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]])}
+
+    @pytest.mark.parametrize("name", GROUP_NAMES + ["d6", "d4c2", "c2s4",
+                                                    "s5"])
+    def test_predicted_entries_are_the_table(self, name, groups, c2s4,
+                                             monkeypatch):
+        G = (groups[name] if name in groups else c2s4 if name == "c2s4"
+             else closure(*self.MORE[name]))
+        cat = build_orbit_category(G).category
+        entries = sum(map(len, cat.columns))
+        monkeypatch.setattr(orbitcat, "ENTRY_CAP", entries)
+        assert build_orbit_category(G).category.columns == cat.columns
+        monkeypatch.setattr(orbitcat, "ENTRY_CAP", entries - 1)
+        with pytest.raises(CapExceededError,
+                           match=rf"^orbit category needs {entries} "
+                                 rf"composition entries for "
+                                 rf"{len(cat.morphisms)} morphisms, past "
+                                 rf"ENTRY_CAP={entries - 1}$"):
+            build_orbit_category(G)
 
 
 def _every_category(orbit_cats, tetra_phase):

@@ -9,6 +9,7 @@ from phasecat import (CapExceededError, GComplex,
                       conjugacy_classes_of_subgroups, normalizer,
                       subconjugacy, transporter, weyl_group)
 from phasecat import fixtures as fx
+from phasecat import permgroup
 from phasecat.permgroup import (DEGREE_CAP, ORDER_CAP, Subgroup,
                                 extend_generators, parse_cycles, perm_mul,
                                 subgroup_closure)
@@ -297,6 +298,15 @@ class TestConjugacyClasses:
 
     def test_s4_eleven_classes(self, groups):
         assert len(conjugacy_classes_of_subgroups(groups["s4"])) == 11
+
+    def test_class_walk_stops_at_the_cap(self, groups, monkeypatch):
+        monkeypatch.setattr(permgroup, "CLASS_CAP", 11)
+        assert len(conjugacy_classes_of_subgroups(groups["s4"])) == 11
+        monkeypatch.setattr(permgroup, "CLASS_CAP", 10)
+        with pytest.raises(CapExceededError,
+                           match=r"^subgroup class walk passed CLASS_CAP=10: "
+                                 r"11 classes found so far$"):
+            conjugacy_classes_of_subgroups(groups["s4"])
 
     def test_abelian_one_class_per_subgroup(self, groups):
         for name in ("trivial", "c2", "c4"):
