@@ -5,8 +5,9 @@ bundled dict below) into an object: each ``*_from_spec`` checks the spec's
 shape, naming the bad field, before building.  Unknown keys are ignored.
 ``load_*`` build the bundled fixtures through the same functions, and
 ``write_fixtures`` writes them out as files.  Each builder imports the
-module of the object it builds, so reading a group loads no complex,
-representation or stratification code."""
+module of the object it builds, so importing this module loads no group
+code, and reading a group loads no complex, representation or
+stratification code."""
 
 from __future__ import annotations
 
@@ -14,11 +15,11 @@ import os
 from typing import TYPE_CHECKING
 
 from .errors import ValidationError
-from .permgroup import FiniteGroup, check_perm, closure, parse_cycles
 
 if TYPE_CHECKING:
     from .gspace import GComplex
     from .linrep import LinearAction
+    from .permgroup import FiniteGroup
     from .phase import StratifiedComplex
 
 GROUPS: dict[str, dict] = {
@@ -139,6 +140,7 @@ def _field(spec, key: str, depth: int, expected: str, leaf=_is_int,
 
 def group_from_spec(spec) -> FiniteGroup:
     """A permutation group; a generator is an image list or cycle string."""
+    from .permgroup import check_perm, closure, parse_cycles
     degree = _field(spec, "degree", 0, "an integer")
     gens = _field(spec, "generators", 1,
                   "a list of integer lists or cycle strings",

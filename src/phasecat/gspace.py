@@ -4,7 +4,10 @@ A GComplex pairs a finite abstract simplicial complex with an action of a
 FiniteGroup by simplicial automorphisms, given by one vertex image array per
 group generator.  From it we compute fixed subcomplexes, their pi_0 (on the
 1-skeleton, which determines connectivity), vertex isotropy/orbits, and the
-full fixed-point presheaf over the subgroup classes.
+full fixed-point presheaf over the subgroup classes.  The presheaf reads
+only each class's fixed vertices and the edges between them: the fixed
+vertices come from the generators' maps, and each vertex's higher
+neighbours are listed once per presheaf.
 
 Every simplex set -- of a GComplex, of a subdivision and of a stratified
 complex -- is built by :func:`close_under_faces`.  Every GComplex is checked
@@ -132,17 +135,46 @@ class GComplex:
                     return
 
 
-def fixed_subcomplex(X: GComplex, H: Subgroup) -> frozenset[Simplex]:
-    """Simplices fixed vertex-wise by every element of H.
+def _fixed_vertices(X: GComplex, H: Subgroup) -> list[int]:
+    """The vertices fixed by every element of H, ascending.
 
     A vertex fixed by every generator of H is fixed by H, so only the
     generators' maps are read.
     """
-    fixed = set(range(X.vertex_count))
+    fixed = range(X.vertex_count)
     for h in H.generator_indices:
         vmap = X.element_maps[h]
-        fixed = {v for v in fixed if vmap[v] == v}
+        fixed = [v for v in fixed if vmap[v] == v]
+    return list(fixed)
+
+
+def fixed_subcomplex(X: GComplex, H: Subgroup) -> frozenset[Simplex]:
+    """Simplices fixed vertex-wise by every element of H."""
+    fixed = set(_fixed_vertices(X, H))
     return frozenset(s for s in X.simplices if s <= fixed)
+
+
+def _union_find(verts, edges) -> list[tuple[int, ...]]:
+    """Components of the graph on the ascending ``verts`` joined by the
+    vertex pairs ``edges``, as sorted tuples ordered by minimal vertex."""
+    parent = {v: v for v in verts}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    # each root is its component's least vertex, so the roots, and each
+    # component's vertices, are met in ascending order
+    comps: dict[int, list[int]] = {}
+    for v in verts:
+        comps.setdefault(find(v), []).append(v)
+    return list(map(tuple, comps.values()))
 
 
 def components(subset) -> list[tuple[int, ...]]:
@@ -152,25 +184,8 @@ def components(subset) -> list[tuple[int, ...]]:
     vertex.
     """
     subset = set(subset)
-    verts = sorted({v for s in subset for v in s})
-    parent = {v: v for v in verts}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for s in subset:
-        if len(s) == 2:
-            a, b = sorted(s)
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    comps: dict[int, list[int]] = {}
-    for v in verts:
-        comps.setdefault(find(v), []).append(v)
-    return [tuple(sorted(comps[r])) for r in sorted(comps)]
+    return _union_find(sorted({v for s in subset for v in s}),
+                       (tuple(s) for s in subset if len(s) == 2))
 
 
 def component_index(comps) -> dict[int, int]:
@@ -247,11 +262,29 @@ class FixPresheaf:
 
 def pi0_fix_presheaf(X: GComplex,
                      classes: list[SubgroupClass]) -> FixPresheaf:
+    """pi_0 Fix(H) for each class representative H, read from the fixed
+    vertices and the edges between them.
+
+    A simplex is fixed vertex-wise exactly when its vertices are, pi_0 of
+    a complex is pi_0 of its 1-skeleton, and every vertex of a GComplex
+    is a 0-simplex, so no other simplex is read.  Each edge is listed
+    once, at its lesser end, before any class is read.
+    """
     if any(c.representative.parent is not X.group for c in classes):
         raise ValidationError("subgroup classes must be of the complex's "
                               "group")
-    return FixPresheaf(X, [components(fixed_subcomplex(X, c.representative))
-                           for c in classes])
+    higher: list[list[int]] = [[] for _ in range(X.vertex_count)]
+    for s in X.simplices:
+        if len(s) == 2:
+            a, b = sorted(s)
+            higher[a].append(b)
+    comps = []
+    for c in classes:
+        verts = _fixed_vertices(X, c.representative)
+        fixed = set(verts)
+        comps.append(_union_find(verts, ((a, b) for a in verts
+                                         for b in higher[a] if b in fixed)))
+    return FixPresheaf(X, comps)
 
 
 def subdivide(X: GComplex) -> GComplex:

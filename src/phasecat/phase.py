@@ -108,36 +108,49 @@ class QuotientFunctor:
 
     ``vertex_object[v]`` is the phase object of vertex v;
     ``arrow_image(g, v)`` is the phase morphism that the groupoid arrow
-    g: v -> gv maps to.
+    g: v -> gv maps to.  Each vertex's class, component and inverse
+    conjugator are read once, from the ``vertex_object`` and
+    ``_conjugator`` given, into arrays that ``arrow_image`` indexes.
     """
-    __slots__ = ("phase", "vertex_object", "_conjugator")
+    __slots__ = ("phase", "vertex_object", "_conjugator", "_class",
+                 "_component", "_conjugator_inv", "_maps", "_table",
+                 "_canon", "_orbit_of", "_phase_of")
 
     def __init__(self, phase: PhaseCategory, vertex_object: list[int],
                  _conjugator: list[int]):
         self.phase = phase
         self.vertex_object = vertex_object
         self._conjugator = _conjugator
+        keys = [phase.objects[o] for o in vertex_object]
+        self._class = [o.subgroup_class for o in keys]
+        self._component = [o.component_id for o in keys]
+        X = phase.presheaf.X
+        self._conjugator_inv = list(map(X.group.inv, _conjugator))
+        self._maps = X.element_maps
+        self._table = X.group.table
+        self._canon = [c.representative.right_coset_min
+                       for c in phase.orbit.classes]
+        self._orbit_of = phase.orbit.category.morphism_of
+        self._phase_of = phase.category.morphism_of
 
     def arrow_image(self, g: int, v: int) -> int:
-        X = self.phase.presheaf.X
-        G = X.group
         # a negative index would wrap around to the last element or vertex,
         # and one past the end raises IndexError
         try:
-            w = X.element_maps[g][v] if g >= 0 and v >= 0 else None
+            w = self._maps[g][v] if g >= 0 and v >= 0 else None
         except IndexError:
             w = None
         if w is None:
             raise ValidationError(
                 f"no phase morphism for arrow (g={g}, v={v})")
-        k0, k1 = self._conjugator[v], self._conjugator[w]
+        c0, c1 = self._class[v], self._class[w]
         # k1^-1 g k0 normalizes the class representative of Iso(v)
-        n = G.mul(G.inv(k1), G.mul(g, k0))
-        src = self.phase.objects[self.vertex_object[v]]
-        dst = self.phase.objects[self.vertex_object[w]]
-        base = self.phase.orbit.morphism_index(
-            src.subgroup_class, dst.subgroup_class, n)
-        m = self.phase.category.find((base, dst.component_id))
+        table = self._table
+        n = table[self._conjugator_inv[w]][table[g][self._conjugator[v]]]
+        base = self._orbit_of.get((c0, c1, self._canon[c1][n]))
+        if base is None:  # raises the orbit category's own message
+            base = self.phase.orbit.morphism_index(c0, c1, n)
+        m = self._phase_of.get((base, self._component[w]))
         if m is None:
             raise ValidationError(
                 f"no phase morphism for arrow (g={g}, v={v})")

@@ -302,6 +302,17 @@ def bf_fixed_subcomplex(simplices, element_maps, members):
                             for h in members for v in s))
 
 
+def bf_pi0(simplices):
+    """Components of a simplex set, all vertices of each simplex joined,
+    not only the ends of its edges: sorted vertex tuples, ordered by
+    least vertex."""
+    comps: list[set] = []
+    for s in simplices:
+        meets = [c for c in comps if c & s]
+        comps = [c for c in comps if not c & s] + [set(s).union(*meets)]
+    return sorted(tuple(sorted(c)) for c in comps)
+
+
 def bf_olog_json(data):
     """The stdlib's indented, key-sorted JSON text plus a final newline."""
     return json.dumps(data, indent=2, sort_keys=True) + "\n"

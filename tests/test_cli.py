@@ -522,7 +522,8 @@ COMPLEX_OUT = (GROUP_READ | OLOG_OUT
 SINGULARITY = {"errors", "germs", "ratmat", "singularity"}
 # argv -> the most phasecat modules the subcommand may load (cli aside)
 LOADS = {
-    "seed-fixtures": (["--seed-fixtures", "{tmp}"], GROUP_READ | OLOG_OUT),
+    "seed-fixtures": (["--seed-fixtures", "{tmp}"],
+                      {"errors", "fixtures", "ologio"}),
     "group": (["group", "info", "-i", "{fx}/group_s3.json"], GROUP_READ),
     "orbitcat": (["orbitcat", "-i", "{fx}/group_s3.json", "--format", "dot"],
                  GROUP_READ | OLOG_OUT | {"category", "orbitcat"}),

@@ -381,6 +381,73 @@ class TestFixPresheaf:
                                                      c2.mul(h, n))
 
 
+# the benchmark's base complexes: S4 on the tetrahedron boundary and
+# D4 x C2 on the octahedron boundary (a square equator and two poles)
+OCTAHEDRON = [[a, (a + 1) % 4, pole] for a in range(4) for pole in (4, 5)]
+
+
+def relabel(X, rng):
+    """X with its vertices renamed by a seeded random permutation."""
+    name = list(range(X.vertex_count))
+    rng.shuffle(name)
+    maps = []
+    for vmap in X.generator_maps:
+        image = [0] * X.vertex_count
+        for v, w in enumerate(vmap):
+            image[name[v]] = name[w]
+        maps.append(image)
+    return GComplex(X.group, X.vertex_count,
+                    [[name[v] for v in s] for s in X.simplices], maps)
+
+
+@pytest.fixture(scope="module")
+def presheaf_complexes(groups):
+    """Every bundled complex and the benchmark's two base complexes, each
+    with its first and second subdivisions, and seeded vertex
+    relabellings of the two base complexes subdivided twice."""
+    d4c2 = closure(6, D4C2)
+    s4 = groups["s4"]
+    out = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        bases = {name: fx.load_complex(name) for name in fx.COMPLEXES}
+        bases["s4_tetra"] = GComplex(s4, 4, itertools.combinations(
+            range(4), 3), s4.generators)
+        bases["d4c2_octa"] = GComplex(d4c2, 6, OCTAHEDRON, d4c2.generators)
+    for name, X in bases.items():
+        for times in range(3):
+            out[f"{name}_sd{times}"] = X
+            X = subdivide(X)
+    rng = random.Random("presheaf relabellings")
+    for name in ("s4_tetra_sd2", "d4c2_octa_sd2"):
+        for k in range(2):
+            out[f"{name}_relabelled{k}"] = relabel(out[name], rng)
+    return out
+
+
+class TestPresheafMatchesBruteForce:
+    """pi_0 Fix(H) for each class representative H, against the
+    components of the vertex-wise fixed subcomplex over all of H's
+    members, joined through any shared simplex."""
+
+    def test_every_class(self, presheaf_complexes):
+        for name, X in presheaf_complexes.items():
+            classes = conjugacy_classes_of_subgroups(X.group)
+            comps = pi0_fix_presheaf(X, classes).comps
+            for c, cls in enumerate(classes):
+                fixed = oracles.bf_fixed_subcomplex(
+                    X.simplices, X.element_maps, cls.representative.members)
+                assert comps[c] == oracles.bf_pi0(fixed), (name, c)
+
+    def test_fixed_subcomplex_components(self, presheaf_complexes):
+        # the presheaf and the public pair fixed_subcomplex, components
+        X = presheaf_complexes["d4c2_octa_sd2_relabelled0"]
+        classes = conjugacy_classes_of_subgroups(X.group)
+        assert pi0_fix_presheaf(X, classes).comps == [
+            components(fixed_subcomplex(X, cls.representative))
+            for cls in classes]
+
+
 class TestSubdivide:
     def test_subdivision_counts(self, c2, square_reflection):
         sd = subdivide(square_reflection)

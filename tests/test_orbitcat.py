@@ -509,6 +509,28 @@ class TestEntryCap:
                                  rf"ENTRY_CAP={entries - 1}$"):
             build_orbit_category(G)
 
+    def test_refusal_lists_no_morphism(self, groups, monkeypatch):
+        # the cap is read from the counted hom-sets, before any
+        # OrbitMorphism is made
+        made = []
+
+        class Counted(orbitcat.OrbitMorphism):
+            def __new__(cls, *fields):
+                made.append(fields)
+                return super().__new__(cls, *fields)
+
+        monkeypatch.setattr(orbitcat, "OrbitMorphism", Counted)
+        monkeypatch.setattr(orbitcat, "ENTRY_CAP", 2895)
+        n = len(build_orbit_category(groups["s4"]).category.morphisms)
+        assert len(made) == n > 0
+        made.clear()
+        monkeypatch.setattr(orbitcat, "ENTRY_CAP", 2894)
+        with pytest.raises(CapExceededError,
+                           match=rf"needs 2895 composition entries for {n} "
+                                 rf"morphisms, past ENTRY_CAP=2894$"):
+            build_orbit_category(groups["s4"])
+        assert made == []
+
 
 def _every_category(orbit_cats, tetra_phase):
     """Every bundled orbit category, tetra_phase, the strata categories

@@ -224,26 +224,53 @@ class TestLookups:
                         assert orbit.morphism_index(c0, c1, rep) == want
         assert outside > 0
 
-    def test_arrow_image(self, tetra_phase):
+    def test_arrow_image(self, keyed_categories):
+        # every (g, v) on S4's tetrahedron, the setwise D4 square and the
+        # subdivided D4 x C2 octahedron
+        for name in ("phase_s4_tetra", "phase_square_d4", "phase_d4c2_octa"):
+            phase = keyed_categories[1][name]
+            qf = quotient_functor(phase)
+            X = phase.presheaf.X
+            G = X.group
+            for g in range(G.order):
+                for v in range(X.vertex_count):
+                    w = X.element_maps[g][v]
+                    k0, k1 = qf._conjugator[v], qf._conjugator[w]
+                    n = G.mul(G.inv(k1), G.mul(g, k0))
+                    src = phase.objects[qf.vertex_object[v]]
+                    dst = phase.objects[qf.vertex_object[w]]
+                    base = scan_morphism_index(
+                        phase.orbit, src.subgroup_class, dst.subgroup_class,
+                        n)
+                    want = [m for m, mor in enumerate(phase.category.morphisms)
+                            if mor.data == (base, dst.component_id)]
+                    assert qf.arrow_image(g, v) == want[0], (name, g, v)
+                    mor = phase.category.morphisms[want[0]]
+                    assert (mor.src, mor.dst) == (qf.vertex_object[v],
+                                                  qf.vertex_object[w])
+
+    def test_arrow_image_names_a_missed_orbit_morphism(self, tetra_phase):
+        # a conjugator that does not carry v into Fix of its class
+        # representative gives an element outside every transporter coset,
+        # and the orbit category's own message names it
         phase = tetra_phase
         qf = quotient_functor(phase)
         X = phase.presheaf.X
-        G = X.group
-        for g in range(G.order):
-            for v in range(X.vertex_count):
-                w = X.element_maps[g][v]
-                k0, k1 = qf._conjugator[v], qf._conjugator[w]
-                n = G.mul(G.inv(k1), G.mul(g, k0))
-                src = phase.objects[qf.vertex_object[v]]
-                dst = phase.objects[qf.vertex_object[w]]
-                base = scan_morphism_index(phase.orbit, src.subgroup_class,
-                                           dst.subgroup_class, n)
-                want = [m for m, mor in enumerate(phase.category.morphisms)
-                        if mor.data == (base, dst.component_id)]
-                assert qf.arrow_image(g, v) == want[0]
-                mor = phase.category.morphisms[want[0]]
-                assert (mor.src, mor.dst) == (qf.vertex_object[v],
-                                              qf.vertex_object[w])
+        G, maps = X.group, X.element_maps
+        c = [phase.objects[o].subgroup_class for o in qf.vertex_object]
+        g, v, w, k, n = next(
+            (g, v, w, k, n) for v in range(X.vertex_count)
+            for g in range(G.order) for w in [maps[g][v]] if w != v
+            for k in range(G.order)
+            for n in [G.mul(G.inv(qf._conjugator[w]), G.mul(g, k))]
+            if scan_morphism_index(phase.orbit, c[v], c[w], n) is None)
+        conjugator = list(qf._conjugator)
+        conjugator[v] = k
+        bad = QuotientFunctor(phase, qf.vertex_object, conjugator)
+        with pytest.raises(ValidationError, match=re.escape(
+                f"element {n} does not represent a morphism "
+                f"{c[v]} -> {c[w]}")):
+            bad.arrow_image(g, v)
 
     @pytest.mark.parametrize("name", ["phase_square_d4", "phase_s4_tetra"])
     def test_out_of_range_indices(self, name, keyed_categories):
